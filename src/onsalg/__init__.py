@@ -1,23 +1,29 @@
 """Exact-arithmetic verification of a boundary current algebra.
 
 The layers, bottom up: `exactalg` (rational coefficients, sparse Laurent
-polynomials, rational functions), `tensormat` (tensor-leg matrices, the
+polynomials, rational functions, and `LinComb`, the sparse linear
+combination of basis keys), `tensormat` (tensor-leg matrices, the
 classical r-matrix and boundary matrices, the unreduced identity checks),
 `kacmoody` (the mode Lie algebra and its order-two maps), `currents`
 (truncated matrix series, the double-row series and their exchange
 relations), `onsager` (the three abstract subalgebra families), and
 `envelope` (normal-ordered products and commuting charges).  `cli` wires
 the checks into named suites; the `verify` entry point runs them.
+
+Lie elements (`LieElt`), family elements (`OnsElt`) and enveloping-algebra
+elements (`envelope.UeaElt`) share one type: `LieElt` and `OnsElt` are
+`LinComb`, and `UeaElt` subclasses it only to print PBW words.
 """
 
 from .report import CheckReport
-from .exactalg import LaurentPoly, RatFun, Variable, parameter, rat, spectral
+from .exactalg import LaurentPoly, LinComb, RatFun, Variable, parameter, rat, spectral
 from .kacmoody import C, E, F, H, LieElt, bracket
 from .onsager import OnsElt, abstract_bracket, ons
 
 __all__ = [
     "CheckReport",
     "LaurentPoly",
+    "LinComb",
     "RatFun",
     "Variable",
     "parameter",

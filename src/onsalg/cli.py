@@ -173,7 +173,15 @@ def _execute(checks, parallel):
 
 # --- argument handling -------------------------------------------------
 
-_CONFIG_KEYS = ("suite", "window", "max_k", "format", "seed", "parallel")
+# the exact JSON type of each config field; bool is not accepted as an int
+_CONFIG_TYPES = {
+    "suite": str,
+    "window": int,
+    "max_k": int,
+    "format": str,
+    "seed": int,
+    "parallel": bool,
+}
 
 
 def _build_parser():
@@ -210,9 +218,15 @@ def _resolve_config(args):
             raise ValueError(f"cannot read config {args.config!r}: {e}")
         if not isinstance(file_vals, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(file_vals) - set(_CONFIG_KEYS))
+        unknown = sorted(set(file_vals) - set(_CONFIG_TYPES))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, val in file_vals.items():
+            want = _CONFIG_TYPES[key]
+            if type(val) is not want:
+                raise ValueError(
+                    f"config field {key!r} must be {want.__name__}, got {val!r}"
+                )
 
     def pick(name, flag_val, default):
         if flag_val is not None:
@@ -223,12 +237,12 @@ def _resolve_config(args):
     if suite is None:
         raise ValueError("no suite given (pass one or set it in --config)")
     cfg = SuiteConfig(
-        suite=str(suite),
-        window=int(pick("window", args.window, 6)),
-        max_k=int(pick("max_k", args.max_k, 4)),
-        format=str(pick("format", args.format, "text")),
-        seed=int(pick("seed", args.seed, 0)),
-        parallel=bool(pick("parallel", args.parallel, False)),
+        suite=suite,
+        window=pick("window", args.window, 6),
+        max_k=pick("max_k", args.max_k, 4),
+        format=pick("format", args.format, "text"),
+        seed=pick("seed", args.seed, 0),
+        parallel=pick("parallel", args.parallel, False),
     )
     cfg.validate()
     return cfg

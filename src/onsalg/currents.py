@@ -9,9 +9,9 @@ provably safe window; degrees are doubled like LaurentPoly exponents.
 import time
 from dataclasses import dataclass
 
-from .exactalg import LaurentPoly, rat, spectral
+from .exactalg import LaurentPoly, accumulate, rat, spectral
 from .kacmoody import C, E, F, H, LieElt, bracket
-from .report import finish_report
+from .report import Residuals
 from .tensormat import build_boundary, build_r, build_rbar, leg_embed
 
 __all__ = [
@@ -202,12 +202,7 @@ class CurrentMat:
         for pos, coeffs in other.entries.items():
             tgt = out.setdefault(pos, {})
             for deg, lie in coeffs.items():
-                cur = tgt.get(deg)
-                s = lie if cur is None else cur + lie
-                if s:
-                    tgt[deg] = s
-                else:
-                    tgt.pop(deg, None)
+                accumulate(tgt, deg, lie)
             if not tgt:
                 del out[pos]
         metas = tuple(a.added(b) for a, b in zip(self.metas, other.metas))
@@ -289,13 +284,7 @@ class CurrentMat:
             for deg, lie in coeffs.items():
                 for shift, mono in parts:
                     nd = tuple(d + s for d, s in zip(deg, shift))
-                    add = lie.scale(mono)
-                    cur = tgt.get(nd)
-                    s = add if cur is None else cur + add
-                    if s:
-                        tgt[nd] = s
-                    else:
-                        tgt.pop(nd, None)
+                    accumulate(tgt, nd, lie.scale(mono))
             if tgt:
                 out[pos] = tgt
         metas = tuple(
@@ -330,13 +319,7 @@ class CurrentMat:
                 for deg, lie in coeffs.items():
                     for shift, mono in parts:
                         nd = tuple(d + s for d, s in zip(deg, shift))
-                        add = lie.scale(mono)
-                        cur = tgt.get(nd)
-                        s = add if cur is None else cur + add
-                        if s:
-                            tgt[nd] = s
-                        else:
-                            tgt.pop(nd, None)
+                        accumulate(tgt, nd, lie.scale(mono))
         out = {pos: tgt for pos, tgt in out.items() if tgt}
         metas = tuple(
             m.shifted(lo, hi) for m, (lo, hi) in zip(self.metas, span)
@@ -431,12 +414,7 @@ class CurrentMat:
             if not coeffs:
                 continue
             for deg, lie in coeffs.items():
-                cur = out.get(deg)
-                s = lie if cur is None else cur + lie
-                if s:
-                    out[deg] = s
-                else:
-                    out.pop(deg, None)
+                accumulate(out, deg, lie)
         return out
 
 
@@ -460,15 +438,8 @@ def series_bracket(a, b, bracket_fn=bracket):
             for da, la in ca.items():
                 for db, lb in cb.items():
                     val = bracket_fn(la, lb)
-                    if not val:
-                        continue
-                    deg = da + db
-                    cur = tgt.get(deg)
-                    s = val if cur is None else cur + val
-                    if s:
-                        tgt[deg] = s
-                    else:
-                        tgt.pop(deg, None)
+                    if val:
+                        accumulate(tgt, da + db, val)
             if not tgt:
                 del out[pos]
     return CurrentMat(
@@ -668,9 +639,10 @@ def clear_and_compare(lhs, rhs_scalar_parts, clearing, name="clear_and_compare")
     if rhs is None:
         rhs = CurrentMat(lhs.legs, lhs.spectral_vars, {}, cleared.metas)
     region = compare_region(cleared, rhs)
-    diff = cleared - rhs
-    witnesses, count = _collect_region_residual(diff, region)
-    return finish_report(name, witnesses, count, _region_string(region), started)
+    res = Residuals()
+    for lie, pos, nd in _region_residuals(cleared - rhs, region):
+        res.add(lie, "entry {}, degree {}", pos, nd)
+    return res.report(name, _region_string(region), started)
 
 
 def _fmt_window(v, w):
@@ -680,10 +652,10 @@ def _fmt_window(v, w):
     return f"{v.name} in [{lo}, {hi}]"
 
 
-def _collect_region_residual(diff, region):
+def _region_residuals(diff, region):
+    """(coefficient, entry, degree) for each nonzero coefficient of diff
+    inside region, in entry and degree order; degrees are undoubled."""
     windows = [w for _, w in region]
-    witnesses = []
-    count = 0
     for pos in sorted(diff.entries):
         coeffs = diff.entries[pos]
         for deg in sorted(coeffs):
@@ -691,14 +663,9 @@ def _collect_region_residual(diff, region):
                 (lo is None or d >= lo) and (hi is None or d <= hi)
                 for d, (lo, hi) in zip(deg, windows)
             )
-            if not inside:
-                continue
-            lie = coeffs[deg]
-            count += len(lie.terms)
-            if len(witnesses) < 64:
+            if inside:
                 nd = tuple(d / 2 if d % 2 else d // 2 for d in deg)
-                witnesses.append((f"entry {pos}, degree {nd}", str(lie)))
-    return witnesses, count
+                yield coeffs[deg], pos, nd
 
 
 def _region_string(region):
@@ -750,12 +717,10 @@ def check_frt_relations(window, omit_central=False):
     vars2 = (x, y)
     xy = LaurentPoly.var(x, (x, y)) - LaurentPoly.var(y, (x, y))
     r_rows = _r_cleared(x, y)
-    witnesses = []
-    count = 0
+    res = Residuals()
     regions = []
 
     def one_relation(tag, ta, tb, central):
-        nonlocal count
         lhs = series_bracket(ta, tb)
         t_sum = ta.embed((1,), 2).with_spectral_vars(vars2) + tb.embed(
             (2,), 2
@@ -771,9 +736,8 @@ def check_frt_relations(window, omit_central=False):
                 rhs = rhs + central
         region = compare_region(cleared, rhs)
         regions.append(f"{tag}: {_region_string(region)}")
-        w, c = _collect_region_residual(cleared - rhs, region)
-        count += c
-        witnesses.extend((f"{tag} {p}", r) for p, r in w)
+        for lie, pos, nd in _region_residuals(cleared - rhs, region):
+            res.add(lie, "{} entry {}, degree {}", tag, pos, nd)
 
     # central correction for the mixed relation: -2c (x/y) r'(x/y), cleared
     cent_rows = _xrprime_cleared(x, y)
@@ -804,15 +768,10 @@ def check_frt_relations(window, omit_central=False):
     for cur in (tp_x, tm_x):
         for pos, coeffs in cur.entries.items():
             for deg, lie in coeffs.items():
-                res = bracket(lie, LieElt.single(C))
-                if res:
-                    count += len(res.terms)
-                    witnesses.append((f"[T, c] at {pos} deg {deg}", str(res)))
+                res.add(bracket(lie, LieElt.single(C)), "[T, c] at {} deg {}", pos, deg)
 
-    return finish_report(
+    return res.report(
         "frt_relations" + ("[no central term]" if omit_central else ""),
-        witnesses,
-        count,
         "; ".join(regions),
         started,
     )
@@ -868,8 +827,10 @@ def check_exchange(family, window, rbar_family=None):
     lhs = series_bracket(bx, by).scale_poly(_clearing_product(clearing))
     rhs = (-b1.poly_commutator(r21_rows)) + b2.poly_commutator(r12_rows)
     region = compare_region(lhs, rhs)
-    witnesses, count = _collect_region_residual(lhs - rhs, region)
+    res = Residuals()
+    for lie, pos, nd in _region_residuals(lhs - rhs, region):
+        res.add(lie, "entry {}, degree {}", pos, nd)
     tag = f"exchange[{family}]"
     if rbar_family and rbar_family != family:
         tag += f"[rbar from {rbar_family}]"
-    return finish_report(tag, witnesses, count, _region_string(region), started)
+    return res.report(tag, _region_string(region), started)

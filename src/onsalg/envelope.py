@@ -8,11 +8,11 @@ then modes ascending, with H before E before F at a tied mode.
 
 import time
 
-from .exactalg import LaurentPoly, parameter, rat, spectral
+from .exactalg import LaurentPoly, LinComb, accumulate, parameter, spectral
 from .kacmoody import BasisSymbol, _basis_bracket
 from .currents import build_B, extract_mode
 from .onsager import OnsElt, abstract_bracket, build_current, ons
-from .report import finish_report
+from .report import Residuals
 
 __all__ = [
     "UeaElt",
@@ -34,70 +34,10 @@ def _key(sym):
     return (1, sym.mode, "HEF".index(sym.type))
 
 
-def _as_coeff(c):
-    return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+class UeaElt(LinComb):
+    """Linear combination of normal-ordered words (tuples) of basis symbols."""
 
-
-class UeaElt:
-    """Linear combination of normal-ordered words of basis symbols."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for word, c in terms.items():
-                c = _as_coeff(c)
-                if not c.is_zero():
-                    self.terms[word] = c
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for word, c in other.terms.items():
-            cur = out.get(word)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = s
-        e = UeaElt()
-        e.terms = out
-        return e
-
-    def __neg__(self):
-        e = UeaElt()
-        e.terms = {w: -c for w, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _as_coeff(c)
-        if c.is_zero():
-            return UeaElt()
-        e = UeaElt()
-        e.terms = {w: cc * c for w, cc in self.terms.items()}
-        return e
-
-    def __eq__(self, other):
-        if not isinstance(other, UeaElt):
-            return NotImplemented
-        return (self - other).is_zero()
+    __slots__ = ()
 
     def __str__(self):
         if not self.terms:
@@ -109,8 +49,6 @@ class UeaElt:
             bits.append(f"({c})*{name}")
         return " + ".join(bits)
 
-    __repr__ = __str__
-
 
 _NORMAL = {}
 
@@ -121,27 +59,32 @@ def _normal_word(word):
     cached = _NORMAL.get(word)
     if cached is not None:
         return cached
-    out = None
     for i in range(len(word) - 1):
         if _key(word[i]) > _key(word[i + 1]):
-            swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-            out = _normal_word(swapped)
-            for sym, k in _basis_bracket(word[i], word[i + 1]):
-                sub = word[:i] + (sym,) + word[i + 2 :]
-                out = out + _normal_word(sub).scale(k)
+            out = _normal_word(word[:i] + (word[i + 1], word[i]) + word[i + 2 :])
+            pairs = _basis_bracket(word[i], word[i + 1])
+            if pairs:
+                terms = dict(out.terms)
+                for sym, k in pairs:
+                    sub = word[:i] + (sym,) + word[i + 2 :]
+                    for w, c in _normal_word(sub).terms.items():
+                        accumulate(terms, w, c * k)
+                out = UeaElt.from_dict(terms)
             break
-    if out is None:
+    else:
         out = UeaElt({word: 1})
     _NORMAL[word] = out
     return out
 
 
 def uea_mul(a, b):
-    out = UeaElt()
+    out = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            out = out + _normal_word(wa + wb).scale(ca * cb)
-    return out
+            c = ca * cb
+            for w, cw in _normal_word(wa + wb).terms.items():
+                accumulate(out, w, cw * c)
+    return UeaElt.from_dict(out)
 
 
 def uea_commutator(a, b):
@@ -164,7 +107,7 @@ def build_quadratic_charge(family, max_k):
     assert prod.trunc_hi is None or prod.trunc_hi >= 2 * max_k, (
         "window too small for the requested charge"
     )
-    out = {k: UeaElt() for k in range(max_k + 1)}
+    out = {k: {} for k in range(max_k + 1)}
     dim = b.dim
     for i in range(dim):
         for j in range(dim):
@@ -177,9 +120,10 @@ def build_quadratic_charge(family, max_k):
                     d = da[0] + db[0]
                     if d < 0 or d % 2 or d // 2 > max_k:
                         continue
-                    k = d // 2
-                    out[k] = out[k] + uea_mul(lie_to_uea(la), lie_to_uea(lb))
-    return out
+                    pair = uea_mul(lie_to_uea(la), lie_to_uea(lb))
+                    for w, c in pair.terms.items():
+                        accumulate(out[d // 2], w, c)
+    return {k: UeaElt.from_dict(terms) for k, terms in out.items()}
 
 
 # -- linear charges ---------------------------------------------------------------
@@ -260,14 +204,15 @@ def build_linear_charge(family, k, variant="series"):
             - ons(family, "G", k - 1, w["mu"])
         )
     if family == "augmented":
-        out = ons(family, "K", k, w["tau"])
-        if k >= 1:  # the closed form reads Z+_0 and Z-_{-1} as absent
-            out = out + ons(family, "Z+", k, w["nu"])
-        out = out + ons(family, "Z+", k + 1, w["nu"])
-        if k >= 1:
-            out = out + ons(family, "Z-", k - 1, w["nustar"])
-        out = out + ons(family, "Z-", k, w["nustar"])
-        return out
+        # the closed form reads Z+_0 and Z-_{-1} as absent
+        low = 1 if k >= 1 else 0
+        return (
+            ons(family, "K", k, w["tau"])
+            + ons(family, "Z+", k, w["nu"] * low)
+            + ons(family, "Z+", k + 1, w["nu"])
+            + ons(family, "Z-", k - 1, w["nustar"] * low)
+            + ons(family, "Z-", k, w["nustar"])
+        )
     assert family == "invariant"
     return (
         ons(family, "H", k, w["mu0"])
@@ -289,21 +234,14 @@ def check_linear_charges(family, max_k, variant="series", mutate=False):
         charges[1] = OnsElt(
             {s: (-c if s.letter == flip else c) for s, c in c1.terms.items()}
         )
-    witnesses = []
-    count = 0
+    res = Residuals()
     for j in range(len(charges)):
         for k in range(j + 1, len(charges)):
-            res = abstract_bracket(charges[j], charges[k])
-            if res:
-                count += len(res.terms)
-                if len(witnesses) < 64:
-                    witnesses.append((f"[I_{j}, I_{k}]", str(res)))
-    return finish_report(
+            res.add(abstract_bracket(charges[j], charges[k]), "[I_{}, I_{}]", j, k)
+    return res.report(
         f"linear_charges[{family}]"
         + (f"[{variant}]" if variant != "series" else "")
         + ("[mutated]" if mutate else ""),
-        witnesses,
-        count,
         f"symbolic weights, 0 <= j < k <= {max_k}",
         started,
     )
@@ -317,19 +255,12 @@ def check_quadratic_charges(family, max_k, mutate=False):
     ts = build_quadratic_charge(family, max_k)
     if mutate and max_k >= 1:
         ts[1] = ts[1] + UeaElt({(BasisSymbol("E", 1),): 1})
-    witnesses = []
-    count = 0
+    res = Residuals()
     for j in range(max_k + 1):
         for k in range(j + 1, max_k + 1):
-            res = uea_commutator(ts[j], ts[k])
-            if res:
-                count += len(res.terms)
-                if len(witnesses) < 64:
-                    witnesses.append((f"[t_{j}, t_{k}]", str(res)[:200]))
-    return finish_report(
+            res.add(uea_commutator(ts[j], ts[k]), "[t_{}, t_{}]", j, k)
+    return res.report(
         f"quadratic_charges[{family}]" + ("[mutated]" if mutate else ""),
-        witnesses,
-        count,
         f"normal-ordered, 0 <= j < k <= {max_k}",
         started,
     )

@@ -1,4 +1,6 @@
-"""Exact arithmetic: sparse Laurent polynomials and rational functions.
+"""Exact arithmetic: sparse Laurent polynomials, rational functions, and
+LinComb, the sparse linear combination with polynomial coefficients that
+holds every Lie, family and enveloping-algebra element.
 
 Coefficients are exact rationals (gmpy2.mpq when available, else
 fractions.Fraction).  Polynomials are sparse dicts keyed by exponent
@@ -278,8 +280,11 @@ class LaurentPoly:
         return self.canonical_key() == other.canonical_key()
 
     def __hash__(self):
-        key = self.canonical_key()
-        return hash((key[0], tuple((e, str(c)) for e, c in key[1])))
+        names, terms = self.canonical_key()
+        if not names:
+            # a constant compares equal to its value, so it hashes as one
+            return hash(terms[0][1] if terms else _R_ZERO)
+        return hash((names, tuple((e, str(c)) for e, c in terms)))
 
     # -- calculus / substitution ---------------------------------------------------
 
@@ -394,17 +399,121 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def poly_add(a, b):
-    return a + b
+def accumulate(out, key, value):
+    """Add a nonzero value into out[key], deleting the key when the sum
+    cancels.
+
+    out is a dict the caller owns.  The values already in it are replaced,
+    never changed in place, so they may be shared with other elements.
+    """
+    prev = out.get(key)
+    if prev is None:
+        out[key] = value
+    else:
+        s = prev + value
+        if s:
+            out[key] = s
+        else:
+            del out[key]
 
 
-def poly_mul(a, b):
-    return a * b
+def _as_coeff(c):
+    return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
 
 
-def poly_derivative(p, v):
-    """Exact d/dv of a LaurentPoly; rejects parameter variables."""
-    return p.derivative(v)
+class LinComb:
+    """A finite linear combination of hashable basis keys.
+
+    terms maps each key to a nonzero LaurentPoly coefficient; scalar
+    coefficients given to the constructor are converted.  Elements are
+    immutable values: no operation changes terms in place, so memo entries
+    and series coefficients can be shared.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for key, c in terms.items():
+                c = _as_coeff(c)
+                if c:
+                    self.terms[key] = c
+
+    @classmethod
+    def from_dict(cls, terms):
+        """Take over terms, a dict of nonzero LaurentPolys, without a copy."""
+        e = cls.__new__(cls)
+        e.terms = terms
+        return e
+
+    @classmethod
+    def single(cls, key, coeff=1):
+        c = _as_coeff(coeff)
+        return cls.from_dict({key: c} if c else {})
+
+    @classmethod
+    def zero(cls):
+        return cls.from_dict({})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return self.from_dict(out)
+
+    def __neg__(self):
+        return self.from_dict({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        if isinstance(s, LinComb):
+            raise TypeError("scale takes a coefficient, not an element")
+        s = _as_coeff(s)
+        if not s:
+            return self.zero()
+        return self.from_dict({key: c * s for key, c in self.terms.items()})
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def __eq__(self, other):
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        if self.terms.keys() != other.terms.keys():
+            return False
+        return all(other.terms[key] == c for key, c in self.terms.items())
+
+    def __hash__(self):
+        return hash(frozenset((k, c.canonical_key()) for k, c in self.terms.items()))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for key in sorted(self.terms):
+            c = self.terms[key]
+            cs = str(c)
+            if cs == "1":
+                bits.append(str(key))
+            elif cs == "-1":
+                bits.append(f"-{key}")
+            elif len(c.terms) > 1 or "*" in cs or "/" in cs:
+                bits.append(f"({cs})*{key}")
+            else:
+                bits.append(f"{cs}*{key}")
+        return " + ".join(bits).replace("+ -", "- ")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
 def factor_canonical(p):
@@ -511,8 +620,9 @@ class RatFun:
             return (self.num * other.den - other.num * self.den).is_zero()
         return NotImplemented
 
-    def __hash__(self):  # pragma: no cover - RatFuns are rarely dict keys
-        return hash(("RatFun", self.num.canonical_key(), self.den.canonical_key()))
+    # equal RatFuns need not share a reduced form, so no hash can agree
+    # with the cross-multiplied equality
+    __hash__ = None
 
     def derivative(self, v):
         return RatFun(

@@ -14,8 +14,8 @@ so symbolic linear combinations stay exact.
 import time
 from dataclasses import dataclass
 
-from .exactalg import LaurentPoly, Rational
-from .report import finish_report
+from .exactalg import LinComb, accumulate
+from .report import Residuals
 
 __all__ = [
     "BasisSymbol",
@@ -64,122 +64,8 @@ def H(n):
 
 C = BasisSymbol("C", 0)
 
-_ONE = LaurentPoly.const(1)
-
-
-def _as_coeff(c):
-    if isinstance(c, LaurentPoly):
-        return c
-    return LaurentPoly.const(c)
-
-
-class LieElt:
-    """A finite linear combination of basis symbols."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for sym, c in terms.items():
-                c = _as_coeff(c)
-                if c:
-                    prev = clean.get(sym)
-                    if prev is None:
-                        clean[sym] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            clean[sym] = s
-                        else:
-                            del clean[sym]
-        self.terms = clean
-
-    @classmethod
-    def single(cls, sym, coeff=1):
-        e = cls.__new__(cls)
-        c = _as_coeff(coeff)
-        e.terms = {sym: c} if c else {}
-        return e
-
-    @classmethod
-    def zero(cls):
-        e = cls.__new__(cls)
-        e.terms = {}
-        return e
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for sym, c in other.terms.items():
-            prev = out.get(sym)
-            if prev is None:
-                out[sym] = c
-            else:
-                s = prev + c
-                if s:
-                    out[sym] = s
-                else:
-                    del out[sym]
-        e = LieElt.__new__(LieElt)
-        e.terms = out
-        return e
-
-    def __neg__(self):
-        e = LieElt.__new__(LieElt)
-        e.terms = {sym: -c for sym, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        if isinstance(s, LieElt):
-            raise TypeError("scale takes a scalar, not a LieElt")
-        s = _as_coeff(s)
-        if not s:
-            return LieElt.zero()
-        e = LieElt.__new__(LieElt)
-        e.terms = {sym: c * s for sym, c in self.terms.items()}
-        return e
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __eq__(self, other):
-        if not isinstance(other, LieElt):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[s] == c for s, c in self.terms.items())
-
-    def __hash__(self):
-        return hash(frozenset((s, c.canonical_key()) for s, c in self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for sym in sorted(self.terms):
-            c = self.terms[sym]
-            cs = str(c)
-            if cs == "1":
-                bits.append(str(sym))
-            elif cs == "-1":
-                bits.append(f"-{sym}")
-            elif len(c.terms) > 1 or "*" in cs or "/" in cs:
-                bits.append(f"({cs})*{sym}")
-            else:
-                bits.append(f"{cs}*{sym}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"LieElt({self})"
+# Elements of the mode algebra: linear combinations of basis symbols.
+LieElt = LinComb
 
 
 def _basis_bracket(a, b):
@@ -222,19 +108,8 @@ def bracket(a, b):
                 continue
             c = ca * cb
             for sym, k in pairs:
-                add = c * k
-                prev = out.get(sym)
-                if prev is None:
-                    out[sym] = add
-                else:
-                    s = prev + add
-                    if s:
-                        out[sym] = s
-                    else:
-                        del out[sym]
-    e = LieElt.__new__(LieElt)
-    e.terms = {s: c for s, c in out.items() if c}
-    return e
+                accumulate(out, sym, c * k)
+    return LieElt.from_dict(out)
 
 
 # -- the automorphism zoo -------------------------------------------------------
@@ -258,10 +133,7 @@ def _map_theta2(sym):
     if t == "F":
         return LieElt.single(F(-n - 1))
     if t == "H":
-        out = LieElt.single(H(-n))
-        if n == 0:
-            out = out + LieElt.single(C)
-        return out
+        return LieElt({H(-n): 1, C: 1 if n == 0 else 0})
     return LieElt.single(C, -1)
 
 
@@ -283,10 +155,7 @@ def _map_lusztig_minus(sym):
     if t == "F":
         return LieElt.single(F(-n - 2))
     if t == "H":
-        out = LieElt.single(H(-n))
-        if n == 0:
-            out = out + LieElt.single(C, 2)
-        return out
+        return LieElt({H(-n): 1, C: 2 if n == 0 else 0})
     return LieElt.single(C, -1)
 
 
@@ -298,10 +167,7 @@ def _map_shift(sym):
     if t == "F":
         return LieElt.single(F(n - 1))
     if t == "H":
-        out = LieElt.single(H(n))
-        if n == 0:
-            out = out + LieElt.single(C)
-        return out
+        return LieElt({H(n): 1, C: 1 if n == 0 else 0})
     return LieElt.single(C)
 
 
@@ -325,13 +191,14 @@ def apply_map(name, a, override=None):
     before the named map (used to verify that perturbed maps fail).
     """
     fn = _MAPS[name]
-    out = LieElt.zero()
+    out = {}
     for sym, c in a.terms.items():
         img = override(sym) if override else None
         if img is None:
             img = fn(sym)
-        out = out + img.scale(c)
-    return out
+        for s, ci in img.terms.items():
+            accumulate(out, s, ci * c)
+    return LieElt.from_dict(out)
 
 
 def _basis_range(window):
@@ -346,8 +213,7 @@ def check_automorphism(name, window, override=None):
     |mode| <= window, and squares to the identity when it should."""
     started = time.monotonic()
     syms = _basis_range(window)
-    witnesses = []
-    count = 0
+    res = Residuals()
     for a in syms:
         ea = LieElt.single(a)
         fa = apply_map(name, ea, override)
@@ -355,23 +221,14 @@ def check_automorphism(name, window, override=None):
             eb = LieElt.single(b)
             lhs = apply_map(name, bracket(ea, eb), override)
             rhs = bracket(fa, apply_map(name, eb, override))
-            diff = lhs - rhs
-            if diff:
-                count += len(diff.terms)
-                witnesses.append((f"[{a}, {b}]", str(diff)))
+            res.add(lhs - rhs, "[{}, {}]", a, b)
     if name in _INVOLUTIVE:
         for a in syms:
             ea = LieElt.single(a)
             diff = apply_map(name, apply_map(name, ea, override), override) - ea
-            if diff:
-                count += len(diff.terms)
-                witnesses.append((f"involution at {a}", str(diff)))
-    return finish_report(
-        f"automorphism[{name}]",
-        witnesses,
-        count,
-        f"basis pairs with |mode| <= {window}",
-        started,
+            res.add(diff, "involution at {}", a)
+    return res.report(
+        f"automorphism[{name}]", f"basis pairs with |mode| <= {window}", started
     )
 
 
@@ -387,15 +244,10 @@ def check_serre_chevalley(window):
     xp = {1: LieElt.single(E(0)), 0: LieElt.single(F(-1))}
     xm = {1: LieElt.single(F(0)), 0: LieElt.single(E(1))}
     cart = {(0, 0): 2, (1, 1): 2, (0, 1): -2, (1, 0): -2}
-    witnesses = []
-    count = 0
+    res = Residuals()
 
     def expect(tag, got, want):
-        nonlocal count
-        diff = got - want
-        if diff:
-            count += len(diff.terms)
-            witnesses.append((tag, str(diff)))
+        res.add(got - want, tag)
 
     expect("[k0, k1]", bracket(k[0], k[1]), LieElt.zero())
     for i in (0, 1):
@@ -413,10 +265,8 @@ def check_serre_chevalley(window):
     central = k[0] + k[1]
     for b in _basis_range(window):
         expect(f"[k0+k1, {b}]", bracket(central, LieElt.single(b)), LieElt.zero())
-    return finish_report(
+    return res.report(
         "serre_chevalley",
-        witnesses,
-        count,
         f"generator relations; centrality swept |mode| <= {window}",
         started,
     )

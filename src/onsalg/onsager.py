@@ -10,10 +10,10 @@ import random
 import time
 from dataclasses import dataclass
 
-from .exactalg import LaurentPoly, rat, spectral
+from .exactalg import LaurentPoly, LinComb, accumulate, rat, spectral
 from .kacmoody import C, E as me, F as mf, H as mh, LieElt, apply_map, bracket
 from .currents import CurrentMat, SupportMeta, clear_and_compare, series_bracket
-from .report import finish_report
+from .report import Residuals
 
 __all__ = [
     "OnsSymbol",
@@ -85,107 +85,17 @@ def canonicalize(family, letter, mode):
     return 1, OnsSymbol(family, letter, abs(mode))
 
 
-def _as_coeff(c):
-    if isinstance(c, LaurentPoly):
-        return c
-    return LaurentPoly.const(c)
-
-
-class OnsElt:
-    """Linear combination of canonical family generators.
-
-    Coefficients are LaurentPolys in parameter variables, mirroring LieElt.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for sym, c in terms.items():
-                c = _as_coeff(c)
-                if not c.is_zero():
-                    self.terms[sym] = c
-
-    @classmethod
-    def single(cls, family, letter, mode, coeff=1):
-        sign, sym = canonicalize(family, letter, mode)
-        if sign == 0:
-            return cls()
-        return cls({sym: sign * _as_coeff(coeff)})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for sym, c in other.terms.items():
-            cur = out.get(sym)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(sym, None)
-            else:
-                out[sym] = s
-        e = OnsElt()
-        e.terms = out
-        return e
-
-    def __neg__(self):
-        e = OnsElt()
-        e.terms = {sym: -c for sym, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _as_coeff(c)
-        if c.is_zero():
-            return OnsElt()
-        e = OnsElt()
-        e.terms = {sym: cc * c for sym, cc in self.terms.items()}
-        return e
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __eq__(self, other):
-        if not isinstance(other, OnsElt):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash(frozenset((s, c.canonical_key()) for s, c in self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for sym in sorted(self.terms):
-            c = self.terms[sym]
-            cs = str(c)
-            if cs == "1":
-                bits.append(str(sym))
-            elif cs == "-1":
-                bits.append(f"-{sym}")
-            elif len(c.terms) > 1 or "*" in cs or "/" in cs:
-                bits.append(f"({cs})*{sym}")
-            else:
-                bits.append(f"{cs}*{sym}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-    __repr__ = __str__
+# Elements of a family: linear combinations of canonical generators.
+OnsElt = LinComb
 
 
 def ons(family, letter, mode, coeff=1):
-    return OnsElt.single(family, letter, mode, coeff)
+    """The generator letter[mode] of family, scaled by coeff, with its index
+    reduced by the family's symmetries (so G[0] is zero)."""
+    sign, sym = canonicalize(family, letter, mode)
+    if sign == 0:
+        return OnsElt.zero()
+    return OnsElt.single(sym, coeff).scale(sign)
 
 
 def _pair_bracket(a, b):
@@ -232,13 +142,15 @@ def _pair_bracket(a, b):
 
 def abstract_bracket(a, b):
     """Bilinear bracket of OnsElts via the family's defining relations."""
-    out = OnsElt()
+    out = {}
     for sa, ca in a.terms.items():
         for sb, cb in b.terms.items():
             c = ca * cb
             for k, letter, mode in _pair_bracket(sa, sb):
-                out = out + OnsElt.single(sa.family, letter, mode, k * c)
-    return out
+                sign, sym = canonicalize(sa.family, letter, mode)
+                if sign:
+                    accumulate(out, sym, sign * (k * c))
+    return OnsElt.from_dict(out)
 
 
 def canonical_symbols(family, window):
@@ -278,36 +190,31 @@ def morphism_image(family, sym):
     n = sym.mode
     if family == "onsager":
         if sym.letter == "A":
-            return LieElt({me(n): _as_coeff(2), mf(-n): _as_coeff(2)})
-        return LieElt({mh(n): _as_coeff(1)}) + LieElt({mh(-n): _as_coeff(-1)})
+            return LieElt({me(n): 2, mf(-n): 2})
+        return LieElt.single(mh(n)) + LieElt.single(mh(-n), -1)
     if family == "augmented":
         if sym.letter == "Z+":
-            return LieElt({me(n): _as_coeff(2)}) + LieElt({me(1 - n): _as_coeff(2)})
+            return LieElt.single(me(n), 2) + LieElt.single(me(1 - n), 2)
         if sym.letter == "Z-":
-            return LieElt({mf(n): _as_coeff(2)}) + LieElt({mf(-n - 1): _as_coeff(2)})
-        out = LieElt({mh(n): _as_coeff(1)}) + LieElt({mh(-n): _as_coeff(1)})
-        if n == 0:
-            out = out + LieElt({C: _as_coeff(1)})
-        return out
+            return LieElt.single(mf(n), 2) + LieElt.single(mf(-n - 1), 2)
+        return LieElt.single(mh(n)) + LieElt({mh(-n): 1, C: 1 if n == 0 else 0})
     if family == "invariant":
         gen = {"E": me, "F": mf, "H": mh}[sym.letter]
-        return LieElt({gen(n): _as_coeff(1)}) + LieElt({gen(-n): _as_coeff(1)})
+        return LieElt.single(gen(n)) + LieElt.single(gen(-n))
     assert family == "kappa_minus"
     if sym.letter == "E":
-        return LieElt({me(n + 1): _as_coeff(1)}) + LieElt({me(1 - n): _as_coeff(1)})
+        return LieElt.single(me(n + 1)) + LieElt.single(me(1 - n))
     if sym.letter == "F":
-        return LieElt({mf(n - 1): _as_coeff(1)}) + LieElt({mf(-n - 1): _as_coeff(1)})
-    out = LieElt({mh(n): _as_coeff(1)}) + LieElt({mh(-n): _as_coeff(1)})
-    if n == 0:
-        out = out + LieElt({C: _as_coeff(2)})
-    return out
+        return LieElt.single(mf(n - 1)) + LieElt.single(mf(-n - 1))
+    return LieElt.single(mh(n)) + LieElt({mh(-n): 1, C: 2 if n == 0 else 0})
 
 
 def _image_elt(family, elt):
-    out = LieElt.zero()
+    out = {}
     for sym, c in elt.terms.items():
-        out = out + morphism_image(family, sym).scale(c)
-    return out
+        for s, ci in morphism_image(family, sym).terms.items():
+            accumulate(out, s, ci * c)
+    return LieElt.from_dict(out)
 
 
 def _abstract_family(family):
@@ -329,27 +236,19 @@ def check_morphism(family, window, override=None):
         return morphism_image(family, sym)
 
     syms = canonical_symbols(_abstract_family(family), window)
-    witnesses = []
-    count = 0
+    res = Residuals()
     for a in syms:
         ia = img(a)
         for b in syms:
             lhs = bracket(ia, img(b))
-            rhs = LieElt.zero()
-            ab = abstract_bracket(
-                OnsElt({a: _as_coeff(1)}), OnsElt({b: _as_coeff(1)})
-            )
+            rhs = {}
+            ab = abstract_bracket(OnsElt.single(a), OnsElt.single(b))
             for sym, c in ab.terms.items():
-                rhs = rhs + img(sym).scale(c)
-            diff = lhs - rhs
-            if diff:
-                count += len(diff.terms)
-                if len(witnesses) < 64:
-                    witnesses.append((f"[{a}, {b}]", str(diff)))
-    return finish_report(
+                for s, ci in img(sym).terms.items():
+                    accumulate(rhs, s, ci * c)
+            res.add(lhs - LieElt.from_dict(rhs), "[{}, {}]", a, b)
+    return res.report(
         f"morphism[{family}]" + ("[override]" if override else ""),
-        witnesses,
-        count,
         f"generator pairs with |mode| <= {window}",
         started,
     )
@@ -360,29 +259,21 @@ def check_jacobi(family, window):
     window; this is what makes the bracket tables an actual Lie algebra."""
     started = time.monotonic()
     syms = canonical_symbols(family, window)
-    elts = {s: OnsElt({s: _as_coeff(1)}) for s in syms}
-    witnesses = []
-    count = 0
+    elts = {s: OnsElt.single(s) for s in syms}
+    res = Residuals()
     n = len(syms)
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 a, b, c = elts[syms[i]], elts[syms[j]], elts[syms[k]]
-                res = (
+                jac = (
                     abstract_bracket(abstract_bracket(a, b), c)
                     + abstract_bracket(abstract_bracket(b, c), a)
                     + abstract_bracket(abstract_bracket(c, a), b)
                 )
-                if res:
-                    count += len(res.terms)
-                    if len(witnesses) < 64:
-                        witnesses.append(
-                            (f"({syms[i]}, {syms[j]}, {syms[k]})", str(res))
-                        )
-    return finish_report(
+                res.add(jac, "({}, {}, {})", syms[i], syms[j], syms[k])
+    return res.report(
         f"jacobi[{family}]",
-        witnesses,
-        count,
         f"all generator triples with |mode| <= {window}",
         started,
     )
@@ -394,26 +285,18 @@ def check_jacobi_sampled(family, max_mode, seed, samples=40):
     started = time.monotonic()
     rng = random.Random(seed)
     syms = canonical_symbols(family, max_mode)
-    witnesses = []
-    count = 0
+    res = Residuals()
     for _ in range(samples):
         sa, sb, sc = (rng.choice(syms) for _ in range(3))
-        a = OnsElt({sa: _as_coeff(1)})
-        b = OnsElt({sb: _as_coeff(1)})
-        c = OnsElt({sc: _as_coeff(1)})
-        res = (
+        a, b, c = OnsElt.single(sa), OnsElt.single(sb), OnsElt.single(sc)
+        jac = (
             abstract_bracket(abstract_bracket(a, b), c)
             + abstract_bracket(abstract_bracket(b, c), a)
             + abstract_bracket(abstract_bracket(c, a), b)
         )
-        if res:
-            count += len(res.terms)
-            if len(witnesses) < 64:
-                witnesses.append((f"({sa}, {sb}, {sc})", str(res)))
-    return finish_report(
+        res.add(jac, "({}, {}, {})", sa, sb, sc)
+    return res.report(
         f"jacobi_sampled[{family}]",
-        witnesses,
-        count,
         f"{samples} random triples with |mode| <= {max_mode}, seed {seed}",
         started,
     )
@@ -423,16 +306,10 @@ def check_dolan_grady(family):
     """The finite presentations: nested-commutator relations among the
     lowest generators that characterize each family."""
     started = time.monotonic()
-    witnesses = []
-    count = 0
+    res = Residuals()
 
     def expect(tag, got, want):
-        nonlocal count
-        diff = got - want
-        if diff:
-            count += len(diff.terms)
-            if len(witnesses) < 64:
-                witnesses.append((tag, str(diff)))
+        res.add(got - want, tag)
 
     br = abstract_bracket
     if family == "onsager":
@@ -469,28 +346,19 @@ def check_dolan_grady(family):
         expect("[E0,F1] = 2 H1", br(e0, f1), h1.scale(2))
         expect("[E1,F0] = 2 H1", br(e1, f0), h1.scale(2))
         expect("[H1,[E1,F1]] = 0", br(h1, br(e1, f1)), OnsElt())
-    return finish_report(
-        f"dolan_grady[{family}]", witnesses, count, "lowest-mode relations", started
-    )
+    return res.report(f"dolan_grady[{family}]", "lowest-mode relations", started)
 
 
 def check_fixed_point(family, max_mode):
     """The family's distinguished involution fixes its realization pointwise."""
     started = time.monotonic()
     name = FIXING_MAP[family]
-    witnesses = []
-    count = 0
+    res = Residuals()
     for sym in canonical_symbols(_abstract_family(family), max_mode):
         img = morphism_image(family, sym)
-        diff = apply_map(name, img) - img
-        if diff:
-            count += len(diff.terms)
-            if len(witnesses) < 64:
-                witnesses.append((str(sym), str(diff)))
-    return finish_report(
+        res.add(apply_map(name, img) - img, "{}", sym)
+    return res.report(
         f"fixed_point[{family}, {name}]",
-        witnesses,
-        count,
         f"generators with |mode| <= {max_mode}",
         started,
     )
@@ -501,24 +369,17 @@ def check_kappa_isomorphism(window, correspondence_shift=0):
     the kappa_minus one generator by generator.  A nonzero
     correspondence_shift misaligns the modes and must fail."""
     started = time.monotonic()
-    witnesses = []
-    count = 0
+    res = Residuals()
     for sym in canonical_symbols("invariant", window):
         sign, target = canonicalize(
             "invariant", sym.letter, sym.mode + correspondence_shift
         )
         moved = apply_map("shift", morphism_image("invariant", sym))
         want = morphism_image("kappa_minus", target).scale(sign) if target else LieElt.zero()
-        diff = moved - want
-        if diff:
-            count += len(diff.terms)
-            if len(witnesses) < 64:
-                witnesses.append((str(sym), str(diff)))
-    return finish_report(
+        res.add(moved - want, "{}", sym)
+    return res.report(
         "kappa_isomorphism"
         + (f"[shift {correspondence_shift:+d}]" if correspondence_shift else ""),
-        witnesses,
-        count,
         f"invariant generators with mode <= {window}",
         started,
     )
@@ -536,37 +397,37 @@ def build_current(family, letter, window, x=None):
     if family == "onsager":
         if letter == "G":
             for n in range(1, window + 1):
-                coeffs[(2 * n,)] = OnsElt.single(family, "G", n)
+                coeffs[(2 * n,)] = ons(family, "G", n)
             lo = 2
         elif letter == "A+":
             for n in range(1, window + 1):
-                coeffs[(2 * n,)] = OnsElt.single(family, "A", n)
+                coeffs[(2 * n,)] = ons(family, "A", n)
             lo = 2
         else:
             assert letter == "A-"
             for n in range(window + 1):
-                coeffs[(2 * n,)] = OnsElt.single(family, "A", -n)
+                coeffs[(2 * n,)] = ons(family, "A", -n)
             lo = 0
     elif family == "augmented":
         if letter == "K":
-            coeffs[(0,)] = OnsElt.single(family, "K", 0, half)
+            coeffs[(0,)] = ons(family, "K", 0, half)
             for n in range(1, window + 1):
-                coeffs[(2 * n,)] = OnsElt.single(family, "K", n)
+                coeffs[(2 * n,)] = ons(family, "K", n)
             lo = 0
         elif letter == "Z+":
             for n in range(1, window + 1):
-                coeffs[(2 * n,)] = OnsElt.single(family, "Z+", n)
+                coeffs[(2 * n,)] = ons(family, "Z+", n)
             lo = 2
         else:
             assert letter == "Z-"
             for n in range(window + 1):
-                coeffs[(2 * n,)] = OnsElt.single(family, "Z-", n)
+                coeffs[(2 * n,)] = ons(family, "Z-", n)
             lo = 0
     else:
         assert family == "invariant" and letter in ("H", "E", "F")
-        coeffs[(0,)] = OnsElt.single(family, letter, 0, half)
+        coeffs[(0,)] = ons(family, letter, 0, half)
         for n in range(1, window + 1):
-            coeffs[(2 * n,)] = OnsElt.single(family, letter, n)
+            coeffs[(2 * n,)] = ons(family, letter, n)
         lo = 0
     meta = SupportMeta(lo, None, None, 2 * window)
     return CurrentMat(0, (x,), {(0, 0): coeffs}, (meta,))
@@ -654,22 +515,12 @@ def check_current_relations(family, window):
         # G(x) - G(y), lifted to the shared variable pair
         return cx["G"] - cur_y["G"]
 
-    witnesses = []
-    count = 0
+    res = Residuals()
     regions = []
     for (la, lb), parts in scalars(family).items():
         lhs = series_bracket(cur_x[la], raw_y[lb], abstract_bracket)
         rep = clear_and_compare(lhs, parts, clearing, name=f"[{la}(x), {lb}(y)]")
-        regions.append(rep.region)
-        if not rep.passed:
-            count += rep.residual_term_count
-            witnesses.extend(
-                (f"[{la}(x),{lb}(y)] {w}", d) for w, d in rep.witnesses
-            )
-    return finish_report(
-        f"current_relations[{family}]",
-        witnesses,
-        count,
-        regions[0] if regions else "",
-        started,
-    )
+        tag = f"[{la}(x),{lb}(y)]"
+        regions.append(f"{tag}: {rep.region}")
+        res.merge(rep, tag)
+    return res.report(f"current_relations[{family}]", "; ".join(regions), started)

@@ -4,6 +4,7 @@ import time
 from dataclasses import dataclass, field
 
 MAX_WITNESSES = 8
+WITNESS_CHARS = 200
 
 
 @dataclass
@@ -65,3 +66,41 @@ def finish_report(name, witnesses, term_count, region, started):
         region=region,
         duration_ms=(time.monotonic() - started) * 1000.0,
     )
+
+
+class Residuals:
+    """The nonzero residuals of one check.
+
+    Every residual term is counted, but only the first MAX_WITNESSES
+    residuals are formatted; a residual string longer than WITNESS_CHARS
+    is cut there and marked with " ...".
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.witnesses = []
+
+    def add(self, residual, position, *args, terms=None):
+        """Record residual unless it is zero.
+
+        position is formatted with args only if the residual is kept as a
+        witness.  terms defaults to len(residual.terms).
+        """
+        n = len(residual.terms) if terms is None else terms
+        if not n:
+            return
+        self.count += n
+        if len(self.witnesses) < MAX_WITNESSES:
+            s = str(residual)
+            if len(s) > WITNESS_CHARS:
+                s = s[:WITNESS_CHARS] + " ..."
+            self.witnesses.append((position.format(*args) if args else position, s))
+
+    def merge(self, report, tag):
+        """Fold in a sub-check's report, prefixing its witness positions."""
+        self.count += report.residual_term_count
+        for w in report.witnesses[: MAX_WITNESSES - len(self.witnesses)]:
+            self.witnesses.append((f"{tag} {w['position']}", w["residual"]))
+
+    def report(self, name, region, started):
+        return finish_report(name, self.witnesses, self.count, region, started)

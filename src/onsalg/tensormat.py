@@ -17,7 +17,7 @@ from .exactalg import (
     rat,
     spectral,
 )
-from .report import CheckReport, finish_report
+from .report import CheckReport, Residuals
 
 __all__ = [
     "TensorMat",
@@ -376,20 +376,17 @@ def _spectral_var(m):
     raise ValueError("matrix has no spectral variable")
 
 
-def _residual_report(name, mat, region, started):
-    witnesses = []
-    count = 0
+def _add_entries(res, mat, tag):
+    """Record every nonzero numerator of mat as a residual."""
     for i, row in enumerate(mat.nums):
         for j, n in enumerate(row):
-            if n.is_zero():
-                continue
-            count += len(n.terms)
-            if len(witnesses) < 64:
-                s = str(n)
-                if len(s) > 200:
-                    s = s[:200] + " ..."
-                witnesses.append((f"entry ({i},{j})", s))
-    return finish_report(name, witnesses, count, region, started)
+            res.add(n, "{}entry ({},{})", tag, i, j)
+
+
+def _residual_report(name, mat, region, started):
+    res = Residuals()
+    _add_entries(res, mat, "")
+    return res.report(name, region, started)
 
 
 def check_cybe(r):
@@ -417,24 +414,17 @@ def check_r_symmetries(r):
     started = time.monotonic()
     u = _spectral_var(r)
     inv_u = LaurentPoly.monomial((u,), (-2,), 1)
-    witnesses = []
-    count = 0
+    res = Residuals()
 
     r_inv = r.substitute({u: inv_u})
     # r12(u) + r21(1/u) = 0
     sk = r + leg_embed(r_inv, (2, 1), 2)
     # r12(u) + r12(1/u)^{t1 t2} = 0
     tr2 = r + partial_transpose(partial_transpose(r_inv, 1), 2)
-    for tag, mat in (("skew r21(1/u)", sk), ("transpose t1t2", tr2)):
-        for i, row in enumerate(mat.nums):
-            for j, n in enumerate(row):
-                if not n.is_zero():
-                    count += len(n.terms)
-                    witnesses.append((f"{tag} entry ({i},{j})", str(n)))
+    _add_entries(res, sk, "skew r21(1/u) ")
+    _add_entries(res, tr2, "transpose t1t2 ")
     tr = r.trace()
-    if not tr.is_zero():
-        count += len(tr.num.terms)
-        witnesses.append(("trace", str(tr)))
+    res.add(tr, "trace", terms=len(tr.num.terms))
 
     # derivative identity; f = u r'(u) shares the CYBE argument pattern
     den = _product(r.den_factors, r.variables)
@@ -454,14 +444,8 @@ def check_r_symmetries(r):
     r13, r23 = at(r, 1, 3, x1, x3), at(r, 2, 3, x2, x3)
     r12 = at(r, 1, 2, x1, x2)
     delta = (f13 + f23).commutator(r12) - f13.commutator(r23) - r13.commutator(f23)
-    for i, row in enumerate(delta.nums):
-        for j, n in enumerate(row):
-            if not n.is_zero():
-                count += len(n.terms)
-                witnesses.append((f"derivative identity entry ({i},{j})", str(n)))
-    return finish_report(
-        "r_symmetries", witnesses, count, "symbolic (exact)", started
-    )
+    _add_entries(res, delta, "derivative identity ")
+    return res.report("r_symmetries", "symbolic (exact)", started)
 
 
 # -- boundary matrices ---------------------------------------------------------------
@@ -594,31 +578,20 @@ def check_U_conditions(b, epsilon):
     started = time.monotonic()
     x = b.x
     y = spectral("y")
-    witnesses = []
-    count = 0
+    res = Residuals()
 
     inv_x = LaurentPoly.monomial((x,), (-2,), 1)
     t_cond = b.transpose() - b.substitute({x: inv_x}).scale(rat(epsilon))
-    for i, row in enumerate(t_cond.nums):
-        for j, n in enumerate(row):
-            if not n.is_zero():
-                count += len(n.terms)
-                witnesses.append((f"transpose condition entry ({i},{j})", str(n)))
+    _add_entries(res, t_cond, "transpose condition ")
 
     u = spectral("u")
     r = build_r(u).substitute({u: LaurentPoly.monomial((x, y), (2, -2), 1)})
     u1 = leg_embed(b.mat, (1,), 2)
     u2 = leg_embed(b.substitute({x: LaurentPoly.var(y, (y,))}), (2,), 2)
     delta = (u1 @ u2).commutator(r)
-    for i, row in enumerate(delta.nums):
-        for j, n in enumerate(row):
-            if not n.is_zero():
-                count += len(n.terms)
-                witnesses.append((f"r-commutation entry ({i},{j})", str(n)))
-    return finish_report(
+    _add_entries(res, delta, "r-commutation ")
+    return res.report(
         f"U_conditions[{b.family}, eps={epsilon:+d}]",
-        witnesses,
-        count,
         "symbolic in x,y (exact)",
         started,
     )

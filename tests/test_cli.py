@@ -165,6 +165,30 @@ def test_config_errors(tmp_path, capsys):
     assert "unknown config keys: windw" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("window", [4]),
+        ("window", 4.7),
+        ("window", True),
+        ("max_k", "2"),
+        ("seed", None),
+        ("parallel", "false"),
+        ("parallel", 0),
+        ("suite", 3),
+        ("format", ["json"]),
+    ],
+)
+def test_config_field_types_are_strict(tmp_path, capsys, field, value):
+    cfg = {"suite": "frt", "window": 4, field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"config field {field!r} must be" in captured.err
+    assert captured.out == ""
+
+
 # -- parallel execution -------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from onsalg.exactalg import (
     LaurentPoly,
+    LinComb,
     RatFun,
     Variable,
     factor_canonical,
@@ -151,6 +152,45 @@ def test_equality_ignores_context():
     r = LaurentPoly((X,), {(2,): 3})
     assert p == q == r
     assert hash(p) == hash(r)
+
+
+def test_constant_hashes_as_its_value():
+    one = LaurentPoly.const(1, (X,))
+    assert one == 1 and hash(one) == hash(1)
+    assert len({one, 1, rat(1)}) == 1
+    assert hash(LaurentPoly.const(rat(-3, 2))) == hash(rat(-3, 2))
+    assert LaurentPoly.zero((X, Y)) == 0 and hash(LaurentPoly.zero((X, Y))) == hash(0)
+
+
+def test_ratfun_is_unhashable():
+    xx = LaurentPoly.var(X)
+    a, b = RatFun(xx * (xx - 1), xx - 1), RatFun(xx)
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError):
+        {a, b}
+
+
+def test_lincomb_equality_and_hash_ignore_coefficient_context():
+    a = LinComb({"e": LaurentPoly((X, A), {(0, 2): 3}), "f": 1})
+    b = LinComb({"f": LaurentPoly.const(1, (Y,)), "e": LaurentPoly((A,), {(2,): 3})})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != a.scale(2) and a != LinComb({"e": 3})
+    assert a - b == LinComb.zero() and not (a - b)
+    with pytest.raises(TypeError):
+        a.scale(b)
+    with pytest.raises(TypeError):
+        a * b
+
+
+def test_lincomb_drops_zero_coefficients():
+    a = LinComb({"e": 2, "f": 0, "g": LaurentPoly.zero((X,))})
+    assert a.terms.keys() == {"e"}
+    assert str(a + LinComb.single("f", -1)) == "2*e - f"
+    assert (a + LinComb.single("e", -2)).terms == {}
+    assert a.scale(0) == LinComb.zero()
 
 
 def test_in_context_refuses_to_drop_used_variables():

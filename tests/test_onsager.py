@@ -218,3 +218,30 @@ def test_current_relations(family):
 def test_current_relations_reject_thin_window():
     with pytest.raises(ValueError):
         check_current_relations("onsager", 2)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_current_relations_region_names_every_pair(family):
+    rep = check_current_relations(family, 4)
+    parts = rep.region.split("; ")
+    assert len(parts) == 6
+    tags = [part.split(": ")[0] for part in parts]
+    assert len(set(tags)) == 6
+    assert all(tag.endswith("(y)]") for tag in tags)
+    if family == "onsager":
+        assert "[G(x),G(y)]: x in [1, 4], y in [1, 4]" in parts
+        assert "[A-(x),A-(y)]: x in [0, 4], y in [0, 4]" in parts
+
+
+def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
+    import onsalg.onsager as onsager
+
+    real = onsager.abstract_bracket
+    monkeypatch.setattr(
+        onsager, "abstract_bracket", lambda a, b: real(a, b).scale(2)
+    )
+    rep = check_current_relations("onsager", 3)
+    assert not rep.passed and rep.residual_term_count > 0
+    first = rep.witnesses[0]
+    assert first["position"].startswith("[G(x),A+(y)] entry (0, 0), degree (")
+    assert "A[" in first["residual"]
