@@ -1,8 +1,9 @@
 """Exact-arithmetic verification of a boundary current algebra.
 
 The layers, bottom up: `exactalg` (rational coefficients, sparse Laurent
-polynomials, rational functions, and `LinComb`, the sparse linear
-combination of basis keys), `tensormat` (tensor-leg matrices, the
+polynomials, denominator factors and the one clearing rule, rational
+functions, and `LinComb`, the sparse linear combination of basis keys),
+`tensormat` (tensor-leg matrices over one factored denominator, the
 classical r-matrix and boundary matrices, the unreduced identity checks),
 `kacmoody` (the mode Lie algebra and its order-two maps), `currents`
 (truncated matrix series, the double-row series and their exchange

@@ -7,6 +7,7 @@ configuration error (including a window too small for a requested check).
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -248,7 +249,7 @@ def _resolve_config(args):
     return cfg
 
 
-def _emit(cfg, reports, notes):
+def _emit(cfg, reports, notes, wall_ms):
     npass = sum(1 for r in reports if r.passed)
     nfail = len(reports) - npass
     if cfg.format == "json":
@@ -266,8 +267,8 @@ def _emit(cfg, reports, notes):
             print(r)
         for note in notes:
             print(f"note: {note}")
-        total_ms = sum(r.duration_ms for r in reports)
-        print(f"summary: {npass} passed, {nfail} failed ({total_ms:.0f} ms)")
+        # wall time: under --parallel the per-check durations overlap
+        print(f"summary: {npass} passed, {nfail} failed ({wall_ms:.0f} ms)")
     return 0 if nfail == 0 else 1
 
 
@@ -279,12 +280,14 @@ def run(argv=None):
         return int(e.code or 0)
     try:
         cfg = _resolve_config(args)
+        started = time.perf_counter()
         reports = _execute(suite_checks(cfg), cfg.parallel)
+        wall_ms = 1e3 * (time.perf_counter() - started)
         notes = suite_notes(cfg)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return _emit(cfg, reports, notes)
+    return _emit(cfg, reports, notes, wall_ms)
 
 
 def main(argv=None):

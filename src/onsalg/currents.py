@@ -9,10 +9,10 @@ provably safe window; degrees are doubled like LaurentPoly exponents.
 import time
 from dataclasses import dataclass
 
-from .exactalg import LaurentPoly, accumulate, rat, spectral
+from .exactalg import LaurentPoly, accumulate, complement, rat, spectral
 from .kacmoody import C, E, F, H, LieElt, bracket
 from .report import Residuals
-from .tensormat import build_boundary, build_r, build_rbar, leg_embed
+from .tensormat import build_boundary, build_r, build_rbar, leg_embed, u_derivative
 
 __all__ = [
     "SupportMeta",
@@ -143,12 +143,6 @@ class SupportMeta:
             neg(self.natural_hi), neg(self.natural_lo),
             neg(self.trunc_hi), neg(self.trunc_lo),
         )
-
-    def describe(self, name):
-        lo, hi = self.exact_window()
-        lo = "-inf" if lo is None else f"{lo/2:g}"
-        hi = "+inf" if hi is None else f"{hi/2:g}"
-        return f"{name}^[{lo}..{hi}]"
 
 
 _FULL = SupportMeta()
@@ -529,19 +523,17 @@ def build_B(family, window, x=None):
     margin = window + 3
     tp = build_T("+", margin, x)
     tm = build_T("-", margin, x).invert_variable(x).transpose()
-    k_rows = b.mat.nums
+    # the boundary families and their inverses are polynomial
     kinv = b.inverse()
-    assert kinv.den_factors == (), "boundary inverse must be polynomial"
-    conj = tm._mixed_mul(k_rows, False)._mixed_mul(kinv.nums, True)
+    conj = tm._mixed_mul(b.mat.cleared(()), False)._mixed_mul(kinv.cleared(()), True)
     total = tp + conj
     # central term: -c x k'(x) k(x)^-1
-    xk = b.derivative() @ kinv
-    assert xk.den_factors == ()
+    xk_rows = (b.derivative() @ kinv).cleared(())
     cent = {}
     lo = hi = None
     for i in range(2):
         for j in range(2):
-            p = LaurentPoly.var(x, (x,)) * xk.nums[i][j]
+            p = LaurentPoly.var(x, (x,)) * xk_rows[i][j]
             if p.is_zero():
                 continue
             xi = p.variables.index(x)
@@ -567,45 +559,6 @@ def build_B(family, window, x=None):
 # -- clearing and comparison -------------------------------------------------------
 
 
-def _clearing_product(clearing):
-    prod = LaurentPoly.const(1)
-    for f in clearing:
-        prod = prod * f
-    return prod
-
-
-def _cleared_scalar(scalar, clearing):
-    """scalar * prod(clearing) as a LaurentPoly.
-
-    Accepts a LaurentPoly, a RatFun, or a (numerator, den_factors) pair;
-    every denominator factor must be among the clearing factors."""
-    from .exactalg import RatFun, factor_canonical
-
-    if isinstance(scalar, LaurentPoly):
-        return scalar * _clearing_product(clearing)
-    if isinstance(scalar, RatFun):
-        num, raw_factors = scalar.num, []
-        if not (scalar.den == LaurentPoly.const(1)):
-            raw_factors = [scalar.den]
-    else:
-        num, raw_factors = scalar
-    remaining = list(clearing)
-    for raw in raw_factors:
-        inv_unit, factors = factor_canonical(raw)
-        num = num * inv_unit
-        for f in factors:
-            key = f.canonical_key()
-            for i, g in enumerate(remaining):
-                if g.canonical_key() == key:
-                    del remaining[i]
-                    break
-            else:
-                raise ValueError(
-                    f"denominator factor not covered by the clearing set: {f}"
-                )
-    return num * _clearing_product(remaining)
-
-
 def compare_region(a, b):
     """Intersection of the operands' safe windows, per spectral variable."""
     assert a.spectral_vars == b.spectral_vars
@@ -625,16 +578,19 @@ def compare_region(a, b):
 def clear_and_compare(lhs, rhs_scalar_parts, clearing, name="clear_and_compare"):
     """Verify lhs == sum(scalar_i * current_i) after clearing denominators.
 
-    clearing is a list of polynomial factors; every scalar's denominator
-    must divide their product (checked factor by factor).  The comparison
-    runs over the intersection of safe windows and raises ValueError if
-    that region is empty.  Returns a CheckReport.
+    Each scalar is a (numerator, factors) pair meaning numerator /
+    prod(factors); clearing and factors are multisets of canonical
+    factors, as in TensorMat.den_factors.  Both sides are multiplied by
+    prod(clearing) through exactalg.complement, which raises ValueError if
+    clearing lacks a factor of some scalar.  The comparison runs over the
+    intersection of safe windows and raises ValueError if that region is
+    empty.  Returns a CheckReport.
     """
     started = time.monotonic()
-    cleared = lhs.scale_poly(_clearing_product(clearing))
+    cleared = lhs.scale_poly(complement((), clearing))
     rhs = None
-    for scalar, cm in rhs_scalar_parts:
-        part = cm.scale_poly(_cleared_scalar(scalar, clearing))
+    for (num, factors), cm in rhs_scalar_parts:
+        part = cm.scale_poly(num * complement(factors, clearing))
         rhs = part if rhs is None else rhs + part
     if rhs is None:
         rhs = CurrentMat(lhs.legs, lhs.spectral_vars, {}, cleared.metas)
@@ -675,30 +631,13 @@ def _region_string(region):
 # -- the defining relations ----------------------------------------------------------
 
 
-def _r_cleared(x, y):
-    """(x - y) * r(x/y) as plain polynomial rows, 4x4."""
-    u = spectral("u")
-    r = build_r(u).substitute({u: LaurentPoly.monomial((x, y), (2, -2), 1)})
-    assert len(r.den_factors) == 1
-    return r.nums
-
-
-def _xrprime_cleared(x, y):
-    """(x - y)^2 * (x/y) * r'(x/y) as polynomial rows, 4x4."""
+def _r_cleared(x, y, xy):
+    """(x - y) r(x/y) and (x - y)^2 (x/y) r'(x/y) as polynomial rows, 4x4;
+    xy is x - y."""
     u = spectral("u")
     r = build_r(u)
-    den = r.den_factors[0]
-    dden = den.derivative(u)
-    uu = LaurentPoly.var(u, (u,))
-    nums = [[(n.derivative(u) * den - n * dden) * uu for n in row] for row in r.nums]
-    quot = LaurentPoly.monomial((x, y), (2, -2), 1)
-    den_sub = den.substitute({u: quot})  # (x-y)/y after substitution
-    from .exactalg import factor_canonical
-
-    inv_unit, factors = factor_canonical(den_sub)
-    assert len(factors) == 1
-    unit2 = inv_unit * inv_unit
-    return [[n.substitute({u: quot}) * unit2 for n in row] for row in nums]
+    at = {u: LaurentPoly.monomial((x, y), (2, -2), 1)}
+    return r.substitute(at).cleared([xy]), u_derivative(r).substitute(at).cleared([xy, xy])
 
 
 def check_frt_relations(window, omit_central=False):
@@ -716,7 +655,7 @@ def check_frt_relations(window, omit_central=False):
     tp_y, tm_y = build_T("+", window, y), build_T("-", window, y)
     vars2 = (x, y)
     xy = LaurentPoly.var(x, (x, y)) - LaurentPoly.var(y, (x, y))
-    r_rows = _r_cleared(x, y)
+    r_rows, cent_rows = _r_cleared(x, y, xy)
     res = Residuals()
     regions = []
 
@@ -740,7 +679,6 @@ def check_frt_relations(window, omit_central=False):
             res.add(lie, "{} entry {}, degree {}", tag, pos, nd)
 
     # central correction for the mixed relation: -2c (x/y) r'(x/y), cleared
-    cent_rows = _xrprime_cleared(x, y)
     cent_entries = {}
     for i in range(4):
         for j in range(4):
@@ -797,34 +735,17 @@ def check_exchange(family, window, rbar_family=None):
         LaurentPoly.var(x, (x, y)) * LaurentPoly.var(y, (x, y))
         - LaurentPoly.const(1, (x, y)),
     ]
-    keys = sorted(f.canonical_key() for f in clearing)
     rbar21 = leg_embed(
         rbar.substitute({x: LaurentPoly.var(y, (y,)), y: LaurentPoly.var(x, (x,))}),
         (2, 1),
         2,
     )
-
-    def cleared_rows(mat):
-        counts = {}
-        for f in mat.den_factors:
-            counts[f.canonical_key()] = counts.get(f.canonical_key(), 0) + 1
-        comp = LaurentPoly.const(1)
-        for f in clearing:
-            k = f.canonical_key()
-            have = counts.get(k, 0)
-            if have:
-                counts[k] -= 1
-            else:
-                comp = comp * f
-        assert all(v == 0 for v in counts.values()), "rbar has foreign denominators"
-        return [[n * comp for n in row] for row in mat.nums]
-
-    r12_rows = cleared_rows(rbar)
-    r21_rows = cleared_rows(rbar21)
+    r12_rows = rbar.cleared(clearing)
+    r21_rows = rbar21.cleared(clearing)
     vars2 = (x, y)
     b1 = bx.embed((1,), 2).with_spectral_vars(vars2)
     b2 = by.embed((2,), 2).with_spectral_vars(vars2)
-    lhs = series_bracket(bx, by).scale_poly(_clearing_product(clearing))
+    lhs = series_bracket(bx, by).scale_poly(complement((), clearing))
     rhs = (-b1.poly_commutator(r21_rows)) + b2.poly_commutator(r12_rows)
     region = compare_region(lhs, rhs)
     res = Residuals()

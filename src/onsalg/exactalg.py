@@ -1,6 +1,7 @@
-"""Exact arithmetic: sparse Laurent polynomials, rational functions, and
-LinComb, the sparse linear combination with polynomial coefficients that
-holds every Lie, family and enveloping-algebra element.
+"""Exact arithmetic: sparse Laurent polynomials, canonical denominator
+factors with the one clearing rule (complement), rational functions for
+display, and LinComb, the sparse linear combination with polynomial
+coefficients that holds every Lie, family and enveloping-algebra element.
 
 Coefficients are exact rationals (gmpy2.mpq when available, else
 fractions.Fraction).  Polynomials are sparse dicts keyed by exponent
@@ -182,6 +183,8 @@ class LaurentPoly:
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
             other = LaurentPoly.const(other, self.variables)
         a, b = LaurentPoly._common(self, other)
         out = dict(a.terms)
@@ -212,6 +215,8 @@ class LaurentPoly:
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
             other = LaurentPoly.const(other, self.variables)
         return self + (-other)
 
@@ -220,6 +225,8 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
             c = Rational(other)
             if not c:
                 return LaurentPoly(self.variables, {})
@@ -463,6 +470,8 @@ class LinComb:
         return bool(self.terms)
 
     def __add__(self, other):
+        if not isinstance(other, LinComb):
+            return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
             accumulate(out, key, c)
@@ -472,6 +481,8 @@ class LinComb:
         return self.from_dict({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, LinComb):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, s):
@@ -558,8 +569,50 @@ def factor_canonical(p):
     return inv_unit, [canon]
 
 
+def complement(den_factors, clearing, variables=()):
+    """prod(clearing) / prod(den_factors) as a LaurentPoly over variables.
+
+    Both arguments are multisets of canonical factors (see
+    factor_canonical), matched by canonical_key with multiplicity.  Raises
+    ValueError naming a denominator factor that clearing does not hold.
+    This is the one place that works out what a clearing set lacks.
+    """
+    remaining = list(clearing)
+    keys = [f.canonical_key() for f in remaining]
+    for f in den_factors:
+        try:
+            i = keys.index(f.canonical_key())
+        except ValueError:
+            raise ValueError(
+                f"denominator factor not covered by the clearing set: {f}"
+            ) from None
+        del keys[i], remaining[i]
+    out = LaurentPoly.const(1, variables)
+    for f in remaining:
+        out = out * f
+    return out
+
+
+def factor_lcm(*multisets):
+    """Least common multiple of factor multisets: every canonical factor at
+    its highest multiplicity, represented by its first occurrence."""
+    reps, need = {}, {}
+    for factors in multisets:
+        counts = {}
+        for f in factors:
+            key = f.canonical_key()
+            reps.setdefault(key, f)
+            counts[key] = counts.get(key, 0) + 1
+        for key, c in counts.items():
+            need[key] = max(need.get(key, 0), c)
+    return [f for key, f in reps.items() for _ in range(need[key])]
+
+
 class RatFun:
-    """Quotient of LaurentPolys.  Equality is by cross multiplication."""
+    """Quotient of LaurentPolys.  Equality is by cross multiplication.
+
+    The display and test value of a TensorMat entry or trace; the checks
+    themselves clear denominators through factor multisets instead."""
 
     __slots__ = ("num", "den")
 
@@ -630,24 +683,6 @@ class RatFun:
             self.den * self.den,
         )
 
-    def substitute(self, assign):
-        """Substitute variables; values may be RatFuns or monomial polys."""
-        mono = {}
-        general = {}
-        for v, val in assign.items():
-            if isinstance(val, LaurentPoly) and val.is_term():
-                mono[v] = val
-            elif isinstance(val, RatFun) and val.den.is_term() and val.num.is_term():
-                mono[v] = val.num * _term_inverse(val.den)
-            else:
-                general[v] = _as_rfun(val)
-        num = RatFun(self.num.substitute(mono)) if mono else RatFun(self.num)
-        den = RatFun(self.den.substitute(mono)) if mono else RatFun(self.den)
-        if general:
-            num = _substitute_general(num, general)
-            den = _substitute_general(den, general)
-        return num / den
-
     def __str__(self):
         if self.den == LaurentPoly.const(1):
             return str(self.num)
@@ -657,52 +692,7 @@ class RatFun:
         return f"RatFun({self})"
 
 
-def _term_inverse(p):
-    ((exps, c),) = p.terms.items()
-    return LaurentPoly.monomial(p.variables, tuple(-e for e in exps), 1 / c)
-
-
 def _as_rfun(x):
     if isinstance(x, RatFun):
         return x
     return RatFun(x if isinstance(x, LaurentPoly) else LaurentPoly.const(x))
-
-
-def _substitute_general(rf, general):
-    """Substitute arbitrary RatFun values; the replaced variables must occur
-    with integer exponents."""
-    poly = rf.num
-    base_den = rf.den
-    out = RatFun(LaurentPoly.const(0))
-    keep = [v for v in poly.variables if v not in general]
-    for exps, c in poly.terms.items():
-        part = RatFun(LaurentPoly.monomial(
-            tuple(keep),
-            tuple(e for v, e in zip(poly.variables, exps) if v not in general),
-            c,
-        ))
-        for v, e in zip(poly.variables, exps):
-            val = general.get(v)
-            if val is None or e == 0:
-                continue
-            assert e % 2 == 0, "general substitution needs integer powers"
-            k = e // 2
-            if k > 0:
-                for _ in range(k):
-                    part = part * val
-            else:
-                for _ in range(-k):
-                    part = part / val
-        out = out + part
-    return out / RatFun(base_den) if base_den != LaurentPoly.const(1) else out
-
-
-def rfun_equal(a, b):
-    """Exact equality of rational functions by cross multiplication."""
-    return _as_rfun(a) == _as_rfun(b)
-
-
-def rfun_substitute(f, assign):
-    """Substitute into a RatFun.  Monomial assignments stay exact and cheap;
-    general RatFun values are supported for integer-power occurrences."""
-    return _as_rfun(f).substitute(assign)

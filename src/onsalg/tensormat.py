@@ -1,18 +1,23 @@
 """Matrices over exact rational functions on tensor products of C^2 legs.
 
 A TensorMat keeps one shared denominator as a multiset of canonical
-polynomial factors and a dense numerator array; sums take unions of
-factor multisets, products concatenate them, and no gcd is ever needed.
-All identity checks in this module are exact symbolic computations.
+polynomial factors and a dense numerator array; sums take the least
+common multiple of the factor multisets, products concatenate them, and
+no gcd is ever needed.  Every clearing of denominators, here and in
+currents, goes through exactalg.complement.  All identity checks in this
+module are exact symbolic computations.
 """
 
 import time
 
 from .exactalg import (
+    _SCALAR_TYPES,
     LaurentPoly,
     RatFun,
     Variable,
+    complement,
     factor_canonical,
+    factor_lcm,
     parameter,
     rat,
     spectral,
@@ -29,6 +34,7 @@ __all__ = [
     "trace_leg",
     "check_cybe",
     "check_r_symmetries",
+    "u_derivative",
     "build_boundary",
     "check_U_conditions",
     "check_reflection",
@@ -43,33 +49,28 @@ def _merge_vars(a, b):
     return tuple(a) + tuple(v for v in b if v not in a)
 
 
-def _factor_key(f):
-    return f.canonical_key()
-
-
 def _sort_factors(factors):
-    return tuple(sorted(factors, key=_factor_key))
+    return tuple(sorted(factors, key=LaurentPoly.canonical_key))
 
 
-def _count_factors(factors):
-    counts = {}
-    for f in factors:
-        counts.setdefault(_factor_key(f), [f, 0])[1] += 1
-    return counts
+def _missing(den_factors, clearing, variables):
+    """complement(den_factors, clearing, variables), or None when clearing
+    adds nothing (so a numerator keeps its own variable context)."""
+    comp = complement(den_factors, clearing, variables)
+    return None if len(den_factors) == len(clearing) else comp
 
 
-def _product(polys, variables):
-    out = LaurentPoly.const(1, variables)
-    for p in polys:
-        out = out * p
-    return out
+def _times(n, comp):
+    return n if comp is None else n * comp
 
 
 class TensorMat:
-    """Square matrix on (C^2)^{legs} with RatFun entries.
+    """Square matrix on (C^2)^{legs} with rational-function entries.
 
-    Stored as numerator polynomials over a shared factored denominator;
-    the `entries` property exposes plain RatFun values.
+    Stored as numerator polynomials over one shared denominator, a sorted
+    multiset of canonical factors (den_factors).  cleared() turns it into
+    polynomial rows; entry() and trace() give RatFun values for display
+    and tests.
     """
 
     __slots__ = ("legs", "variables", "nums", "den_factors")
@@ -83,41 +84,25 @@ class TensorMat:
             self.den_factors = ()
             return
         assert len(entries) == dim and all(len(row) == dim for row in entries)
-        # collect every entry as num / canonical factor multiset
+        # every entry as (numerator, canonical factor multiset)
         split = []
-        all_counts = {}
         for row in entries:
             srow = []
             for e in row:
-                if isinstance(e, RatFun):
-                    num, den = e.num, e.den
+                if not isinstance(e, RatFun):
+                    e = RatFun(e)
+                if e.den == LaurentPoly.const(1):
+                    srow.append((e.num, ()))
                 else:
-                    num = e if isinstance(e, LaurentPoly) else LaurentPoly.const(e)
-                    den = None
-                if den is None or den == LaurentPoly.const(1):
-                    srow.append((num, {}))
-                else:
-                    inv_unit, factors = factor_canonical(den)
-                    counts = _count_factors(factors)
-                    srow.append((num * inv_unit, counts))
-                for key, (f, c) in srow[-1][1].items():
-                    cur = all_counts.setdefault(key, [f, 0])
-                    cur[1] = max(cur[1], c)
+                    inv_unit, factors = factor_canonical(e.den)
+                    srow.append((e.num * inv_unit, factors))
             split.append(srow)
-        den = []
-        for f, c in all_counts.values():
-            den.extend([f] * c)
+        den = factor_lcm(*(fs for srow in split for _, fs in srow))
         self.den_factors = _sort_factors(den)
-        self.nums = []
-        for srow in split:
-            row = []
-            for num, counts in srow:
-                comp = []
-                for key, (f, c) in all_counts.items():
-                    missing = c - counts.get(key, (None, 0))[1]
-                    comp.extend([f] * missing)
-                row.append(num * _product(comp, self.variables) if comp else num)
-            self.nums.append(row)
+        self.nums = [
+            [_times(num, _missing(fs, den, self.variables)) for num, fs in srow]
+            for srow in split
+        ]
 
     @classmethod
     def _raw(cls, legs, variables, nums, den_factors):
@@ -132,13 +117,22 @@ class TensorMat:
     def dim(self):
         return 2 ** self.legs
 
-    @property
-    def entries(self):
-        den = _product(self.den_factors, self.variables)
-        return [[RatFun(n, den) for n in row] for row in self.nums]
+    def denominator(self):
+        """The product of the denominator factors."""
+        return complement((), self.den_factors, self.variables)
 
     def entry(self, i, j):
-        return RatFun(self.nums[i][j], _product(self.den_factors, self.variables))
+        return RatFun(self.nums[i][j], self.denominator())
+
+    def cleared(self, clearing):
+        """The numerator rows times prod(clearing) / denominator.
+
+        clearing is a multiset of canonical factors; raises ValueError if
+        it lacks one of den_factors, so cleared(()) is the check that the
+        matrix is polynomial.
+        """
+        comp = _missing(self.den_factors, clearing, self.variables)
+        return [[_times(n, comp) for n in row] for row in self.nums]
 
     def is_zero(self):
         return all(n.is_zero() for row in self.nums for n in row)
@@ -158,29 +152,14 @@ class TensorMat:
 
     def __add__(self, other):
         assert isinstance(other, TensorMat) and other.legs == self.legs
-        ca = _count_factors(self.den_factors)
-        cb = _count_factors(other.den_factors)
-        union = {}
-        for key, (f, c) in list(ca.items()) + list(cb.items()):
-            cur = union.setdefault(key, [f, 0])
-            cur[1] = max(cur[1], c)
-        comp_a, comp_b, den = [], [], []
-        for key, (f, c) in union.items():
-            den.extend([f] * c)
-            comp_a.extend([f] * (c - ca.get(key, (None, 0))[1]))
-            comp_b.extend([f] * (c - cb.get(key, (None, 0))[1]))
+        den = factor_lcm(self.den_factors, other.den_factors)
         variables = _merge_vars(self.variables, other.variables)
-        pa = _product(comp_a, variables) if comp_a else None
-        pb = _product(comp_b, variables) if comp_b else None
-        dim = self.dim
-        nums = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                a = self.nums[i][j] if pa is None else self.nums[i][j] * pa
-                b = other.nums[i][j] if pb is None else other.nums[i][j] * pb
-                row.append(a + b)
-            nums.append(row)
+        pa = _missing(self.den_factors, den, variables)
+        pb = _missing(other.den_factors, den, variables)
+        nums = [
+            [_times(a, pa) + _times(b, pb) for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.nums, other.nums)
+        ]
         return TensorMat._raw(self.legs, variables, nums, den)
 
     def __sub__(self, other):
@@ -208,22 +187,14 @@ class TensorMat:
         )
 
     def scale(self, s):
-        """Multiply by a scalar, LaurentPoly, or RatFun."""
-        if isinstance(s, RatFun):
-            num, den = s.num, s.den
-        else:
-            num, den = s, None
-        nums = [[n * num for n in row] for row in self.nums]
-        den_factors = self.den_factors
-        if den is not None and den != LaurentPoly.const(1):
-            inv_unit, factors = factor_canonical(den)
-            nums = [[n * inv_unit for n in row] for row in nums]
-            den_factors = den_factors + tuple(factors)
+        """Multiply by a scalar or a LaurentPoly."""
+        if not isinstance(s, (LaurentPoly,) + _SCALAR_TYPES):
+            raise TypeError(f"scale takes a scalar or a LaurentPoly, not {s!r}")
+        nums = [[n * s for n in row] for row in self.nums]
         variables = self.variables
-        if isinstance(s, (RatFun, LaurentPoly)):
-            extra = s.num.variables if isinstance(s, RatFun) else s.variables
-            variables = _merge_vars(variables, extra)
-        return TensorMat._raw(self.legs, variables, nums, den_factors)
+        if isinstance(s, LaurentPoly):
+            variables = _merge_vars(variables, s.variables)
+        return TensorMat._raw(self.legs, variables, nums, self.den_factors)
 
     def commutator(self, other):
         return self @ other - other @ self
@@ -258,7 +229,7 @@ class TensorMat:
         det = a * d - b * c
         assert not det.is_zero(), "singular matrix"
         inv_unit, factors = factor_canonical(det)
-        dpoly = _product(self.den_factors, self.variables)
+        dpoly = self.denominator()
         adj = [[d, -b], [-c, a]]
         nums = [[e * dpoly * inv_unit for e in row] for row in adj]
         return TensorMat._raw(1, self.variables, nums, tuple(factors))
@@ -267,7 +238,7 @@ class TensorMat:
         t = LaurentPoly.zero(self.variables)
         for i in range(self.dim):
             t = t + self.nums[i][i]
-        return RatFun(t, _product(self.den_factors, self.variables))
+        return RatFun(t, self.denominator())
 
 
 def leg_embed(m, legs, total_legs):
@@ -408,6 +379,16 @@ def check_cybe(r):
     )
 
 
+def u_derivative(r):
+    """f(u) = u r'(u) by the quotient rule, over r's denominator squared."""
+    u = _spectral_var(r)
+    den = r.denominator()
+    dden = den.derivative(u)
+    uu = LaurentPoly.var(u, (u,))
+    nums = [[(n.derivative(u) * den - n * dden) * uu for n in row] for row in r.nums]
+    return TensorMat._raw(r.legs, r.variables, nums, r.den_factors + r.den_factors)
+
+
 def check_r_symmetries(r):
     """Skew symmetry, transpose symmetry, tracelessness and the derivative
     identity [f13 + f23, r12] = [f13, r23] + [r13, f23] with f(u) = u r'(u)."""
@@ -427,13 +408,7 @@ def check_r_symmetries(r):
     res.add(tr, "trace", terms=len(tr.num.terms))
 
     # derivative identity; f = u r'(u) shares the CYBE argument pattern
-    den = _product(r.den_factors, r.variables)
-    dden = den.derivative(u)
-    uu = LaurentPoly.var(u, (u,))
-    f_nums = [
-        [(n.derivative(u) * den - n * dden) * uu for n in row] for row in r.nums
-    ]
-    f = TensorMat._raw(2, r.variables, f_nums, r.den_factors + r.den_factors)
+    f = u_derivative(r)
     x1, x2, x3 = spectral("x1"), spectral("x2"), spectral("x3")
 
     def at(m, i, j, vi, vj):
@@ -493,13 +468,6 @@ class BoundaryMat:
     def variables(self):
         return self.mat.variables
 
-    @property
-    def entries(self):
-        return self.mat.entries
-
-    def entry(self, i, j):
-        return self.mat.entry(i, j)
-
     def inverse(self):
         return self.mat.inverse_2x2()
 
@@ -510,9 +478,9 @@ class BoundaryMat:
         return self.mat.substitute(assign)
 
     def derivative(self):
-        """Entrywise d/dx (our families carry no denominator factors)."""
-        assert self.mat.den_factors == ()
-        nums = [[n.derivative(self.x) for n in row] for row in self.mat.nums]
+        """Entrywise d/dx; raises ValueError if the matrix has a denominator
+        (no boundary family has one)."""
+        nums = [[n.derivative(self.x) for n in row] for row in self.mat.cleared(())]
         return TensorMat._raw(1, self.mat.variables, nums, ())
 
 

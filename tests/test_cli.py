@@ -6,7 +6,7 @@ import time
 import pytest
 
 from onsalg import cli
-from onsalg.report import finish_report
+from onsalg.report import CheckReport, finish_report
 
 CHECK_KEYS = {"name", "status", "residual_terms", "region", "duration_ms", "witnesses"}
 
@@ -74,6 +74,18 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     assert "[FAIL] forced" in out
     assert "at spot: leftover" in out
     assert "summary: 0 passed, 1 failed" in out
+
+
+def test_summary_reports_wall_time_not_summed_durations(monkeypatch, capsys):
+    def claims_a_second():
+        return CheckReport("slow on paper", "pass", duration_ms=1000.0)
+
+    checks = [(claims_a_second, ()), (claims_a_second, ())]
+    monkeypatch.setattr(cli, "suite_checks", lambda cfg: checks)
+    assert cli.run(["rmatrix"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("summary: 2 passed, 0 failed (")
+    assert "2000 ms" not in summary
 
 
 def test_main_raises_systemexit():

@@ -8,10 +8,11 @@ from onsalg.currents import (
     build_T,
     check_exchange,
     check_frt_relations,
+    clear_and_compare,
     extract_mode,
     series_bracket,
 )
-from onsalg.exactalg import spectral
+from onsalg.exactalg import LaurentPoly, spectral
 from onsalg.kacmoody import C, E, F, H, LieElt
 
 
@@ -260,3 +261,14 @@ def test_exchange_fails_with_mismatched_rbar():
 def test_exchange_rejects_thin_window():
     with pytest.raises(ValueError):
         check_exchange("onsager", 3)
+
+
+def test_clear_and_compare_rejects_a_scalar_outside_the_clearing_set():
+    x = spectral("x")
+    tp = build_T("+", 4, x)
+    xx = LaurentPoly.var(x, (x,))
+    one = LaurentPoly.const(1, (x,))
+    # (x + 1)/(x + 1) * T+ = T+ passes; 1/(x - 1) is not cleared by x + 1
+    assert clear_and_compare(tp, [((xx + 1, [xx + 1]), tp)], [xx + 1]).passed
+    with pytest.raises(ValueError, match=r"not covered by the clearing set: -1 \+ x"):
+        clear_and_compare(tp, [((one, [xx - 1]), tp)], [xx + 1])

@@ -1,5 +1,7 @@
 """Arithmetic layer: sparse Laurent polynomials and rational functions."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +11,11 @@ from onsalg.exactalg import (
     LinComb,
     RatFun,
     Variable,
+    complement,
     factor_canonical,
+    factor_lcm,
     parameter,
     rat,
-    rfun_equal,
-    rfun_substitute,
     spectral,
 )
 
@@ -193,6 +195,64 @@ def test_lincomb_drops_zero_coefficients():
     assert a.scale(0) == LinComb.zero()
 
 
+_TWO = LaurentPoly.const(2, (X,))
+_E = LinComb.single("e")
+
+
+@pytest.mark.parametrize(
+    "op, left, right, want",
+    [
+        (operator.mul, _TWO, _E, LinComb.single("e", 2)),
+        (operator.mul, _E, _TWO, LinComb.single("e", 2)),
+        (operator.add, _E, _TWO, TypeError),
+        (operator.add, _TWO, _E, TypeError),
+        (operator.sub, _E, _TWO, TypeError),
+        (operator.sub, _TWO, _E, TypeError),
+        (operator.add, LaurentPoly.var(X), RatFun(2), RatFun(LaurentPoly.var(X) + 2)),
+    ],
+    ids=["poly*elt", "elt*poly", "elt+poly", "poly+elt", "elt-poly", "poly-elt",
+         "poly+ratfun"],
+)
+def test_mixed_type_arithmetic(op, left, right, want):
+    # a coefficient scales an element from either side; an element and a
+    # coefficient never add
+    if want is TypeError:
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(left, right)
+    else:
+        assert op(left, right) == want
+
+
+def _xy_factors():
+    xmy = LaurentPoly.var(X, (X, Y)) - LaurentPoly.var(Y, (X, Y))
+    xy1 = LaurentPoly((Y, X), {(2, 2): 1, (0, 0): -1})  # xy - 1, other order
+    return xmy, xy1
+
+
+def test_complement_counts_multiplicity():
+    xmy, xy1 = _xy_factors()
+    assert complement([xmy], [xmy, xy1, xmy]) == xmy * xy1
+    assert complement([xmy, xy1.in_context((X, Y))], [xy1, xmy]) == 1
+    assert complement((), [xmy, xmy]) == xmy * xmy
+    with pytest.raises(ValueError, match="not covered by the clearing set"):
+        complement([xmy, xmy], [xmy, xy1])
+
+
+def test_complement_rejects_a_foreign_factor():
+    xmy, xy1 = _xy_factors()
+    with pytest.raises(ValueError, match=r"not covered by the clearing set: -y \+ x"):
+        complement([xmy], [xy1])
+
+
+def test_factor_lcm_takes_the_highest_multiplicity():
+    xmy, xy1 = _xy_factors()
+    lcm = factor_lcm([xmy, xmy, xy1], [xy1, xmy], [xy1, xy1])
+    assert sorted(f.canonical_key() for f in lcm) == sorted(
+        f.canonical_key() for f in (xmy, xmy, xy1, xy1)
+    )
+    assert factor_lcm() == [] and factor_lcm([], [xmy]) == [xmy]
+
+
 def test_in_context_refuses_to_drop_used_variables():
     p = LaurentPoly((X, Y), {(0, 2): 1})
     with pytest.raises(ValueError):
@@ -247,17 +307,6 @@ def test_ratfun_derivative_quotient_rule(a, b):
     f = RatFun(a, b)
     manual = RatFun(a.derivative(X) * b - a * b.derivative(X), b * b)
     assert f.derivative(X) == manual
-
-
-def test_ratfun_general_substitution():
-    # x -> (1+y)/y in x^2 - 1
-    f = RatFun(LaurentPoly((X,), {(4,): 1, (0,): -1}))
-    val = RatFun(LaurentPoly.var(Y) + 1, LaurentPoly.var(Y))
-    got = rfun_substitute(f, {X: val})
-    yy = LaurentPoly.var(Y)
-    want = RatFun((yy + 1) * (yy + 1) - yy * yy, yy * yy)
-    assert got == want
-    assert rfun_equal(got, want)
 
 
 def test_ratfun_equality_by_cross_multiplication():

@@ -18,6 +18,7 @@ from onsalg.tensormat import (
     leg_embed,
     partial_transpose,
     trace_leg,
+    u_derivative,
 )
 
 U = spectral("u")
@@ -87,6 +88,34 @@ def test_r_derivative_cleared():
             got = r.entry(i, j).derivative(U) * pole2 * uu
             want = uu * table.get((i, j), 0)
             assert got == want, (i, j)
+
+
+def test_u_derivative_clears_to_the_table():
+    # the same table as above, through the factored denominator
+    pole = _pv(U) - 1
+    rows = u_derivative(build_r(U)).cleared([pole, pole])
+    table = {(0, 0): 1, (1, 1): -1, (1, 2): 2, (2, 1): 2, (2, 2): -1, (3, 3): 1}
+    for i in range(4):
+        for j in range(4):
+            assert rows[i][j] == _pv(U) * table.get((i, j), 0), (i, j)
+
+
+def test_cleared_needs_every_denominator_factor():
+    r = build_r(U)
+    with pytest.raises(ValueError, match="not covered by the clearing set"):
+        r.cleared(())
+    pole = _pv(U) - 1
+    assert r.cleared([pole]) == r.nums
+    assert r.cleared([pole, _pv(U) + 1])[1][2] == -2 * (_pv(U) + 1)
+    with pytest.raises(ValueError):
+        build_rbar(build_boundary("U_diag", x=X), X, Y).cleared([_pv(X) - _pv(Y)])
+
+
+def test_scale_rejects_rational_functions():
+    r = build_r(U)
+    assert r.scale(2).entry(1, 2) == RatFun(-4, _pv(U) - 1)
+    with pytest.raises(TypeError, match="scale takes a scalar or a LaurentPoly"):
+        r.scale(RatFun(1, _pv(U)))
 
 
 def test_cybe_passes():
