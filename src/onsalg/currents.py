@@ -54,16 +54,6 @@ class SupportMeta:
     trunc_lo: int = None
     trunc_hi: int = None
 
-    @property
-    def kind(self):
-        if self.trunc_lo is None and self.trunc_hi is None:
-            return "full"
-        if self.trunc_lo is None:
-            return "below"
-        if self.trunc_hi is None:
-            return "above"
-        return "window"
-
     def exact_window(self):
         """(lo, hi) of the informative comparison region; None = unbounded."""
         lo = self.natural_lo
@@ -231,40 +221,15 @@ class CurrentMat:
     # -- scalar polynomial action ------------------------------------------------
 
     def _split_poly(self, p):
-        """Split poly terms into (degree shift over spectral_vars, leftover
-        parameter monomial as a LaurentPoly)."""
-        idx = {}
-        for k, v in enumerate(p.variables):
-            if v in self.spectral_vars:
-                idx[k] = self.spectral_vars.index(v)
-            else:
-                assert v.kind == "parameter" or not p.uses(v), (
-                    f"scalar uses foreign spectral variable {v.name}"
-                )
-        parts = []
-        nvars = len(self.spectral_vars)
-        for exps, c in p.terms.items():
-            shift = [0] * nvars
-            rest_exps = []
-            for k, e in enumerate(exps):
-                if k in idx:
-                    shift[idx[k]] = e
-                    rest_exps.append(0)
-                else:
-                    rest_exps.append(e)
-            mono = LaurentPoly.monomial(p.variables, tuple(rest_exps), c)
-            parts.append((tuple(shift), mono))
-        return parts
+        """Split p into (degree shift over spectral_vars, leftover parameter
+        polynomial) pairs."""
+        for v in p.variables:
+            if v.kind == "spectral" and v not in self.spectral_vars:
+                raise ValueError(f"scalar uses foreign spectral variable {v.name}")
+        return list(p.split(self.spectral_vars).items())
 
     def _poly_span(self, p):
-        spans = []
-        for v in self.spectral_vars:
-            if v in p.variables:
-                rng = p.degree_range(v)
-                spans.append((0, 0) if rng is None else rng)
-            else:
-                spans.append((0, 0))
-        return spans
+        return [p.degree_range(v) or (0, 0) for v in self.spectral_vars]
 
     def scale_poly(self, p):
         """Multiply every entry by a scalar LaurentPoly (spectral degrees
@@ -533,12 +498,8 @@ def build_B(family, window, x=None):
     lo = hi = None
     for i in range(2):
         for j in range(2):
-            p = LaurentPoly.var(x, (x,)) * xk_rows[i][j]
-            if p.is_zero():
-                continue
-            xi = p.variables.index(x)
-            for exps, cval in p.terms.items():
-                d = exps[xi]
+            p = LaurentPoly.var(x) * xk_rows[i][j]
+            for (d,), cval in p.split((x,)).items():
                 cent.setdefault((i, j), {})[(d,)] = LieElt.single(C, -cval)
                 lo = d if lo is None else min(lo, d)
                 hi = d if hi is None else max(hi, d)
@@ -654,7 +615,7 @@ def check_frt_relations(window, omit_central=False):
     tp_x, tm_x = build_T("+", window, x), build_T("-", window, x)
     tp_y, tm_y = build_T("+", window, y), build_T("-", window, y)
     vars2 = (x, y)
-    xy = LaurentPoly.var(x, (x, y)) - LaurentPoly.var(y, (x, y))
+    xy = LaurentPoly.var(x) - LaurentPoly.var(y)
     r_rows, cent_rows = _r_cleared(x, y, xy)
     res = Residuals()
     regions = []
@@ -682,15 +643,12 @@ def check_frt_relations(window, omit_central=False):
     cent_entries = {}
     for i in range(4):
         for j in range(4):
-            p = cent_rows[i][j]
-            if p.is_zero():
-                continue
-            coeffs = {}
-            for exps, cval in p.terms.items():
-                dx = exps[p.variables.index(x)]
-                dy = exps[p.variables.index(y)]
-                coeffs[(dx, dy)] = LieElt.single(C, -2 * cval)
-            cent_entries[(i, j)] = coeffs
+            coeffs = {
+                degs: LieElt.single(C, -2 * cval)
+                for degs, cval in cent_rows[i][j].split((x, y)).items()
+            }
+            if coeffs:
+                cent_entries[(i, j)] = coeffs
     central = CurrentMat(
         2,
         vars2,
@@ -730,16 +688,9 @@ def check_exchange(family, window, rbar_family=None):
     by = build_B(family, window, y)
     b = boundary_for(rbar_family or family, x)
     rbar = build_rbar(b, x, y)
-    clearing = [
-        LaurentPoly.var(x, (x, y)) - LaurentPoly.var(y, (x, y)),
-        LaurentPoly.var(x, (x, y)) * LaurentPoly.var(y, (x, y))
-        - LaurentPoly.const(1, (x, y)),
-    ]
-    rbar21 = leg_embed(
-        rbar.substitute({x: LaurentPoly.var(y, (y,)), y: LaurentPoly.var(x, (x,))}),
-        (2, 1),
-        2,
-    )
+    xx, yy = LaurentPoly.var(x), LaurentPoly.var(y)
+    clearing = [xx - yy, xx * yy - 1]
+    rbar21 = leg_embed(rbar.substitute({x: yy, y: xx}), (2, 1), 2)
     r12_rows = rbar.cleared(clearing)
     r21_rows = rbar21.cleared(clearing)
     vars2 = (x, y)

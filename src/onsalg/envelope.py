@@ -140,11 +140,10 @@ def _weight_series(family, window, x):
     """The abstract weighted series whose mode coefficients are the linear
     charges; weights stay symbolic."""
     names = _WEIGHTS[family]
-    ctx = (x,) + tuple(parameter(n) for n in names)
-    pvar = {n: LaurentPoly.var(parameter(n), ctx) for n in names}
-    xv = LaurentPoly.var(x, ctx)
-    xinv = LaurentPoly.monomial(ctx, (-2,) + (0,) * len(names), 1)
-    one = LaurentPoly.const(1, ctx)
+    pvar = {n: LaurentPoly.var(parameter(n)) for n in names}
+    xv = LaurentPoly.var(x)
+    xinv = LaurentPoly.var(x, half_steps=-2)
+    one = LaurentPoly.const(1)
     if family == "onsager":
         ap = build_current(family, "A+", window, x)
         am = build_current(family, "A-", window, x)

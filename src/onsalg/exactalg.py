@@ -4,13 +4,23 @@ display, and LinComb, the sparse linear combination with polynomial
 coefficients that holds every Lie, family and enveloping-algebra element.
 
 Coefficients are exact rationals (gmpy2.mpq when available, else
-fractions.Fraction).  Polynomials are sparse dicts keyed by exponent
-tuples.  Exponents are stored *doubled*, so a stored exponent of 1
-means x**(1/2); this keeps half-integer powers of spectral variables
-on an integer grid.  Parameter variables are restricted to genuine
-non-negative integer powers (even doubled exponents).
+fractions.Fraction).  A polynomial carries no variable context: its terms
+map one packed monomial key, a Python int, to a nonzero coefficient.  Each
+Variable owns a slot of one process-wide registry, assigned on first use,
+and a key holds the variable's exponent as a signed digit in that slot's
+field of _WIDTH bits (Kronecker packing), so a monomial product is one
+integer addition, an inverse monomial is a negation and the constant
+monomial is 0.  Exponents are stored *doubled*, so a stored exponent of 1
+means x**(1/2); this keeps half-integer powers of spectral variables on an
+integer grid.  Parameter variables are restricted to genuine non-negative
+integer powers (even doubled exponents).
+
+Slots are process-local: polynomials pickle by variable name, and nothing
+visible depends on slot numbers.  Display, the leading term of a canonical
+factor and the order of factor multisets rank variables by name.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 try:
@@ -24,12 +34,17 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 _R_ZERO = Rational(0)
 _R_ONE = Rational(1)
-_SCALAR_TYPES = (int, type(_R_ONE))
+_RATIONAL = type(_R_ONE)
+_SCALAR_TYPES = (int, _RATIONAL)
 
 
 def rat(p, q=1):
     """Build an exact rational number."""
     return Rational(p, q)
+
+
+def _rational(c):
+    return c if isinstance(c, _RATIONAL) else Rational(c)
 
 
 @dataclass(frozen=True)
@@ -56,64 +71,126 @@ def parameter(name):
     return Variable(name, "parameter")
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial over an ordered variable tuple.
+# -- packed monomial keys ---------------------------------------------------------
 
-    terms maps doubled-exponent tuples to nonzero Rational coefficients.
+_WIDTH = 16
+_HALF = 1 << (_WIDTH - 1)  # every field holds a doubled exponent e, |e| < _HALF
+_MASK = (1 << _WIDTH) - 1
+_SLOT = {}  # Variable -> slot, assigned on first use
+_VARS = []  # slot -> Variable
+_LOW = []  # slot -> _HALF in every field below it
+
+
+def _slot(v):
+    s = _SLOT.get(v)
+    if s is None:
+        s = _SLOT[v] = len(_VARS)
+        _VARS.append(v)
+        _LOW.append(_HALF * ((1 << (_WIDTH * s)) - 1) // _MASK)
+    return s
+
+
+def _check_bound(bound):
+    if bound >= _HALF:
+        raise OverflowError(
+            f"doubled exponents may reach {bound}; a monomial field holds "
+            f"less than {_HALF} in absolute value"
+        )
+
+
+def _exponent(key, v):
+    """The doubled exponent of v in a packed monomial key."""
+    s = _SLOT.get(v)
+    if s is None:
+        return 0
+    # lifting the fields below v's to non-negative digits makes the shift
+    # exact, then v's field reads as a signed digit
+    return ((((key + _LOW[s]) >> (_WIDTH * s)) + _HALF) & _MASK) - _HALF
+
+
+def _unpack(key):
+    """(variable, doubled exponent) for each nonzero field of key."""
+    out = []
+    s = 0
+    while key:
+        e = ((key + _HALF) & _MASK) - _HALF
+        if e:
+            out.append((_VARS[s], e))
+        key = (key - e) >> _WIDTH
+        s += 1
+    return out
+
+
+def _pack(variables, exps):
+    """The key of the monomial prod(v ** (e/2)), and its largest |e|."""
+    if len(exps) != len(variables):
+        raise ValueError("exponent tuple length mismatch")
+    key = bound = 0
+    for v, e in zip(variables, exps):
+        if e:
+            key += e << (_WIDTH * _slot(v))
+            bound = max(bound, abs(e))
+    _check_bound(bound)
+    return key, bound
+
+
+def _poly(terms, bound):
+    """A LaurentPoly that takes over terms, a dict of nonzero rationals
+    whose keys have no field beyond bound in absolute value."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p.terms = terms
+    p._bound = bound
+    return p
+
+
+class LaurentPoly:
+    """Sparse Laurent polynomial, with no variable context.
+
+    terms maps packed monomial keys (see _exponent) to nonzero Rational
+    coefficients; exponents are doubled, and the slots behind the keys
+    are process-local, so == compares terms while str, variables and
+    pickles go by variable name.  The constructor and monomial() read dense
+    doubled exponent tuples against the variable tuple they are given; var,
+    const and zero accept a context argument and ignore it.  _bound caps
+    |doubled exponent| over all fields: products add the operands' bounds
+    and raise OverflowError before a field could spill.
     """
 
-    __slots__ = ("variables", "terms", "_key")
+    __slots__ = ("terms", "_bound")
 
     def __init__(self, variables=(), terms=None):
-        self.variables = tuple(variables)
+        variables = tuple(variables)
         clean = {}
+        bound = 0
         if terms:
-            n = len(self.variables)
             for exps, c in terms.items():
                 if not c:
                     continue
-                exps = tuple(exps)
-                assert len(exps) == n, "exponent tuple length mismatch"
-                c = c if isinstance(c, _SCALAR_TYPES) else Rational(c)
-                prev = clean.get(exps)
-                if prev is None:
-                    clean[exps] = Rational(c)
-                else:
-                    s = prev + c
-                    if s:
-                        clean[exps] = s
-                    else:
-                        del clean[exps]
+                key, b = _pack(variables, tuple(exps))
+                accumulate(clean, key, _rational(c))
+                bound = max(bound, b)
         self.terms = clean
-        self._key = None
+        self._bound = bound
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def zero(cls, variables=()):
-        return cls(variables, {})
+        return _poly({}, 0)
 
     @classmethod
     def const(cls, value, variables=()):
-        value = Rational(value)
-        if not value:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(tuple(variables)): value})
+        value = _rational(value)
+        return _poly({0: value} if value else {}, 0)
 
     @classmethod
     def var(cls, v, variables=None, half_steps=2):
-        """The monomial v**(half_steps/2) in the given context."""
-        if variables is None:
-            variables = (v,)
-        variables = tuple(variables)
-        i = variables.index(v)
-        exps = [0] * len(variables)
-        exps[i] = half_steps
-        return cls(variables, {tuple(exps): _R_ONE})
+        """The monomial v**(half_steps/2)."""
+        return cls.monomial((v,), (half_steps,))
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1):
-        return cls(variables, {tuple(exps): Rational(coeff)})
+        return cls(variables, {tuple(exps): coeff})
 
     # -- basic queries --------------------------------------------------------
 
@@ -126,58 +203,27 @@ class LaurentPoly:
     def is_term(self):
         return len(self.terms) == 1
 
-    def constant_value(self):
-        """The constant coefficient (the poly need not be constant)."""
-        return self.terms.get((0,) * len(self.variables), _R_ZERO)
+    @property
+    def variables(self):
+        """The variables the polynomial uses, in name order."""
+        used = {v for key in self.terms for v, _ in _unpack(key)}
+        return tuple(sorted(used, key=lambda v: (v.name, v.kind)))
 
     def degree_range(self, v):
         """(min, max) doubled exponent of v over all terms, or None if zero."""
         if not self.terms:
             return None
-        i = self.variables.index(v)
-        exps = [e[i] for e in self.terms]
+        exps = [_exponent(key, v) for key in self.terms]
         return (min(exps), max(exps))
 
-    def uses(self, v):
-        if v not in self.variables:
-            return False
-        i = self.variables.index(v)
-        return any(e[i] for e in self.terms)
-
-    # -- context handling ------------------------------------------------------
-
-    def in_context(self, variables):
-        """Re-express over a (super)set of variables, permuting as needed."""
-        variables = tuple(variables)
-        if variables == self.variables:
-            return self
-        pos = []
-        for j, v in enumerate(self.variables):
-            try:
-                pos.append(variables.index(v))
-            except ValueError:
-                # Dropping a variable is fine only if it is unused.
-                if any(e[j] for e in self.terms):
-                    raise ValueError(f"cannot drop used variable {v.name}")
-                pos.append(None)
-        n = len(variables)
-        out = {}
-        for exps, c in self.terms.items():
-            ne = [0] * n
-            for j, p in enumerate(pos):
-                if p is not None:
-                    ne[p] = exps[j]
-            k = tuple(ne)
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return LaurentPoly(variables, out)
-
-    @staticmethod
-    def _common(a, b):
-        if a.variables == b.variables:
-            return a, b
-        merged = a.variables + tuple(v for v in b.variables if v not in a.variables)
-        return a.in_context(merged), b.in_context(merged)
+    def split(self, variables):
+        """{doubled exponents of variables: rest}, where self is the sum of
+        monomial(variables, exps) * rest and no rest uses variables."""
+        groups = {}
+        for key, c in self.terms.items():
+            exps = tuple(_exponent(key, v) for v in variables)
+            groups.setdefault(exps, {})[key - _pack(variables, exps)[0]] = c
+        return {exps: _poly(rest, self._bound) for exps, rest in groups.items()}
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -185,64 +231,63 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            other = LaurentPoly.const(other, self.variables)
-        a, b = LaurentPoly._common(self, other)
+            other = LaurentPoly.const(other)
+        a, b = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        if not b.terms:
+            return a
         out = dict(a.terms)
-        for e, c in b.terms.items():
-            prev = out.get(e)
+        for key, c in b.terms.items():
+            prev = out.get(key)
             if prev is None:
-                out[e] = c
+                out[key] = c
             else:
                 s = prev + c
                 if s:
-                    out[e] = s
+                    out[key] = s
                 else:
-                    del out[e]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.variables = a.variables
-        r.terms = out
-        r._key = None
-        return r
+                    del out[key]
+        return _poly(out, max(a._bound, b._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.variables = self.variables
-        r.terms = {e: -c for e, c in self.terms.items()}
-        r._key = None
-        return r
+        return _poly({key: -c for key, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            other = LaurentPoly.const(other, self.variables)
+            other = LaurentPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, c):
+        c = _rational(c)
+        if not c:
+            return _poly({}, 0)
+        if c == 1:
+            return self
+        return _poly({key: c * v for key, v in self.terms.items()}, self._bound)
+
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            c = Rational(other)
-            if not c:
-                return LaurentPoly(self.variables, {})
-            r = LaurentPoly.__new__(LaurentPoly)
-            r.variables = self.variables
-            r.terms = {e: c * v for e, v in self.terms.items()}
-            r._key = None
-            return r
-        a, b = LaurentPoly._common(self, other)
-        if len(a.terms) > len(b.terms):
-            a, b = b, a
+            return self._scaled(other)
+        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        if not a.terms:
+            return a
+        if len(a.terms) == 1 and 0 in a.terms:
+            return b._scaled(a.terms[0])
+        bound = a._bound + b._bound
+        _check_bound(bound)
         out = {}
         bt = b.terms
-        for ea, ca in a.terms.items():
-            for eb, cb in bt.items():
-                k = tuple(x + y for x, y in zip(ea, eb))
+        for ka, ca in a.terms.items():
+            for kb, cb in bt.items():
+                k = ka + kb
                 prev = out.get(k)
                 if prev is None:
                     out[k] = ca * cb
@@ -252,46 +297,29 @@ class LaurentPoly:
                         out[k] = s
                     else:
                         del out[k]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.variables = a.variables
-        r.terms = out
-        r._key = None
-        return r
+        return _poly(out, bound)
 
     __rmul__ = __mul__
 
     # -- comparison / hashing ----------------------------------------------------
 
-    def canonical_key(self):
-        """Context-independent identity: unused variables are pruned and the
-        rest sorted by name."""
-        if self._key is None:
-            used = []
-            for j, v in enumerate(self.variables):
-                if any(e[j] for e in self.terms):
-                    used.append((v.name, v.kind, j))
-            used.sort()
-            idx = [j for _, _, j in used]
-            names = tuple((n, k) for n, k, _ in used)
-            terms = tuple(
-                sorted((tuple(e[j] for j in idx), c) for e, c in self.terms.items())
-            )
-            self._key = (names, terms)
-        return self._key
-
     def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            if isinstance(other, _SCALAR_TYPES):
-                return self.canonical_key() == LaurentPoly.const(other).canonical_key()
-            return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        if isinstance(other, LaurentPoly):
+            return self.terms == other.terms
+        if isinstance(other, _SCALAR_TYPES):
+            return self.terms == ({0: other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
-        names, terms = self.canonical_key()
-        if not names:
+        if self.terms.keys() <= {0}:
             # a constant compares equal to its value, so it hashes as one
-            return hash(terms[0][1] if terms else _R_ZERO)
-        return hash((names, tuple((e, str(c)) for e, c in terms)))
+            return hash(self.terms.get(0, _R_ZERO))
+        return hash(frozenset(self.terms.items()))
+
+    def __reduce__(self):
+        # keys are process-local, so a pickle names the variables
+        variables = self.variables
+        return (LaurentPoly, (variables, _dense(self, variables)))
 
     # -- calculus / substitution ---------------------------------------------------
 
@@ -299,90 +327,63 @@ class LaurentPoly:
         """d/dv.  Spectral variables only; half powers differentiate exactly."""
         if v.kind != "spectral":
             raise ValueError("derivative only defined for spectral variables")
-        if v not in self.variables:
-            return LaurentPoly(self.variables, {})
-        i = self.variables.index(v)
+        bound = self._bound + 2
+        _check_bound(bound)
+        step = 2 << (_WIDTH * _slot(v))
         out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            ne = list(exps)
-            ne[i] = e - 2
-            k = tuple(ne)
-            add = c * e / 2
-            prev = out.get(k)
-            out[k] = add if prev is None else prev + add
-        return LaurentPoly(self.variables, out)
+        for key, c in self.terms.items():
+            e = _exponent(key, v)
+            if e:
+                out[key - step] = c * e / 2
+        return _poly(out, bound)
 
     def substitute(self, assign):
         """Monomial substitution, e.g. u -> x/y or x -> 1/x.
 
-        assign maps Variables to single-term LaurentPolys with coefficient
-        +-1 and even doubled exponents (so half powers of the substituted
-        variable stay on the grid).  Unassigned variables pass through.
-        Returns a LaurentPoly over the union context.
+        assign maps Variables to single-term LaurentPolys with integer
+        powers (even doubled exponents), so half powers of the substituted
+        variable stay on the grid; a coefficient other than 1 needs an
+        integer power of the variable it replaces.  Every exponent is read
+        before any is replaced, so x -> y, y -> x swaps.  Unassigned
+        variables pass through.
         """
-        table = {}
-        target_vars = []
-        for v in self.variables:
-            val = assign.get(v)
-            if val is None:
-                table[v] = (None, _R_ONE)
-                if v not in target_vars:
-                    target_vars.append(v)
-            else:
-                assert isinstance(val, LaurentPoly) and val.is_term(), (
-                    "substitution values must be monomials"
-                )
-                ((exps, coeff),) = val.terms.items()
-                mono = []
-                for w, a in zip(val.variables, exps):
-                    if a:
-                        assert a % 2 == 0, "substitution monomial must have integer powers"
-                        mono.append((w, a))
-                        if w not in target_vars:
-                            target_vars.append(w)
-                table[v] = (mono, coeff)
-        target_vars = tuple(target_vars)
-        pos = {v: i for i, v in enumerate(target_vars)}
+        table = []
+        bound = self._bound
+        for v, val in assign.items():
+            if not (isinstance(val, LaurentPoly) and val.is_term()):
+                raise ValueError("substitution values must be monomials")
+            ((key, coeff),) = val.terms.items()
+            if any(e % 2 for _, e in _unpack(key)):
+                raise ValueError("substitution monomial must have integer powers")
+            # v**e becomes coeff**(e/2) * key**(e/2): the key moves by e * delta
+            table.append((v, key // 2 - (1 << (_WIDTH * _slot(v))), coeff))
+            bound += self._bound * val._bound // 2
+        _check_bound(bound)
         out = {}
-        for exps, c in self.terms.items():
-            ne = [0] * len(target_vars)
-            coeff = c
-            for v, e in zip(self.variables, exps):
-                if e == 0:
+        for key, c in self.terms.items():
+            new = key
+            for v, delta, mc in table:
+                e = _exponent(key, v)
+                if not e:
                     continue
-                mono, mc = table[v]
-                if mono is None:
-                    ne[pos[v]] += e
-                else:
-                    if mc != 1:
-                        assert e % 2 == 0, "fractional power of a non-monic monomial"
-                        coeff = coeff * mc ** (e // 2)
-                    for w, a in mono:
-                        ne[pos[w]] += (a * e) // 2
-            k = tuple(ne)
-            prev = out.get(k)
-            if prev is None:
-                out[k] = coeff
-            else:
-                s = prev + coeff
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return LaurentPoly(target_vars, out)
+                new += e * delta
+                if mc != 1:
+                    if e % 2:
+                        raise ValueError("fractional power of a non-monic monomial")
+                    c = c * mc ** (e // 2)
+            accumulate(out, new, c)
+        return _poly(out, bound)
 
     # -- display ---------------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
             return "0"
+        variables = self.variables
         bits = []
-        for exps, c in sorted(self.terms.items()):
+        for exps, c in sorted(_dense(self, variables).items()):
             factors = []
-            for v, e in zip(self.variables, exps):
+            for v, e in zip(variables, exps):
                 if e == 0:
                     continue
                 if e == 2:
@@ -404,6 +405,12 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+def _dense(p, variables):
+    """p's terms keyed by doubled exponent tuples over variables, which
+    must hold every variable p uses."""
+    return {exps: rest.terms[0] for exps, rest in p.split(variables).items()}
 
 
 def accumulate(out, key, value):
@@ -499,12 +506,10 @@ class LinComb:
     def __eq__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[key] == c for key, c in self.terms.items())
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((k, c.canonical_key()) for k, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
         if not self.terms:
@@ -533,61 +538,54 @@ def factor_canonical(p):
     Returns (inv_unit, factors): p equals unit * prod(factors) where the
     unit is a scalar times a spectral monomial, inv_unit is its inverse as
     a one-term LaurentPoly, and each factor is canonical (content-free,
-    leading coefficient 1; a pure parameter monomial is split into one
-    factor per variable).  1/p == inv_unit / prod(factors).
+    leading coefficient 1, the leading term ranked in name order; a pure
+    parameter monomial is split into one factor per variable).
+    1/p == inv_unit / prod(factors).
     """
-    assert not p.is_zero(), "zero denominator factor"
-    terms = p.terms
-    n = len(p.variables)
+    if p.is_zero():
+        raise ValueError("zero denominator factor")
+    variables = p.variables
+    dense = _dense(p, variables)
     # strip spectral monomial content
-    content = [0] * n
-    for i, v in enumerate(p.variables):
-        if v.kind == "spectral":
-            content[i] = min(e[i] for e in terms)
-    stripped = {
-        tuple(e - m for e, m in zip(exps, content)): c for exps, c in terms.items()
-    }
-    # scalar normalization by the lexicographically leading coefficient,
-    # ranked in name order so the result is independent of context order
-    order = sorted(range(n), key=lambda i: p.variables[i].name)
-    lead = max(stripped, key=lambda e: tuple(e[i] for i in order))
-    scale = stripped[lead]
-    inv_exps = tuple(-m for m in content)
-    inv_unit = LaurentPoly.monomial(p.variables, inv_exps, 1 / scale)
+    content = [
+        min(e[i] for e in dense) if v.kind == "spectral" else 0
+        for i, v in enumerate(variables)
+    ]
+    stripped = {tuple(a - m for a, m in zip(e, content)): c for e, c in dense.items()}
+    # scalar normalization by the lexicographically leading coefficient
+    scale = stripped[max(stripped)]
+    inv_unit = LaurentPoly.monomial(variables, tuple(-m for m in content), 1 / scale)
+    if len(stripped) == 1:
+        ((exps, _),) = stripped.items()
+        factors = []
+        for v, e in zip(variables, exps):
+            if e:
+                if v.kind != "parameter" or e < 0 or e % 2:
+                    raise ValueError("a parameter factor must be a positive integer power")
+                factors.extend([LaurentPoly.var(v)] * (e // 2))
+        return inv_unit, factors
     if scale != 1:
         stripped = {e: c / scale for e, c in stripped.items()}
-    canon = LaurentPoly(p.variables, stripped)
-    if len(stripped) == 1:
-        ((exps, c),) = stripped.items()
-        assert c == 1
-        factors = []
-        for v, e in zip(p.variables, exps):
-            if e:
-                assert v.kind == "parameter" and e > 0 and e % 2 == 0
-                factors.extend([LaurentPoly.var(v, p.variables)] * (e // 2))
-        return inv_unit, factors
-    return inv_unit, [canon]
+    return inv_unit, [LaurentPoly(variables, stripped)]
 
 
-def complement(den_factors, clearing, variables=()):
-    """prod(clearing) / prod(den_factors) as a LaurentPoly over variables.
+def complement(den_factors, clearing):
+    """prod(clearing) / prod(den_factors) as a LaurentPoly.
 
     Both arguments are multisets of canonical factors (see
-    factor_canonical), matched by canonical_key with multiplicity.  Raises
+    factor_canonical), matched by equality with multiplicity.  Raises
     ValueError naming a denominator factor that clearing does not hold.
     This is the one place that works out what a clearing set lacks.
     """
     remaining = list(clearing)
-    keys = [f.canonical_key() for f in remaining]
     for f in den_factors:
         try:
-            i = keys.index(f.canonical_key())
+            remaining.remove(f)
         except ValueError:
             raise ValueError(
                 f"denominator factor not covered by the clearing set: {f}"
             ) from None
-        del keys[i], remaining[i]
-    out = LaurentPoly.const(1, variables)
+    out = LaurentPoly.const(1)
     for f in remaining:
         out = out * f
     return out
@@ -596,16 +594,10 @@ def complement(den_factors, clearing, variables=()):
 def factor_lcm(*multisets):
     """Least common multiple of factor multisets: every canonical factor at
     its highest multiplicity, represented by its first occurrence."""
-    reps, need = {}, {}
+    need = Counter()
     for factors in multisets:
-        counts = {}
-        for f in factors:
-            key = f.canonical_key()
-            reps.setdefault(key, f)
-            counts[key] = counts.get(key, 0) + 1
-        for key, c in counts.items():
-            need[key] = max(need.get(key, 0), c)
-    return [f for key, f in reps.items() for _ in range(need[key])]
+        need |= Counter(factors)
+    return list(need.elements())
 
 
 class RatFun:
@@ -620,19 +612,16 @@ class RatFun:
         if not isinstance(num, LaurentPoly):
             num = LaurentPoly.const(num)
         if den is None:
-            den = LaurentPoly.const(1, num.variables)
+            den = LaurentPoly.const(1)
         elif not isinstance(den, LaurentPoly):
-            den = LaurentPoly.const(den, num.variables)
-        assert not den.is_zero(), "zero denominator"
+            den = LaurentPoly.const(den)
+        if den.is_zero():
+            raise ValueError("zero denominator")
         # absorb invertible denominators (scalars, spectral monomials)
-        if den.is_term():
-            ((exps, c),) = den.terms.items()
-            if all(
-                e == 0 or v.kind == "spectral" for v, e in zip(den.variables, exps)
-            ):
-                inv = LaurentPoly.monomial(den.variables, tuple(-e for e in exps), 1 / c)
-                num = num * inv
-                den = LaurentPoly.const(1, num.variables)
+        if den.is_term() and all(v.kind == "spectral" for v in den.variables):
+            ((key, c),) = den.terms.items()
+            num = num * _poly({-key: 1 / c}, den._bound)
+            den = LaurentPoly.const(1)
         self.num = num
         self.den = den
 
@@ -662,11 +651,6 @@ class RatFun:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _as_rfun(other)
-        assert not other.num.is_zero(), "division by zero"
-        return RatFun(self.num * other.den, self.den * other.num)
-
     def __eq__(self, other):
         if isinstance(other, (RatFun, LaurentPoly) + _SCALAR_TYPES):
             other = _as_rfun(other)
@@ -684,7 +668,7 @@ class RatFun:
         )
 
     def __str__(self):
-        if self.den == LaurentPoly.const(1):
+        if self.den == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
 

@@ -440,9 +440,9 @@ def check_current_relations(family, window):
     if window < 3:
         raise ValueError("window must be >= 3 to see past the index symmetries")
     x, y = spectral("x"), spectral("y")
-    one = LaurentPoly.const(1, (x, y))
-    xx = LaurentPoly.var(x, (x, y))
-    yy = LaurentPoly.var(y, (x, y))
+    one = LaurentPoly.const(1)
+    xx = LaurentPoly.var(x)
+    yy = LaurentPoly.var(y)
     xmy = xx - yy
     xym1 = xx * yy - one
     clearing = [xmy, xym1]

@@ -50,18 +50,8 @@ def _merge_vars(a, b):
 
 
 def _sort_factors(factors):
-    return tuple(sorted(factors, key=LaurentPoly.canonical_key))
-
-
-def _missing(den_factors, clearing, variables):
-    """complement(den_factors, clearing, variables), or None when clearing
-    adds nothing (so a numerator keeps its own variable context)."""
-    comp = complement(den_factors, clearing, variables)
-    return None if len(den_factors) == len(clearing) else comp
-
-
-def _times(n, comp):
-    return n if comp is None else n * comp
+    # str ranks variables by name, so the order never depends on slots
+    return tuple(sorted(factors, key=str))
 
 
 class TensorMat:
@@ -70,7 +60,8 @@ class TensorMat:
     Stored as numerator polynomials over one shared denominator, a sorted
     multiset of canonical factors (den_factors).  cleared() turns it into
     polynomial rows; entry() and trace() give RatFun values for display
-    and tests.
+    and tests.  variables is the matrix's ordered argument tuple (build_rbar
+    puts its (x, y) first); the polynomials themselves carry no context.
     """
 
     __slots__ = ("legs", "variables", "nums", "den_factors")
@@ -91,7 +82,7 @@ class TensorMat:
             for e in row:
                 if not isinstance(e, RatFun):
                     e = RatFun(e)
-                if e.den == LaurentPoly.const(1):
+                if e.den == 1:
                     srow.append((e.num, ()))
                 else:
                     inv_unit, factors = factor_canonical(e.den)
@@ -99,10 +90,7 @@ class TensorMat:
             split.append(srow)
         den = factor_lcm(*(fs for srow in split for _, fs in srow))
         self.den_factors = _sort_factors(den)
-        self.nums = [
-            [_times(num, _missing(fs, den, self.variables)) for num, fs in srow]
-            for srow in split
-        ]
+        self.nums = [[num * complement(fs, den) for num, fs in srow] for srow in split]
 
     @classmethod
     def _raw(cls, legs, variables, nums, den_factors):
@@ -119,7 +107,7 @@ class TensorMat:
 
     def denominator(self):
         """The product of the denominator factors."""
-        return complement((), self.den_factors, self.variables)
+        return complement((), self.den_factors)
 
     def entry(self, i, j):
         return RatFun(self.nums[i][j], self.denominator())
@@ -131,8 +119,8 @@ class TensorMat:
         it lacks one of den_factors, so cleared(()) is the check that the
         matrix is polynomial.
         """
-        comp = _missing(self.den_factors, clearing, self.variables)
-        return [[_times(n, comp) for n in row] for row in self.nums]
+        comp = complement(self.den_factors, clearing)
+        return [[n * comp for n in row] for row in self.nums]
 
     def is_zero(self):
         return all(n.is_zero() for row in self.nums for n in row)
@@ -153,14 +141,15 @@ class TensorMat:
     def __add__(self, other):
         assert isinstance(other, TensorMat) and other.legs == self.legs
         den = factor_lcm(self.den_factors, other.den_factors)
-        variables = _merge_vars(self.variables, other.variables)
-        pa = _missing(self.den_factors, den, variables)
-        pb = _missing(other.den_factors, den, variables)
+        pa = complement(self.den_factors, den)
+        pb = complement(other.den_factors, den)
         nums = [
-            [_times(a, pa) + _times(b, pb) for a, b in zip(ra, rb)]
+            [a * pa + b * pb for a, b in zip(ra, rb)]
             for ra, rb in zip(self.nums, other.nums)
         ]
-        return TensorMat._raw(self.legs, variables, nums, den)
+        return TensorMat._raw(
+            self.legs, _merge_vars(self.variables, other.variables), nums, den
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -210,24 +199,25 @@ class TensorMat:
         """Monomial substitution applied to numerators and denominator factors."""
         nums = [[n.substitute(assign) for n in row] for row in self.nums]
         den = []
-        variables = self.variables
         for f in self.den_factors:
-            g = f.substitute(assign)
-            inv_unit, factors = factor_canonical(g)
-            if inv_unit != LaurentPoly.const(1):
-                nums = [[n * inv_unit for n in row] for row in nums]
+            inv_unit, factors = factor_canonical(f.substitute(assign))
+            nums = [[n * inv_unit for n in row] for row in nums]
             den.extend(factors)
-        for row in nums:
-            for n in row:
-                variables = _merge_vars(variables, n.variables)
+        # each argument gives way to the variables of its image
+        variables = ()
+        for v in self.variables:
+            img = assign.get(v)
+            variables = _merge_vars(variables, (v,) if img is None else img.variables)
         return TensorMat._raw(self.legs, variables, nums, den)
 
     def inverse_2x2(self):
         """Inverse of a one-leg matrix via the adjugate."""
-        assert self.legs == 1
+        if self.legs != 1:
+            raise ValueError("inverse_2x2 needs a one-leg matrix")
         (a, b), (c, d) = self.nums
         det = a * d - b * c
-        assert not det.is_zero(), "singular matrix"
+        if det.is_zero():
+            raise ValueError("singular matrix")
         inv_unit, factors = factor_canonical(det)
         dpoly = self.denominator()
         adj = [[d, -b], [-c, a]]
@@ -235,7 +225,7 @@ class TensorMat:
         return TensorMat._raw(1, self.variables, nums, tuple(factors))
 
     def trace(self):
-        t = LaurentPoly.zero(self.variables)
+        t = LaurentPoly.zero()
         for i in range(self.dim):
             t = t + self.nums[i][i]
         return RatFun(t, self.denominator())
@@ -314,7 +304,7 @@ def trace_leg(m, leg):
     nums = [[LaurentPoly.zero() for _ in range(dim_out)] for _ in range(dim_out)]
     for i in range(dim_out):
         for j in range(dim_out):
-            acc = LaurentPoly.zero(m.variables)
+            acc = LaurentPoly.zero()
             for b in (0, 1):
                 acc = acc + m.nums[expand(i, b)][expand(j, b)]
             nums[i][j] = acc
@@ -327,13 +317,13 @@ def trace_leg(m, leg):
 def build_r(u):
     """The 4x4 classical r-matrix r(u) with simple pole at u=1."""
     assert isinstance(u, Variable) and u.kind == "spectral"
-    one = LaurentPoly.const(1, (u,))
-    uu = LaurentPoly.var(u, (u,))
+    one = LaurentPoly.const(1)
+    uu = LaurentPoly.var(u)
     half = rat(1, 2)
-    z = LaurentPoly.zero((u,))
+    z = LaurentPoly.zero()
     nums = [
         [-half * (uu + one), z, z, z],
-        [z, half * (uu + one), LaurentPoly.const(-2, (u,)), z],
+        [z, half * (uu + one), LaurentPoly.const(-2), z],
         [z, -2 * uu, half * (uu + one), z],
         [z, z, z, -half * (uu + one)],
     ]
@@ -384,7 +374,7 @@ def u_derivative(r):
     u = _spectral_var(r)
     den = r.denominator()
     dden = den.derivative(u)
-    uu = LaurentPoly.var(u, (u,))
+    uu = LaurentPoly.var(u)
     nums = [[(n.derivative(u) * den - n * dden) * uu for n in row] for row in r.nums]
     return TensorMat._raw(r.legs, r.variables, nums, r.den_factors + r.den_factors)
 
@@ -496,15 +486,15 @@ def build_boundary(family, params=None, x=None):
         if val is None:
             v = parameter(name)
             params[name] = v
-            return LaurentPoly.var(v, (v,))
+            return LaurentPoly.var(v)
         if isinstance(val, (LaurentPoly, Variable)):
-            return LaurentPoly.var(val, (val,)) if isinstance(val, Variable) else val
+            return LaurentPoly.var(val) if isinstance(val, Variable) else val
         return LaurentPoly.const(val)
 
-    xx = LaurentPoly.var(x, (x,))
+    xx = LaurentPoly.var(x)
     inv_x = LaurentPoly.monomial((x,), (-2,), 1)
-    one = LaurentPoly.const(1, (x,))
-    z = LaurentPoly.zero((x,))
+    one = LaurentPoly.const(1)
+    z = LaurentPoly.zero()
 
     if family == "U_diag":
         k, ks = coeff("k"), coeff("kstar")
@@ -555,7 +545,7 @@ def check_U_conditions(b, epsilon):
     u = spectral("u")
     r = build_r(u).substitute({u: LaurentPoly.monomial((x, y), (2, -2), 1)})
     u1 = leg_embed(b.mat, (1,), 2)
-    u2 = leg_embed(b.substitute({x: LaurentPoly.var(y, (y,))}), (2,), 2)
+    u2 = leg_embed(b.substitute({x: LaurentPoly.var(y)}), (2,), 2)
     delta = (u1 @ u2).commutator(r)
     _add_entries(res, delta, "r-commutation ")
     return res.report(
@@ -577,7 +567,7 @@ def check_reflection(b):
         r.substitute({u: LaurentPoly.monomial((x, y), (2, 2), 1)}), 2
     )
     k1 = leg_embed(b.mat, (1,), 2)
-    k2 = leg_embed(b.substitute({x: LaurentPoly.var(y, (y,))}), (2,), 2)
+    k2 = leg_embed(b.substitute({x: LaurentPoly.var(y)}), (2,), 2)
     lhs = r_quot @ k1 @ k2 - k1 @ k2 @ r_quot
     rhs = k1 @ r_prod @ k2 - k2 @ r_prod @ k1
     return _residual_report(
@@ -609,7 +599,7 @@ def build_rbar(b, x, y):
 
 
 def _rbar_at(rbar, x, y, vi, vj, legs, total):
-    sub = {x: LaurentPoly.var(vi, (vi,)), y: LaurentPoly.var(vj, (vj,))}
+    sub = {x: LaurentPoly.var(vi), y: LaurentPoly.var(vj)}
     return leg_embed(rbar.substitute(sub), legs, total)
 
 
@@ -638,7 +628,7 @@ def check_M_condition(m, rbar):
     x, y = spect[0], spect[1]
     assert m.x == x, "M must be built in rbar's first spectral variable"
     m1 = leg_embed(m.mat, (1,), 2)
-    m_y = m.substitute({x: LaurentPoly.var(y, (y,))})
+    m_y = m.substitute({x: LaurentPoly.var(y)})
     traced = trace_leg(rbar @ m1, 1)
     delta = traced.commutator(m_y)
     return _residual_report(

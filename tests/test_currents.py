@@ -26,13 +26,6 @@ def lie(*pairs):
 # -- exactness bookkeeping --------------------------------------------------
 
 
-def test_meta_kinds():
-    assert SupportMeta().kind == "full"
-    assert SupportMeta(0, None, None, 12).kind == "below"
-    assert SupportMeta(None, 0, -12, None).kind == "above"
-    assert SupportMeta(0, 4, -2, 10).kind == "window"
-
-
 def test_meta_exact_window():
     assert SupportMeta(0, None, None, 12).exact_window() == (0, 12)
     assert SupportMeta(0, 4, -2, 10).exact_window() == (0, 4)

@@ -126,8 +126,8 @@ def test_closed_form_variant():
     assert not rep.passed
     assert rep.witnesses[0] == {
         "position": "[I_0, I_1]",
-        "residual": "(2*tau*nu)*Z+[1] + (2*tau*nu)*Z+[2] "
-                    "+ (-2*tau*nustar)*Z-[0] + (-2*tau*nustar)*Z-[1]",
+        "residual": "(2*nu*tau)*Z+[1] + (2*nu*tau)*Z+[2] "
+                    "+ (-2*nustar*tau)*Z-[0] + (-2*nustar*tau)*Z-[1]",
     }
 
 

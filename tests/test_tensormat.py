@@ -36,15 +36,15 @@ def _mutate_entry(m, i, j, fn):
     return TensorMat._raw(m.legs, m.variables, nums, m.den_factors)
 
 
-def _altered_k():
+def _altered_k(x=X):
     # the (1,2) entry changed from beta + gamma/x to beta + gamma*x,
     # which is not a reflection solution
-    b = build_boundary("k_general", x=X)
+    b = build_boundary("k_general", x=x)
     nums = [list(r) for r in b.mat.nums]
     be, ga = b.params["beta"], b.params["gamma"]
-    nums[0][1] = _pv(be) + _pv(ga) * _pv(X)
+    nums[0][1] = _pv(be) + _pv(ga) * _pv(x)
     mat = TensorMat._raw(1, b.mat.variables, nums, b.mat.den_factors)
-    return BoundaryMat("k_general", mat, X, b.params)
+    return BoundaryMat("k_general", mat, x, b.params)
 
 
 # -- the r-matrix itself -------------------------------------------------
@@ -250,6 +250,27 @@ def test_rbar_layout():
     rbar = build_rbar(b, X, Y)
     assert rbar.legs == 2
     assert rbar.variables[:2] == (X, Y)
+
+
+@pytest.mark.parametrize(
+    "make_k",
+    [lambda x: build_boundary("k_general", x=x), _altered_k],
+    ids=["k_general", "altered"],
+)
+def test_verdicts_ignore_variable_names(make_k):
+    # t, s put rbar's arguments against name order; x, y follow it
+    T, S = spectral("t"), spectral("s")
+
+    def verdicts(x, y):
+        b = make_k(x)
+        rbar = build_rbar(b, x, y)
+        assert rbar.variables[:2] == (x, y)
+        return [
+            (rep.passed, rep.residual_term_count)
+            for rep in (check_nscybe(rbar), check_reflection(b))
+        ]
+
+    assert verdicts(T, S) == verdicts(X, Y)
 
 
 # -- the M matrices --------------------------------------------------------
