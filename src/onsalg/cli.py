@@ -6,12 +6,14 @@ configuration error (including a window too small for a requested check).
 
 import argparse
 import json
+import platform
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import envelope, kacmoody, onsager, tensormat
+from . import envelope, exactalg, kacmoody, onsager, tensormat
 from .currents import B_FAMILIES, check_exchange, check_frt_relations
 from .exactalg import spectral
 from .onsager import FAMILIES, FIXING_MAP
@@ -159,6 +161,12 @@ def suite_notes(cfg):
     return [envelope.note_mixed_commutator(fam, 1, 1) for fam in FAMILIES]
 
 
+def _cpu_seconds():
+    """CPU time of this process and of its reaped children (pool workers)."""
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + kids.ru_utime + kids.ru_stime
+
+
 def _run_one(job):
     fn, args = job
     return fn(*args)
@@ -249,13 +257,20 @@ def _resolve_config(args):
     return cfg
 
 
-def _emit(cfg, reports, notes, wall_ms):
+def _emit(cfg, reports, notes, wall_s, cpu_s):
     npass = sum(1 for r in reports if r.passed)
     nfail = len(reports) - npass
     if cfg.format == "json":
         doc = {
             "suite": cfg.suite,
             "window": cfg.window,
+            "max_k": cfg.max_k,
+            "seed": cfg.seed,
+            "parallel": cfg.parallel,
+            "rational_backend": exactalg.RATIONAL_BACKEND,
+            "python": platform.python_version(),
+            "wall_s": round(wall_s, 3),
+            "cpu_s": round(cpu_s, 3),
             "checks": [r.as_dict() for r in reports],
             "summary": {"pass": npass, "fail": nfail},
         }
@@ -268,7 +283,7 @@ def _emit(cfg, reports, notes, wall_ms):
         for note in notes:
             print(f"note: {note}")
         # wall time: under --parallel the per-check durations overlap
-        print(f"summary: {npass} passed, {nfail} failed ({wall_ms:.0f} ms)")
+        print(f"summary: {npass} passed, {nfail} failed ({1e3 * wall_s:.0f} ms)")
     return 0 if nfail == 0 else 1
 
 
@@ -280,14 +295,15 @@ def run(argv=None):
         return int(e.code or 0)
     try:
         cfg = _resolve_config(args)
-        started = time.perf_counter()
+        started, cpu_started = time.perf_counter(), _cpu_seconds()
         reports = _execute(suite_checks(cfg), cfg.parallel)
-        wall_ms = 1e3 * (time.perf_counter() - started)
+        wall_s = time.perf_counter() - started
+        cpu_s = _cpu_seconds() - cpu_started
         notes = suite_notes(cfg)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return _emit(cfg, reports, notes, wall_ms)
+    return _emit(cfg, reports, notes, wall_s, cpu_s)
 
 
 def main(argv=None):

@@ -661,12 +661,6 @@ class RatFun:
     # with the cross-multiplied equality
     __hash__ = None
 
-    def derivative(self, v):
-        return RatFun(
-            self.num.derivative(v) * self.den - self.num * self.den.derivative(v),
-            self.den * self.den,
-        )
-
     def __str__(self):
         if self.den == 1:
             return str(self.num)

@@ -1,11 +1,12 @@
 """Exit codes, report formats, and configuration handling for `verify`."""
 
 import json
+import platform
 import time
 
 import pytest
 
-from onsalg import cli
+from onsalg import cli, exactalg
 from onsalg.report import CheckReport, finish_report
 
 CHECK_KEYS = {"name", "status", "residual_terms", "region", "duration_ms", "witnesses"}
@@ -100,9 +101,16 @@ def test_main_raises_systemexit():
 def test_json_document_shape(capsys):
     code, doc = run_json(["frt", "--window", "4"], capsys)
     assert code == 0
-    assert set(doc) == {"suite", "window", "checks", "summary"}
+    assert set(doc) == {
+        "suite", "window", "max_k", "seed", "parallel", "rational_backend",
+        "python", "wall_s", "cpu_s", "checks", "summary",
+    }
     assert doc["suite"] == "frt"
     assert doc["window"] == 4
+    assert (doc["max_k"], doc["seed"], doc["parallel"]) == (4, 0, False)
+    assert doc["rational_backend"] == exactalg.RATIONAL_BACKEND
+    assert doc["python"] == platform.python_version()
+    assert doc["wall_s"] >= 0 and doc["cpu_s"] >= 0
     assert doc["summary"] == {"pass": 2, "fail": 0}
     for check in doc["checks"]:
         assert set(check) == CHECK_KEYS
@@ -116,6 +124,7 @@ def test_json_is_deterministic_apart_from_timings(capsys):
         _, doc = run_json(["onsager", "--window", "2", "--max-k", "2"], capsys)
         for check in doc["checks"]:
             check["duration_ms"] = 0.0
+        doc["wall_s"] = doc["cpu_s"] = 0.0
         return doc
 
     assert scrubbed() == scrubbed()

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from onsalg import envelope
+from onsalg.currents import build_B
 from onsalg.envelope import (
     UeaElt,
     build_linear_charge,
     build_quadratic_charge,
-    check_charge_commutativity,
     check_linear_charges,
     check_quadratic_charges,
     lie_to_uea,
@@ -16,6 +17,7 @@ from onsalg.envelope import (
     uea_commutator,
     uea_mul,
 )
+from onsalg.exactalg import LaurentPoly, parameter
 from onsalg.kacmoody import C, E, F, H, LieElt, bracket
 
 SYMS = [C] + [g(n) for g in (E, F, H) for n in range(-2, 3)]
@@ -61,6 +63,25 @@ def test_multiplication_associates(a, b, c):
     assert uea_mul(uea_mul(x, y), z) == uea_mul(x, uea_mul(y, z))
 
 
+TAU = LaurentPoly.var(parameter("tau"))
+
+# sums of one- to three-letter words, with integer or parameter coefficients
+elements = st.dictionaries(
+    st.lists(st.sampled_from(SYMS), min_size=1, max_size=3).map(tuple),
+    st.one_of(
+        st.integers(-3, 3).filter(bool),
+        st.integers(-3, 3).filter(bool).map(lambda n: TAU * n),
+    ),
+    min_size=1,
+    max_size=3,
+).map(UeaElt)
+
+
+@given(elements, elements)
+def test_leibniz_commutator_matches_both_products(x, y):
+    assert uea_commutator(x, y) == uea_mul(x, y) - uea_mul(y, x)
+
+
 # -- quadratic charges ---------------------------------------------------------
 
 
@@ -87,6 +108,19 @@ def test_quadratic_mutation_fails(family):
     rep = check_quadratic_charges(family, 2, mutate=True)
     assert not rep.passed
     assert rep.witnesses
+
+
+def test_quadratic_mutation_frozen():
+    rep = check_quadratic_charges("onsager", 4, mutate=True)
+    assert rep.residual_term_count == 48
+    assert len(rep.witnesses) == 3
+    assert rep.witnesses[0] == {
+        "position": "[t_1, t_2]",
+        "residual": "(8)*e[-1] + (8)*e[3] + (8)*c*e[-1] + (8)*c*f[1] "
+                    "+ (8)*f[-2]*h[1] + (8)*h[-1]*f[0] + (8)*h[-1]*e[2] "
+                    "+ (8)*e[-1]*h[0] + (8)*f[-1]*h[2] + (8)*h[0]*f[1] "
+                    "+ (8)*e[0]*h[1] + (8)*e[1]*h[2]",
+    }
 
 
 # -- linear charges --------------------------------------------------------------
@@ -131,12 +165,44 @@ def test_closed_form_variant():
     }
 
 
-def test_combined_runner():
-    linear, quad = check_charge_commutativity("onsager", linear_max=3, quad_max=2)
-    assert linear.passed and quad.passed
-
-
 def test_mixed_commutator_is_reported_not_judged():
     note = note_mixed_commutator("onsager", 1, 1)
     assert note == "[t_1, b_1] for onsager: 36 normal-ordered terms"
     assert "pass" not in note and "fail" not in note
+
+
+# -- input guards -----------------------------------------------------------------
+
+
+def _short_b(monkeypatch):
+    monkeypatch.setattr(envelope, "build_B", lambda family, window: build_B(family, 1))
+    build_quadratic_charge("onsager", 3)
+
+
+def _short_series(monkeypatch):
+    series = envelope._weight_series
+    monkeypatch.setattr(
+        envelope, "_weight_series", lambda family, window, x: series(family, 1, x)
+    )
+    build_linear_charge("onsager", 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (_short_b, "window too small for the requested charge"),
+        (lambda mp: build_linear_charge("onsager", -1), "charge index must be >= 0"),
+        (_short_series, "outside the series' exact window"),
+        (lambda mp: build_linear_charge("onsager", 1, "closed"), "unknown variant"),
+        (lambda mp: build_linear_charge("bogus", 1), "unknown charge family 'bogus'"),
+        (
+            lambda mp: build_linear_charge("bogus", 1, "formula"),
+            "unknown charge family 'bogus'",
+        ),
+    ],
+    ids=["charge_window", "negative_k", "exact_window", "variant",
+         "series_family", "formula_family"],
+)
+def test_guards_raise_value_error(monkeypatch, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(monkeypatch)

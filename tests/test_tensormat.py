@@ -85,7 +85,11 @@ def test_r_derivative_cleared():
     }
     for i in range(4):
         for j in range(4):
-            got = r.entry(i, j).derivative(U) * pole2 * uu
+            e = r.entry(i, j)
+            # the quotient rule on the displayed entry
+            de = RatFun(e.num.derivative(U) * e.den - e.num * e.den.derivative(U),
+                        e.den * e.den)
+            got = de * pole2 * uu
             want = uu * table.get((i, j), 0)
             assert got == want, (i, j)
 
