@@ -1,11 +1,11 @@
 """Exact-arithmetic verification of a boundary current algebra.
 
 The layers, bottom up: `exactalg` (rational coefficients, sparse Laurent
-polynomials, denominator factors and the one clearing rule, rational
-functions, and `LinComb`, the sparse linear combination of basis keys),
-`tensormat` (tensor-leg matrices over one factored denominator, the
-classical r-matrix and boundary matrices, the unreduced identity checks),
-`kacmoody` (the mode Lie algebra and its order-two maps), `currents`
+polynomials, denominator factors and the one clearing rule, and
+`LinComb`, the sparse linear combination of basis keys), `tensormat`
+(tensor-leg matrices over one factored denominator, the only
+rational-function value; the classical r-matrix and boundary matrices,
+the unreduced identity checks), `kacmoody` (the mode Lie algebra and its order-two maps), `currents`
 (truncated matrix series, the double-row series and their exchange
 relations), `onsager` (the three abstract subalgebra families), and
 `envelope` (normal-ordered products and commuting charges).  `cli` wires
@@ -17,7 +17,7 @@ elements (`envelope.UeaElt`) share one type: `LieElt` and `OnsElt` are
 """
 
 from .report import CheckReport
-from .exactalg import LaurentPoly, LinComb, RatFun, Variable, parameter, rat, spectral
+from .exactalg import LaurentPoly, LinComb, Variable, parameter, rat, spectral
 from .kacmoody import C, E, F, H, LieElt, bracket
 from .onsager import OnsElt, abstract_bracket, ons
 
@@ -25,7 +25,6 @@ __all__ = [
     "CheckReport",
     "LaurentPoly",
     "LinComb",
-    "RatFun",
     "Variable",
     "parameter",
     "rat",

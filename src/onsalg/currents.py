@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from .exactalg import LaurentPoly, accumulate, complement, rat, spectral
 from .kacmoody import C, E, F, H, LieElt, bracket
 from .report import Residuals
-from .tensormat import build_boundary, build_r, build_rbar, leg_embed, u_derivative
+from .tensormat import (
+    build_boundary,
+    build_r,
+    build_rbar,
+    embed_indices,
+    leg_embed,
+    u_derivative,
+)
 
 __all__ = [
     "SupportMeta",
@@ -317,30 +324,11 @@ class CurrentMat:
 
     def embed(self, legs, total_legs):
         """Tensor with identities, acting on the listed legs (1-based)."""
-        legs = tuple(legs)
-        assert len(legs) == self.legs
-        rest = [p for p in range(1, total_legs + 1) if p not in legs]
-
-        def to_index(bits):
-            idx = 0
-            for p in range(1, total_legs + 1):
-                idx = (idx << 1) | bits[p]
-            return idx
-
+        table = embed_indices(legs, self.legs, total_legs)
         out = {}
         for (a, b), coeffs in self.entries.items():
-            abits = [(a >> (self.legs - 1 - t)) & 1 for t in range(self.legs)]
-            bbits = [(b >> (self.legs - 1 - t)) & 1 for t in range(self.legs)]
-            for other in range(2 ** len(rest)):
-                row_bits, col_bits = {}, {}
-                for t, p in enumerate(legs):
-                    row_bits[p] = abits[t]
-                    col_bits[p] = bbits[t]
-                for t, p in enumerate(rest):
-                    bit = (other >> t) & 1
-                    row_bits[p] = bit
-                    col_bits[p] = bit
-                out[(to_index(row_bits), to_index(col_bits))] = dict(coeffs)
+            for pos in zip(table[a], table[b]):
+                out[pos] = dict(coeffs)
         return CurrentMat(total_legs, self.spectral_vars, out, self.metas)
 
     def truncate(self, var, lo, hi):
@@ -427,8 +415,10 @@ def extract_mode(m, degrees):
 
 def build_T(sign, window, x=None):
     """The generating current T^+(x) or T^-(x), truncated at |degree| <= window."""
-    assert sign in ("+", "-")
-    assert window >= 0
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', not {sign!r}")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, not {window}")
     if x is None:
         x = spectral("x")
     half = rat(1, 2)
@@ -480,8 +470,10 @@ def build_B(family, window, x=None):
 
     Keeps window+1 exact coefficients starting at the family's lowest degree.
     """
-    assert family in B_FAMILIES, f"unknown family {family!r}"
-    assert window >= 1
+    if family not in B_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, not {window}")
     if x is None:
         x = spectral("x")
     b = boundary_for(family, x)

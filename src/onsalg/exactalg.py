@@ -1,7 +1,9 @@
 """Exact arithmetic: sparse Laurent polynomials, canonical denominator
-factors with the one clearing rule (complement), rational functions for
-display, and LinComb, the sparse linear combination with polynomial
-coefficients that holds every Lie, family and enveloping-algebra element.
+factors with the one clearing rule (complement), and LinComb, the sparse
+linear combination with polynomial coefficients that holds every Lie,
+family and enveloping-algebra element.  There is no rational-function
+type: a quotient is a numerator over a multiset of canonical factors
+(see tensormat.TensorMat).
 
 Coefficients are exact rationals (gmpy2.mpq when available, else
 fractions.Fraction).  A polynomial carries no variable context: its terms
@@ -599,78 +601,3 @@ def factor_lcm(*multisets):
         need |= Counter(factors)
     return list(need.elements())
 
-
-class RatFun:
-    """Quotient of LaurentPolys.  Equality is by cross multiplication.
-
-    The display and test value of a TensorMat entry or trace; the checks
-    themselves clear denominators through factor multisets instead."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if not isinstance(num, LaurentPoly):
-            num = LaurentPoly.const(num)
-        if den is None:
-            den = LaurentPoly.const(1)
-        elif not isinstance(den, LaurentPoly):
-            den = LaurentPoly.const(den)
-        if den.is_zero():
-            raise ValueError("zero denominator")
-        # absorb invertible denominators (scalars, spectral monomials)
-        if den.is_term() and all(v.kind == "spectral" for v in den.variables):
-            ((key, c),) = den.terms.items()
-            num = num * _poly({-key: 1 / c}, den._bound)
-            den = LaurentPoly.const(1)
-        self.num = num
-        self.den = den
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        other = _as_rfun(other)
-        if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_as_rfun(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_rfun(other)
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (RatFun, LaurentPoly) + _SCALAR_TYPES):
-            other = _as_rfun(other)
-            return (self.num * other.den - other.num * self.den).is_zero()
-        return NotImplemented
-
-    # equal RatFuns need not share a reduced form, so no hash can agree
-    # with the cross-multiplied equality
-    __hash__ = None
-
-    def __str__(self):
-        if self.den == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"RatFun({self})"
-
-
-def _as_rfun(x):
-    if isinstance(x, RatFun):
-        return x
-    return RatFun(x if isinstance(x, LaurentPoly) else LaurentPoly.const(x))

@@ -3,9 +3,10 @@
 A TensorMat keeps one shared denominator as a multiset of canonical
 polynomial factors and a dense numerator array; sums take the least
 common multiple of the factor multisets, products concatenate them, and
-no gcd is ever needed.  Every clearing of denominators, here and in
-currents, goes through exactalg.complement.  All identity checks in this
-module are exact symbolic computations.
+no gcd is ever needed.  It is the only rational-function value: a trace
+is a numerator over the matrix's own factors.  Every clearing of
+denominators, here and in currents, goes through exactalg.complement.
+All identity checks in this module are exact symbolic computations.
 """
 
 import time
@@ -13,7 +14,6 @@ import time
 from .exactalg import (
     _SCALAR_TYPES,
     LaurentPoly,
-    RatFun,
     Variable,
     complement,
     factor_canonical,
@@ -29,6 +29,7 @@ __all__ = [
     "BoundaryMat",
     "CheckReport",
     "build_r",
+    "embed_indices",
     "leg_embed",
     "partial_transpose",
     "trace_leg",
@@ -57,11 +58,13 @@ def _sort_factors(factors):
 class TensorMat:
     """Square matrix on (C^2)^{legs} with rational-function entries.
 
-    Stored as numerator polynomials over one shared denominator, a sorted
-    multiset of canonical factors (den_factors).  cleared() turns it into
-    polynomial rows; entry() and trace() give RatFun values for display
-    and tests.  variables is the matrix's ordered argument tuple (build_rbar
-    puts its (x, y) first); the polynomials themselves carry no context.
+    Stored as numerator polynomials (nums) over one shared denominator, a
+    sorted multiset of canonical factors (den_factors).  The constructor
+    takes scalar or LaurentPoly entries and no denominator; rational
+    matrices come from arithmetic and from _raw.  cleared() turns a matrix
+    into polynomial rows, and trace() is a numerator over den_factors.
+    variables is the matrix's ordered argument tuple (build_rbar puts its
+    (x, y) first); the polynomials themselves carry no context.
     """
 
     __slots__ = ("legs", "variables", "nums", "den_factors")
@@ -70,27 +73,16 @@ class TensorMat:
         dim = 2 ** legs
         self.legs = legs
         self.variables = tuple(variables)
+        self.den_factors = ()
         if entries is None:
             self.nums = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
-            self.den_factors = ()
             return
-        assert len(entries) == dim and all(len(row) == dim for row in entries)
-        # every entry as (numerator, canonical factor multiset)
-        split = []
-        for row in entries:
-            srow = []
-            for e in row:
-                if not isinstance(e, RatFun):
-                    e = RatFun(e)
-                if e.den == 1:
-                    srow.append((e.num, ()))
-                else:
-                    inv_unit, factors = factor_canonical(e.den)
-                    srow.append((e.num * inv_unit, factors))
-            split.append(srow)
-        den = factor_lcm(*(fs for srow in split for _, fs in srow))
-        self.den_factors = _sort_factors(den)
-        self.nums = [[num * complement(fs, den) for num, fs in srow] for srow in split]
+        if len(entries) != dim or any(len(row) != dim for row in entries):
+            raise ValueError(f"a {legs}-leg matrix needs {dim} rows of {dim} entries")
+        self.nums = [
+            [e if isinstance(e, LaurentPoly) else LaurentPoly.const(e) for e in row]
+            for row in entries
+        ]
 
     @classmethod
     def _raw(cls, legs, variables, nums, den_factors):
@@ -108,9 +100,6 @@ class TensorMat:
     def denominator(self):
         """The product of the denominator factors."""
         return complement((), self.den_factors)
-
-    def entry(self, i, j):
-        return RatFun(self.nums[i][j], self.denominator())
 
     def cleared(self, clearing):
         """The numerator rows times prod(clearing) / denominator.
@@ -138,8 +127,14 @@ class TensorMat:
             self.den_factors,
         )
 
+    def _match_legs(self, other):
+        if other.legs != self.legs:
+            raise ValueError(f"leg mismatch: {self.legs} and {other.legs} legs")
+
     def __add__(self, other):
-        assert isinstance(other, TensorMat) and other.legs == self.legs
+        if not isinstance(other, TensorMat):
+            return NotImplemented
+        self._match_legs(other)
         den = factor_lcm(self.den_factors, other.den_factors)
         pa = complement(self.den_factors, den)
         pb = complement(other.den_factors, den)
@@ -155,7 +150,9 @@ class TensorMat:
         return self + (-other)
 
     def __matmul__(self, other):
-        assert isinstance(other, TensorMat) and other.legs == self.legs
+        if not isinstance(other, TensorMat):
+            return NotImplemented
+        self._match_legs(other)
         dim = self.dim
         variables = _merge_vars(self.variables, other.variables)
         nums = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
@@ -225,10 +222,43 @@ class TensorMat:
         return TensorMat._raw(1, self.variables, nums, tuple(factors))
 
     def trace(self):
+        """The numerator of the trace; it lies over den_factors."""
         t = LaurentPoly.zero()
         for i in range(self.dim):
             t = t + self.nums[i][i]
-        return RatFun(t, self.denominator())
+        return t
+
+
+def embed_indices(legs, sub_legs, total_legs):
+    """Where a sub_legs-leg basis index lands among total_legs legs.
+
+    legs lists the 1-based positions the sub_legs legs occupy, in order.
+    Returns table with table[a][o] the index in (C^2)^{total_legs} of basis
+    vector a on those legs tensored with basis vector o on the remaining
+    legs, taken in increasing order with the first of them as o's lowest
+    bit.  Leg 1 owns the most significant bit (the first Kronecker factor).
+    """
+    legs = tuple(legs)
+    if len(legs) != sub_legs or len(set(legs)) != len(legs):
+        raise ValueError(f"legs must list {sub_legs} distinct positions, not {legs}")
+    if not all(1 <= p <= total_legs for p in legs):
+        raise ValueError(f"leg positions must lie in 1..{total_legs}, not {legs}")
+    rest = [p for p in range(1, total_legs + 1) if p not in legs]
+
+    def bit(p):
+        return 1 << (total_legs - p)
+
+    # bit t from the top of a goes to legs[t]; bit t of o goes to rest[t]
+    top = sub_legs - 1
+    own = [
+        sum(bit(p) for t, p in enumerate(legs) if (a >> (top - t)) & 1)
+        for a in range(2 ** sub_legs)
+    ]
+    others = [
+        sum(bit(p) for t, p in enumerate(rest) if (o >> t) & 1)
+        for o in range(2 ** len(rest))
+    ]
+    return [[i | o for o in others] for i in own]
 
 
 def leg_embed(m, legs, total_legs):
@@ -237,44 +267,26 @@ def leg_embed(m, legs, total_legs):
     legs may be any ordered tuple of distinct positions; a reversed pair
     realizes the swapped embedding, e.g. legs=(2, 1) turns r_12 into r_21.
     """
-    legs = tuple(legs)
-    assert len(legs) == m.legs and len(set(legs)) == len(legs)
-    assert all(1 <= p <= total_legs for p in legs)
+    table = embed_indices(legs, m.legs, total_legs)
     dim = 2 ** total_legs
-    rest = [p for p in range(1, total_legs + 1) if p not in legs]
     nums = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
-
-    def bits_to_index(bits):
-        # leg 1 owns the most significant bit (first Kronecker factor)
-        idx = 0
-        for p in range(1, total_legs + 1):
-            idx = (idx << 1) | bits[p]
-        return idx
-
-    mdim = m.dim
-    for a in range(mdim):
-        abits = [(a >> (m.legs - 1 - t)) & 1 for t in range(m.legs)]
-        for b in range(mdim):
-            if m.nums[a][b].is_zero():
+    for a, row in enumerate(m.nums):
+        for b, n in enumerate(row):
+            if n.is_zero():
                 continue
-            bbits = [(b >> (m.legs - 1 - t)) & 1 for t in range(m.legs)]
-            for other in range(2 ** len(rest)):
-                row_bits = {}
-                col_bits = {}
-                for t, p in enumerate(legs):
-                    row_bits[p] = abits[t]
-                    col_bits[p] = bbits[t]
-                for t, p in enumerate(rest):
-                    bit = (other >> t) & 1
-                    row_bits[p] = bit
-                    col_bits[p] = bit
-                nums[bits_to_index(row_bits)][bits_to_index(col_bits)] = m.nums[a][b]
+            for i, j in zip(table[a], table[b]):
+                nums[i][j] = n
     return TensorMat._raw(total_legs, m.variables, nums, m.den_factors)
+
+
+def _check_leg(m, leg):
+    if not 1 <= leg <= m.legs:
+        raise ValueError(f"leg {leg} is not in 1..{m.legs}")
 
 
 def partial_transpose(m, leg):
     """Transpose the indices of one leg (1-based)."""
-    assert 1 <= leg <= m.legs
+    _check_leg(m, leg)
     dim = m.dim
     shift = m.legs - leg
     mask = 1 << shift
@@ -291,7 +303,7 @@ def partial_transpose(m, leg):
 
 def trace_leg(m, leg):
     """Partial trace over one leg, producing a matrix on the remaining legs."""
-    assert 1 <= leg <= m.legs
+    _check_leg(m, leg)
     shift = m.legs - leg
     mask = 1 << shift
     dim_out = 2 ** (m.legs - 1)
@@ -316,7 +328,8 @@ def trace_leg(m, leg):
 
 def build_r(u):
     """The 4x4 classical r-matrix r(u) with simple pole at u=1."""
-    assert isinstance(u, Variable) and u.kind == "spectral"
+    if not (isinstance(u, Variable) and u.kind == "spectral"):
+        raise ValueError(f"build_r needs a spectral Variable, not {u!r}")
     one = LaurentPoly.const(1)
     uu = LaurentPoly.var(u)
     half = rat(1, 2)
@@ -395,7 +408,8 @@ def check_r_symmetries(r):
     _add_entries(res, sk, "skew r21(1/u) ")
     _add_entries(res, tr2, "transpose t1t2 ")
     tr = r.trace()
-    res.add(tr, "trace", terms=len(tr.num.terms))
+    shown = f"({tr})/({r.denominator()})" if r.den_factors else tr
+    res.add(shown, "trace", terms=len(tr.terms))
 
     # derivative identity; f = u r'(u) shares the CYBE argument pattern
     f = u_derivative(r)
@@ -476,7 +490,8 @@ class BoundaryMat:
 
 def build_boundary(family, params=None, x=None):
     """Construct a named boundary matrix; see BOUNDARY_FAMILIES."""
-    assert family in BOUNDARY_FAMILIES, f"unknown family {family!r}"
+    if family not in BOUNDARY_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     params = dict(params or {})
     if x is None:
         x = spectral("x")
@@ -501,7 +516,8 @@ def build_boundary(family, params=None, x=None):
         rows = [[k, z], [z, -ks]]
     elif family == "U_offdiag":
         sign = params.setdefault("sign", -1)
-        assert sign in (1, -1)
+        if sign not in (1, -1):
+            raise ValueError(f"U_offdiag sign must be +1 or -1, not {sign!r}")
         half_up = LaurentPoly.monomial((x,), (1,), 1)  # x^(1/2)
         half_dn = LaurentPoly.monomial((x,), (-1,), 1)
         rows = [[z, half_dn], [sign * half_up, z]]
@@ -583,7 +599,8 @@ def build_rbar(b, x, y):
 
     Returns a two-leg TensorMat whose first two variables are (x, y).
     """
-    assert b.x == x, "boundary matrix must be built in the first variable"
+    if b.x != x:
+        raise ValueError("boundary matrix must be built in the first variable")
     u = spectral("u")
     r = build_r(u)
     first = r.substitute({u: LaurentPoly.monomial((x, y), (2, -2), 1)})
@@ -598,6 +615,14 @@ def build_rbar(b, x, y):
     return out
 
 
+def _rbar_args(rbar):
+    """rbar's (x, y): its first two spectral variables."""
+    spect = [v for v in rbar.variables if v.kind == "spectral"]
+    if len(spect) < 2:
+        raise ValueError("rbar must depend on two spectral variables")
+    return spect[0], spect[1]
+
+
 def _rbar_at(rbar, x, y, vi, vj, legs, total):
     sub = {x: LaurentPoly.var(vi), y: LaurentPoly.var(vj)}
     return leg_embed(rbar.substitute(sub), legs, total)
@@ -606,9 +631,7 @@ def _rbar_at(rbar, x, y, vi, vj, legs, total):
 def check_nscybe(rbar, label=None):
     """[rb13, rb23] = [rb21, rb13] + [rb23, rb12], arguments (x1,x3) etc."""
     started = time.monotonic()
-    spect = [v for v in rbar.variables if v.kind == "spectral"]
-    assert len(spect) >= 2, "rbar must depend on two spectral variables"
-    x, y = spect[0], spect[1]
+    x, y = _rbar_args(rbar)
     x1, x2, x3 = spectral("x1"), spectral("x2"), spectral("x3")
     rb13 = _rbar_at(rbar, x, y, x1, x3, (1, 3), 3)
     rb23 = _rbar_at(rbar, x, y, x2, x3, (2, 3), 3)
@@ -624,9 +647,9 @@ def check_nscybe(rbar, label=None):
 def check_M_condition(m, rbar):
     """[tr_1(rbar_12(x,y) M_1(x)), M_2(y)] = 0."""
     started = time.monotonic()
-    spect = [v for v in rbar.variables if v.kind == "spectral"]
-    x, y = spect[0], spect[1]
-    assert m.x == x, "M must be built in rbar's first spectral variable"
+    x, y = _rbar_args(rbar)
+    if m.x != x:
+        raise ValueError("M must be built in rbar's first spectral variable")
     m1 = leg_embed(m.mat, (1,), 2)
     m_y = m.substitute({x: LaurentPoly.var(y)})
     traced = trace_leg(rbar @ m1, 1)

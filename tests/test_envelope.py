@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from onsalg import envelope
-from onsalg.currents import build_B
+from onsalg.currents import build_B, build_T
 from onsalg.envelope import (
     UeaElt,
     build_linear_charge,
@@ -199,9 +199,14 @@ def _short_series(monkeypatch):
             lambda mp: build_linear_charge("bogus", 1, "formula"),
             "unknown charge family 'bogus'",
         ),
+        (lambda mp: check_quadratic_charges("bogus", 2), "unknown family 'bogus'"),
+        (lambda mp: build_B("onsager", 0), "window must be >= 1"),
+        (lambda mp: build_T("0", 2), "sign must be '[+]' or '-', not '0'"),
+        (lambda mp: build_T("+", -1), "window must be >= 0"),
     ],
     ids=["charge_window", "negative_k", "exact_window", "variant",
-         "series_family", "formula_family"],
+         "series_family", "formula_family", "quadratic_family", "B_window",
+         "T_sign", "T_window"],
 )
 def test_guards_raise_value_error(monkeypatch, call, message):
     with pytest.raises(ValueError, match=message):

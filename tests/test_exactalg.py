@@ -1,4 +1,5 @@
-"""Arithmetic layer: sparse Laurent polynomials and rational functions."""
+"""Arithmetic layer: sparse Laurent polynomials, denominator factors and
+linear combinations, and the input guards of the matrices built on them."""
 
 import operator
 import os
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from onsalg.exactalg import (
     LaurentPoly,
     LinComb,
-    RatFun,
     Variable,
     complement,
     factor_canonical,
@@ -23,6 +23,7 @@ from onsalg.exactalg import (
     rat,
     spectral,
 )
+from onsalg import tensormat
 from onsalg.tensormat import TensorMat
 
 X = spectral("x")
@@ -150,7 +151,6 @@ def test_substitute_reads_every_exponent_before_replacing():
     "call, message",
     [
         (lambda: factor_canonical(LaurentPoly.zero((X,))), "zero denominator factor"),
-        (lambda: RatFun(1, LaurentPoly.zero((X,))), "zero denominator"),
         (lambda: TensorMat(1, [[1, 1], [1, 1]]).inverse_2x2(), "singular matrix"),
         (lambda: LaurentPoly((X, Y), {(2,): 1}), "exponent tuple length mismatch"),
         (lambda: LaurentPoly.var(X).substitute({X: LaurentPoly.var(Y, half_steps=1)}),
@@ -158,9 +158,36 @@ def test_substitute_reads_every_exponent_before_replacing():
         (lambda: LaurentPoly.var(X, half_steps=1).substitute(
             {X: LaurentPoly.monomial((Y,), (2,), 3)}),
          "fractional power of a non-monic monomial"),
+        (lambda: TensorMat(1, [[1]]), "a 1-leg matrix needs 2 rows of 2 entries"),
+        (lambda: TensorMat(1) + TensorMat(2), "leg mismatch: 1 and 2 legs"),
+        (lambda: TensorMat(2) @ TensorMat(1), "leg mismatch: 2 and 1 legs"),
+        (lambda: tensormat.leg_embed(TensorMat(2), (1, 1), 3),
+         "legs must list 2 distinct positions"),
+        (lambda: tensormat.leg_embed(TensorMat(1), (3,), 2),
+         "leg positions must lie in 1..2"),
+        (lambda: tensormat.partial_transpose(TensorMat(2), 3), "leg 3 is not in 1..2"),
+        (lambda: tensormat.trace_leg(TensorMat(2), 0), "leg 0 is not in 1..2"),
+        (lambda: tensormat.build_r(A), "build_r needs a spectral Variable"),
+        (lambda: tensormat.build_boundary("bogus"), "unknown family 'bogus'"),
+        (lambda: tensormat.build_boundary("U_offdiag", params={"sign": 2}),
+         "U_offdiag sign must be"),
+        (lambda: tensormat.build_rbar(tensormat.build_boundary("U_diag", x=X), Y, X),
+         "boundary matrix must be built in the first variable"),
+        (lambda: tensormat.check_nscybe(tensormat.build_r(spectral("u"))),
+         "rbar must depend on two spectral variables"),
+        (lambda: tensormat.check_M_condition(
+            tensormat.build_boundary("M_ons", x=X), tensormat.build_r(X)),
+         "rbar must depend on two spectral variables"),
+        (lambda: tensormat.check_M_condition(
+            tensormat.build_boundary("M_ons", x=Y),
+            tensormat.build_rbar(tensormat.build_boundary("U_diag", x=X), X, Y)),
+         "M must be built in rbar's first spectral variable"),
     ],
-    ids=["zero-factor", "zero-denominator", "singular", "length", "half-power-image",
-         "non-monic"],
+    ids=["zero-factor", "singular", "length", "half-power-image", "non-monic",
+         "matrix-shape", "add-legs", "matmul-legs", "embed-distinct", "embed-range",
+         "transpose-leg", "trace-leg", "r-variable", "boundary-family",
+         "offdiag-sign", "rbar-variable", "nscybe-variables", "m-rbar-variables",
+         "m-variable"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them
@@ -227,16 +254,6 @@ def test_constant_hashes_as_its_value():
     assert LaurentPoly.zero((X, Y)) == 0 and hash(LaurentPoly.zero((X, Y))) == hash(0)
 
 
-def test_ratfun_is_unhashable():
-    xx = LaurentPoly.var(X)
-    a, b = RatFun(xx * (xx - 1), xx - 1), RatFun(xx)
-    assert a == b
-    with pytest.raises(TypeError):
-        hash(a)
-    with pytest.raises(TypeError):
-        {a, b}
-
-
 def test_lincomb_equality_and_hash_ignore_coefficient_context():
     a = LinComb({"e": LaurentPoly((X, A), {(0, 2): 3}), "f": 1})
     b = LinComb({"f": LaurentPoly.const(1, (Y,)), "e": LaurentPoly((A,), {(2,): 3})})
@@ -271,14 +288,16 @@ _E = LinComb.single("e")
         (operator.add, _TWO, _E, TypeError),
         (operator.sub, _E, _TWO, TypeError),
         (operator.sub, _TWO, _E, TypeError),
-        (operator.add, LaurentPoly.var(X), RatFun(2), RatFun(LaurentPoly.var(X) + 2)),
+        (operator.add, LaurentPoly.var(X), TensorMat(1), TypeError),
+        (operator.add, TensorMat(1), LaurentPoly.var(X), TypeError),
+        (operator.matmul, TensorMat(1), 2, TypeError),
     ],
     ids=["poly*elt", "elt*poly", "elt+poly", "poly+elt", "elt-poly", "poly-elt",
-         "poly+ratfun"],
+         "poly+matrix", "matrix+poly", "matrix@scalar"],
 )
 def test_mixed_type_arithmetic(op, left, right, want):
-    # a coefficient scales an element from either side; an element and a
-    # coefficient never add
+    # a coefficient scales an element from either side; an element or a
+    # matrix and a coefficient never add
     if want is TypeError:
         with pytest.raises(TypeError, match="unsupported operand"):
             op(left, right)
@@ -373,25 +392,3 @@ def test_factor_canonical_splits_parameter_monomials():
     inv_unit, factors = factor_canonical(p)
     assert inv_unit == LaurentPoly.const(rat(1, 3))
     assert factors == [LaurentPoly.var(A), LaurentPoly.var(A)]
-
-
-def test_ratfun_absorbs_monomial_denominators():
-    f = RatFun(LaurentPoly.const(1, (X,)), LaurentPoly.monomial((X,), (4,), 2))
-    assert f.den == LaurentPoly.const(1)
-    assert f.num == LaurentPoly.monomial((X,), (-4,), rat(1, 2))
-
-
-@given(polys(variables=(X,)), nonzero_polys(variables=(X,)),
-       polys(variables=(X,)), nonzero_polys(variables=(X,)))
-def test_ratfun_field_laws(a, b, c, d):
-    f = RatFun(a, b)
-    g = RatFun(c, d)
-    assert f + g == g + f
-    assert f - f == RatFun(0)
-    assert f * g == g * f
-
-
-def test_ratfun_equality_by_cross_multiplication():
-    one_x = RatFun(LaurentPoly.var(X) - 1, LaurentPoly((X,), {(4,): 1, (0,): -1}))
-    other = RatFun(LaurentPoly.const(1, (X,)), LaurentPoly.var(X) + 1)
-    assert one_x == other

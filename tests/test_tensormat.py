@@ -2,7 +2,7 @@
 
 import pytest
 
-from onsalg.exactalg import LaurentPoly, RatFun, parameter, rat, spectral
+from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
 from onsalg.tensormat import (
     BoundaryMat,
     TensorMat,
@@ -51,30 +51,31 @@ def _altered_k(x=X):
 
 
 def test_r_entries():
+    # every entry lies over the one simple pole u - 1
     r = build_r(U)
     uu = _pv(U)
-    pole = uu - 1
     half = rat(1, 2)
     assert r.legs == 2
+    assert r.den_factors == (uu - 1,)
     expected = {
-        (0, 0): RatFun(-half * (uu + 1), pole),
-        (1, 1): RatFun(half * (uu + 1), pole),
-        (1, 2): RatFun(-2, pole),
-        (2, 1): RatFun(-2 * uu, pole),
-        (2, 2): RatFun(half * (uu + 1), pole),
-        (3, 3): RatFun(-half * (uu + 1), pole),
+        (0, 0): -half * (uu + 1),
+        (1, 1): half * (uu + 1),
+        (1, 2): LaurentPoly.const(-2),
+        (2, 1): -2 * uu,
+        (2, 2): half * (uu + 1),
+        (3, 3): -half * (uu + 1),
     }
     for i in range(4):
         for j in range(4):
-            want = expected.get((i, j), RatFun(0))
-            assert r.entry(i, j) == want, (i, j)
+            assert r.nums[i][j] == expected.get((i, j), 0), (i, j)
 
 
 def test_r_derivative_cleared():
     # (u-1)^2 * u * r'(u) is polynomial with a single simple table
     r = build_r(U)
-    uu = RatFun(_pv(U))
-    pole2 = RatFun((_pv(U) - 1) * (_pv(U) - 1))
+    uu = _pv(U)
+    den = r.denominator()
+    assert den == uu - 1
     table = {
         (0, 0): 1,
         (1, 1): -1,
@@ -85,11 +86,9 @@ def test_r_derivative_cleared():
     }
     for i in range(4):
         for j in range(4):
-            e = r.entry(i, j)
-            # the quotient rule on the displayed entry
-            de = RatFun(e.num.derivative(U) * e.den - e.num * e.den.derivative(U),
-                        e.den * e.den)
-            got = de * pole2 * uu
+            n = r.nums[i][j]
+            # the quotient rule: den^2 * (n / den)' = n' den - n den'
+            got = (n.derivative(U) * den - n * den.derivative(U)) * uu
             want = uu * table.get((i, j), 0)
             assert got == want, (i, j)
 
@@ -117,9 +116,12 @@ def test_cleared_needs_every_denominator_factor():
 
 def test_scale_rejects_rational_functions():
     r = build_r(U)
-    assert r.scale(2).entry(1, 2) == RatFun(-4, _pv(U) - 1)
+    doubled = r.scale(2)
+    assert doubled.nums[1][2] == -4 and doubled.den_factors == r.den_factors
+    # 1/(u - 1) as a rational-function value: a zero-leg matrix
+    inv_pole = TensorMat._raw(0, (U,), [[LaurentPoly.const(1)]], (_pv(U) - 1,))
     with pytest.raises(TypeError, match="scale takes a scalar or a LaurentPoly"):
-        r.scale(RatFun(1, _pv(U)))
+        r.scale(inv_pole)
 
 
 def test_cybe_passes():
@@ -144,7 +146,9 @@ def test_r_symmetries_fail_on_sign_flip():
     bad = _mutate_entry(build_r(U), 0, 0, lambda p: -1 * p)
     rep = check_r_symmetries(bad)
     assert not rep.passed
-    assert rep.witnesses
+    assert rep.residual_term_count == 22
+    # the trace numerator is shown over the matrix's denominator
+    assert rep.witnesses[0] == {"position": "trace", "residual": "(1 + u)/(-1 + u)"}
 
 
 # -- leg plumbing ---------------------------------------------------------
@@ -154,10 +158,11 @@ def test_leg_embed_uses_leg_one_as_high_bit():
     b = build_boundary("U_diag", params={"k": 2, "kstar": 3}).mat
     on1 = leg_embed(b, (1,), 2)
     on2 = leg_embed(b, (2,), 2)
-    diag1 = [on1.entry(i, i) for i in range(4)]
-    diag2 = [on2.entry(i, i) for i in range(4)]
-    assert diag1 == [RatFun(2), RatFun(2), RatFun(-3), RatFun(-3)]
-    assert diag2 == [RatFun(2), RatFun(-3), RatFun(2), RatFun(-3)]
+    assert on1.den_factors == on2.den_factors == ()
+    diag1 = [on1.nums[i][i] for i in range(4)]
+    diag2 = [on2.nums[i][i] for i in range(4)]
+    assert diag1 == [2, 2, -3, -3]
+    assert diag2 == [2, -3, 2, -3]
 
 
 def test_partial_transpose_commutes_with_disjoint_embed():
@@ -173,8 +178,9 @@ def test_partial_transpose_commutes_with_disjoint_embed():
 def test_trace_leg_of_embedding():
     b = build_boundary("U_diag").mat
     got = trace_leg(leg_embed(b, (1,), 2), 1)
+    assert b.den_factors == ()
     tr = b.trace()
-    want = TensorMat(1, [[tr, RatFun(0)], [RatFun(0), tr]])
+    want = TensorMat(1, [[tr, 0], [0, tr]])
     assert (got - want).is_zero()
 
 
