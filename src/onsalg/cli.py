@@ -1,7 +1,8 @@
 """Command-line harness: run named verification suites, report text or JSON.
 
 Exit codes: 0 every check passed, 1 at least one failed, 2 usage or
-configuration error (including a window too small for a requested check).
+configuration error (including a window below the suite's minimum, which
+is rejected before any check runs).
 """
 
 import argparse
@@ -13,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import envelope, exactalg, kacmoody, onsager, tensormat
+from . import currents, envelope, exactalg, kacmoody, onsager, tensormat
 from .currents import B_FAMILIES, check_exchange, check_frt_relations
 from .exactalg import spectral
 from .onsager import FAMILIES, FIXING_MAP
@@ -29,6 +30,13 @@ SUITE_ORDER = (
     "kappa",
     "charges",
 )
+
+# the smallest window each suite's checks accept, where it is above 2, the
+# smallest any suite takes
+SUITE_MIN_WINDOW = {
+    "frt": currents.MIN_WINDOW,
+    "currents": max(currents.MIN_WINDOW, onsager.CURRENT_RELATIONS_MIN_WINDOW),
+}
 
 
 @dataclass
@@ -46,8 +54,12 @@ class SuiteConfig:
                 f"unknown suite {self.suite!r} (choose from "
                 f"{', '.join(SUITE_ORDER + ('all',))})"
             )
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window}")
+        for name in SUITE_ORDER if self.suite == "all" else (self.suite,):
+            need = SUITE_MIN_WINDOW.get(name, 2)
+            if self.window < need:
+                raise ValueError(
+                    f"suite {name!r} needs window >= {need}, got {self.window}"
+                )
         if self.max_k < 0:
             raise ValueError(f"max-k must be >= 0, got {self.max_k}")
         if self.max_k > self.window:

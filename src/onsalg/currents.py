@@ -34,6 +34,9 @@ __all__ = [
     "B_FAMILIES",
 ]
 
+# the smallest window check_frt_relations and check_exchange accept
+MIN_WINDOW = 4
+
 
 def _nmin(a, b):
     if a is None or b is None:
@@ -598,10 +601,10 @@ def check_frt_relations(window, omit_central=False):
     including the central extension term (set omit_central to confirm the
     check catches its absence)."""
     started = time.monotonic()
-    if window < 4:
+    if window < MIN_WINDOW:
         raise ValueError(
-            "window must be >= 4: the mixed relation compares degrees of y in "
-            f"[-window+2, 0], which is too thin at window {window}"
+            f"window must be >= {MIN_WINDOW}: the mixed relation compares degrees "
+            f"of y in [-window+2, 0], which is too thin at window {window}"
         )
     x, y = spectral("x"), spectral("y")
     tp_x, tm_x = build_T("+", window, x), build_T("-", window, x)
@@ -673,8 +676,8 @@ def check_exchange(family, window, rbar_family=None):
     mismatch with the B family must make the check fail.
     """
     started = time.monotonic()
-    if window < 4:
-        raise ValueError("window must be >= 4 for a meaningful comparison")
+    if window < MIN_WINDOW:
+        raise ValueError(f"window must be >= {MIN_WINDOW} for a meaningful comparison")
     x, y = spectral("x"), spectral("y")
     bx = build_B(family, window, x)
     by = build_B(family, window, y)

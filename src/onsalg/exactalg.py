@@ -5,14 +5,21 @@ family and enveloping-algebra element.  There is no rational-function
 type: a quotient is a numerator over a multiset of canonical factors
 (see tensormat.TensorMat).
 
-Coefficients are exact rationals (gmpy2.mpq when available, else
-fractions.Fraction).  A polynomial carries no variable context: its terms
-map one packed monomial key, a Python int, to a nonzero coefficient.  Each
-Variable owns a slot of one process-wide registry, assigned on first use,
-and a key holds the variable's exponent as a signed digit in that slot's
-field of _WIDTH bits (Kronecker packing), so a monomial product is one
-integer addition, an inverse monomial is a negation and the constant
-monomial is 0.  Exponents are stored *doubled*, so a stored exponent of 1
+A coefficient is a Python int when it is integral, and an exact Rational
+(gmpy2.mpq when available, else fractions.Fraction) only when it is not:
+never an integral Rational, never a float.  int and Rational values that
+are equal compare, hash and print alike, so the split shows nowhere but in
+speed.  Sums and products normalise only where a Rational operand could
+make an integral result, and every coefficient division goes through
+_quotient.
+
+A polynomial carries no variable context: its terms map one packed
+monomial key, a Python int, to a nonzero coefficient.  Each Variable owns
+a slot of one process-wide registry, assigned on first use, and a key
+holds the variable's exponent as a signed digit in that slot's field of
+_WIDTH bits (Kronecker packing), so a monomial product is one integer
+addition, an inverse monomial is a negation and the constant monomial
+is 0.  Exponents are stored *doubled*, so a stored exponent of 1
 means x**(1/2); this keeps half-integer powers of spectral variables on an
 integer grid.  Parameter variables are restricted to genuine non-negative
 integer powers (even doubled exponents).
@@ -34,19 +41,45 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
     RATIONAL_BACKEND = "fractions"
 
-_R_ZERO = Rational(0)
-_R_ONE = Rational(1)
-_RATIONAL = type(_R_ONE)
+_RATIONAL = type(Rational(1))
 _SCALAR_TYPES = (int, _RATIONAL)
 
 
 def rat(p, q=1):
-    """Build an exact rational number."""
-    return Rational(p, q)
+    """Build an exact rational number, as a stored coefficient."""
+    return _rational(Rational(p, q))
 
 
 def _rational(c):
-    return c if isinstance(c, _RATIONAL) else Rational(c)
+    """The stored form of a scalar: an int when it is integral, else a
+    Rational (never an integral Rational, never a float)."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, _RATIONAL):
+        c = Rational(c)
+    return int(c) if c.denominator == 1 else c
+
+
+def _quotient(a, b):
+    """a / b exactly, as a stored coefficient: the one coefficient division
+    (with int operands a bare / would give a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Rational(a, b) if r else q
+    return _rational(a / b)
+
+
+def _integral(terms):
+    """Whether every coefficient in terms is an int, so that products of
+    them need no normalising."""
+    return {int}.issuperset(map(type, terms.values()))
+
+
+def _normalise(terms):
+    """Replace, in place, every integral Rational value of terms by its int."""
+    for key, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[key] = int(c)
 
 
 @dataclass(frozen=True)
@@ -137,8 +170,9 @@ def _pack(variables, exps):
 
 
 def _poly(terms, bound):
-    """A LaurentPoly that takes over terms, a dict of nonzero rationals
-    whose keys have no field beyond bound in absolute value."""
+    """A LaurentPoly that takes over terms, a dict of nonzero stored
+    coefficients (see _rational) whose keys have no field beyond bound in
+    absolute value."""
     p = LaurentPoly.__new__(LaurentPoly)
     p.terms = terms
     p._bound = bound
@@ -148,10 +182,11 @@ def _poly(terms, bound):
 class LaurentPoly:
     """Sparse Laurent polynomial, with no variable context.
 
-    terms maps packed monomial keys (see _exponent) to nonzero Rational
-    coefficients; exponents are doubled, and the slots behind the keys
-    are process-local, so == compares terms while str, variables and
-    pickles go by variable name.  The constructor and monomial() read dense
+    terms maps packed monomial keys (see _exponent) to nonzero
+    coefficients, each an int or, when it is not integral, a Rational.
+    Exponents are doubled, and the slots behind the keys are
+    process-local, so == compares terms while str, variables and pickles
+    go by variable name.  The constructor and monomial() read dense
     doubled exponent tuples against the variable tuple they are given; var,
     const and zero accept a context argument and ignore it.  _bound caps
     |doubled exponent| over all fields: products add the operands' bounds
@@ -245,7 +280,7 @@ class LaurentPoly:
             else:
                 s = prev + c
                 if s:
-                    out[key] = s
+                    out[key] = s if type(s) is int else _rational(s)
                 else:
                     del out[key]
         return _poly(out, max(a._bound, b._bound))
@@ -266,18 +301,20 @@ class LaurentPoly:
         return (-self) + other
 
     def _scaled(self, c):
-        c = _rational(c)
-        if not c:
-            return _poly({}, 0)
+        """self times c, a nonzero stored coefficient."""
         if c == 1:
             return self
-        return _poly({key: c * v for key, v in self.terms.items()}, self._bound)
+        out = {key: c * v for key, v in self.terms.items()}
+        if type(c) is not int or not _integral(self.terms):
+            _normalise(out)
+        return _poly(out, self._bound)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            return self._scaled(other)
+            other = _rational(other)
+            return self._scaled(other) if other else _poly({}, 0)
         a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         if not a.terms:
             return a
@@ -299,6 +336,8 @@ class LaurentPoly:
                         out[k] = s
                     else:
                         del out[k]
+        if not (_integral(a.terms) and _integral(bt)):
+            _normalise(out)
         return _poly(out, bound)
 
     __rmul__ = __mul__
@@ -315,7 +354,7 @@ class LaurentPoly:
     def __hash__(self):
         if self.terms.keys() <= {0}:
             # a constant compares equal to its value, so it hashes as one
-            return hash(self.terms.get(0, _R_ZERO))
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __reduce__(self):
@@ -336,7 +375,7 @@ class LaurentPoly:
         for key, c in self.terms.items():
             e = _exponent(key, v)
             if e:
-                out[key - step] = c * e / 2
+                out[key - step] = _quotient(c * e, 2)
         return _poly(out, bound)
 
     def substitute(self, assign):
@@ -372,7 +411,8 @@ class LaurentPoly:
                 if mc != 1:
                     if e % 2:
                         raise ValueError("fractional power of a non-monic monomial")
-                    c = c * mc ** (e // 2)
+                    k = e // 2
+                    c = _rational(c * mc**k) if k > 0 else _quotient(c, mc**-k)
             accumulate(out, new, c)
         return _poly(out, bound)
 
@@ -420,7 +460,8 @@ def accumulate(out, key, value):
     cancels.
 
     out is a dict the caller owns.  The values already in it are replaced,
-    never changed in place, so they may be shared with other elements.
+    never changed in place, so they may be shared with other elements.  A
+    sum of two Rationals that is integral is stored as an int.
     """
     prev = out.get(key)
     if prev is None:
@@ -428,7 +469,7 @@ def accumulate(out, key, value):
     else:
         s = prev + value
         if s:
-            out[key] = s
+            out[key] = _rational(s) if type(s) is _RATIONAL else s
         else:
             del out[key]
 
@@ -556,7 +597,9 @@ def factor_canonical(p):
     stripped = {tuple(a - m for a, m in zip(e, content)): c for e, c in dense.items()}
     # scalar normalization by the lexicographically leading coefficient
     scale = stripped[max(stripped)]
-    inv_unit = LaurentPoly.monomial(variables, tuple(-m for m in content), 1 / scale)
+    inv_unit = LaurentPoly.monomial(
+        variables, tuple(-m for m in content), _quotient(1, scale)
+    )
     if len(stripped) == 1:
         ((exps, _),) = stripped.items()
         factors = []
@@ -567,7 +610,7 @@ def factor_canonical(p):
                 factors.extend([LaurentPoly.var(v)] * (e // 2))
         return inv_unit, factors
     if scale != 1:
-        stripped = {e: c / scale for e, c in stripped.items()}
+        stripped = {e: _quotient(c, scale) for e, c in stripped.items()}
     return inv_unit, [LaurentPoly(variables, stripped)]
 
 

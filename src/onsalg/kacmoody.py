@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_TYPES = ("E", "F", "H", "C")
+
+
 @dataclass(frozen=True, order=True)
 class BasisSymbol:
     """One basis vector: type in 'E','F','H','C'; C ignores its mode."""
@@ -40,9 +43,12 @@ class BasisSymbol:
     mode: int = 0
 
     def __post_init__(self):
-        assert self.type in ("E", "F", "H", "C")
-        if self.type == "C":
-            assert self.mode == 0
+        if self.type not in _TYPES:
+            raise ValueError(
+                f"basis symbol type must be E, F, H or C, not {self.type!r}"
+            )
+        if self.type == "C" and self.mode != 0:
+            raise ValueError(f"the central element C has mode 0, not {self.mode!r}")
 
     def __str__(self):
         if self.type == "C":

@@ -50,7 +50,10 @@ class OnsSymbol:
     mode: int
 
     def __post_init__(self):
-        assert self.letter in _LETTERS[self.family], (self.family, self.letter)
+        if self.letter not in _LETTERS.get(self.family, ()):
+            raise ValueError(
+                f"{self.letter!r} is not a generator letter of family {self.family!r}"
+            )
 
     def __str__(self):
         return f"{self.letter}[{self.mode}]"
@@ -226,7 +229,10 @@ def check_morphism(family, window, override=None):
     with |mode| <= window.  `override(sym)` replaces single images (returning
     None falls through), which is how a perturbed realization is checked."""
     started = time.monotonic()
-    assert family in MORPHISM_FAMILIES
+    if family not in MORPHISM_FAMILIES:
+        raise ValueError(
+            f"unknown family {family!r} (choose from {', '.join(MORPHISM_FAMILIES)})"
+        )
 
     def img(sym):
         if override is not None:
@@ -433,12 +439,19 @@ def build_current(family, letter, window, x=None):
     return CurrentMat(0, (x,), {(0, 0): coeffs}, (meta,))
 
 
+# the smallest window check_current_relations accepts
+CURRENT_RELATIONS_MIN_WINDOW = 3
+
+
 def check_current_relations(family, window):
     """The full bracket table in generating-series form: every pairing of the
     family's currents equals its closed rational-coefficient combination."""
     started = time.monotonic()
-    if window < 3:
-        raise ValueError("window must be >= 3 to see past the index symmetries")
+    if window < CURRENT_RELATIONS_MIN_WINDOW:
+        raise ValueError(
+            f"window must be >= {CURRENT_RELATIONS_MIN_WINDOW} "
+            "to see past the index symmetries"
+        )
     x, y = spectral("x"), spectral("y")
     one = LaurentPoly.const(1)
     xx = LaurentPoly.var(x)

@@ -56,6 +56,27 @@ def test_check_level_window_error_is_config_error(capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["all", "--window", "3", "--max-k", "3"],
+         "suite 'frt' needs window >= 4, got 3"),
+        (["currents", "--window", "3", "--max-k", "3"],
+         "suite 'currents' needs window >= 4, got 3"),
+    ],
+    ids=["all", "currents"],
+)
+def test_window_below_a_suite_minimum_is_rejected_before_any_check(
+    monkeypatch, capsys, argv, message
+):
+    def no_checks(checks, parallel):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_execute", no_checks)
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_passing_suite_exits_zero(capsys):
     assert cli.run(["frt", "--window", "4"]) == 0
     out = capsys.readouterr().out

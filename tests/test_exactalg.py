@@ -7,9 +7,10 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onsalg.exactalg import (
@@ -392,3 +393,63 @@ def test_factor_canonical_splits_parameter_monomials():
     inv_unit, factors = factor_canonical(p)
     assert inv_unit == LaurentPoly.const(rat(1, 3))
     assert factors == [LaurentPoly.var(A), LaurentPoly.var(A)]
+
+
+# -- stored coefficients: an int, or a Rational when not integral -----------------
+
+_RATIONAL = type(rat(1, 2))
+
+# ints, proper fractions, and integral values given as rat or Fraction
+mixed_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.builds(rat, st.integers(-9, 9), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-9, 9)),
+)
+
+
+@st.composite
+def mixed_polys(draw):
+    # few exponents, so that sums and products meet on common monomials
+    n = draw(st.integers(0, 5))
+    terms = {}
+    for _ in range(n):
+        e = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        terms[e] = draw(mixed_coeffs)
+    return LaurentPoly((X, Y), terms)
+
+
+def _assert_stored(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is _RATIONAL and c.denominator != 1), repr(c)
+
+
+_HALVES = LaurentPoly((X, Y), {(2, 0): rat(1, 2), (0, 2): rat(3, 2)})
+
+
+@given(mixed_polys(), mixed_polys(), mixed_coeffs, mixed_coeffs.filter(bool))
+@example(_HALVES, _HALVES, rat(2, 3), rat(1, 2))
+def test_coefficients_are_ints_unless_not_integral(p, q, c, m):
+    results = [p, q, p + q, p - q, p * q, p * c, c * p, p.derivative(X)]
+    results += LinComb.single("e", p).scale(c).terms.values()
+    # x -> m / x needs an integer power of x wherever m is not 1
+    even = all(e % 2 == 0 for (e,) in p.split((X,)))
+    image = LaurentPoly.monomial((X,), (-2,), m if even else 1)
+    # x -> y merges terms, so coefficients are summed
+    results += [p.substitute({X: image}), p.substitute({X: LaurentPoly.var(Y)})]
+    if p:
+        inv_unit, factors = factor_canonical(p)
+        results += [inv_unit, *factors, complement(factors[:1], factors + factors)]
+    for r in results:
+        _assert_stored(r)
+
+
+def test_derivative_stores_an_int():
+    d = LaurentPoly.monomial((X,), (4,), 3).derivative(X)
+    assert d == LaurentPoly.monomial((X,), (2,), 6)
+    assert [type(c) for c in d.terms.values()] == [int]
+
+
+def test_an_integral_fraction_is_stored_as_an_int():
+    two = LaurentPoly.const(Fraction(2))
+    assert two == LaurentPoly.const(2) and hash(two) == hash(LaurentPoly.const(2))
+    assert [type(c) for c in two.terms.values()] == [int]

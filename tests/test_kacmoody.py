@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from onsalg.kacmoody import (
+    BasisSymbol,
     C,
     E,
     F,
@@ -141,3 +142,20 @@ def test_mutated_map_fails():
 def test_serre_chevalley():
     rep = check_serre_chevalley(6)
     assert rep.passed, rep
+
+
+# -- input guards -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BasisSymbol("X", 1), "type must be E, F, H or C, not 'X'"),
+        (lambda: BasisSymbol("C", 2), "the central element C has mode 0, not 2"),
+    ],
+    ids=["type", "central_mode"],
+)
+def test_guards_raise_value_error(call, message):
+    # explicit exceptions, so python -O keeps them
+    with pytest.raises(ValueError, match=message):
+        call()

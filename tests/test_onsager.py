@@ -245,3 +245,23 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
     first = rep.witnesses[0]
     assert first["position"].startswith("[G(x),A+(y)] entry (0, 0), degree (")
     assert "A[" in first["residual"]
+
+
+# -- input guards -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: OnsSymbol("onsager", "K", 1),
+         "'K' is not a generator letter of family 'onsager'"),
+        (lambda: OnsSymbol("bogus", "A", 1),
+         "'A' is not a generator letter of family 'bogus'"),
+        (lambda: check_morphism("bogus", 2), "unknown family 'bogus'"),
+    ],
+    ids=["letter", "symbol_family", "morphism_family"],
+)
+def test_guards_raise_value_error(call, message):
+    # explicit exceptions, so python -O keeps them
+    with pytest.raises(ValueError, match=message):
+        call()
