@@ -38,6 +38,10 @@ __all__ = [
 MIN_WINDOW = 4
 
 
+def _names(variables):
+    return "(" + ", ".join(v.name for v in variables) + ")"
+
+
 def _nmin(a, b):
     if a is None or b is None:
         return None
@@ -167,7 +171,11 @@ class CurrentMat:
                 if cleaned:
                     self.entries[pos] = cleaned
         self.metas = tuple(metas) if metas is not None else (_FULL,) * len(self.spectral_vars)
-        assert len(self.metas) == len(self.spectral_vars)
+        if len(self.metas) != len(self.spectral_vars):
+            raise ValueError(
+                f"{len(self.metas)} support metas for "
+                f"{len(self.spectral_vars)} spectral variables"
+            )
 
     @property
     def dim(self):
@@ -190,8 +198,13 @@ class CurrentMat:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
-        assert isinstance(other, CurrentMat)
-        assert other.legs == self.legs and other.spectral_vars == self.spectral_vars
+        if not isinstance(other, CurrentMat):
+            return NotImplemented
+        if other.legs != self.legs or other.spectral_vars != self.spectral_vars:
+            raise ValueError(
+                f"shape mismatch: {self.legs} legs over {_names(self.spectral_vars)} "
+                f"and {other.legs} legs over {_names(other.spectral_vars)}"
+            )
         out = {pos: dict(coeffs) for pos, coeffs in self.entries.items()}
         for pos, coeffs in other.entries.items():
             tgt = out.setdefault(pos, {})
@@ -264,7 +277,8 @@ class CurrentMat:
     def _mixed_mul(self, rows, current_on_left):
         """Product with a dense scalar matrix (list of lists of LaurentPoly)."""
         dim = self.dim
-        assert len(rows) == dim
+        if len(rows) != dim:
+            raise ValueError(f"a {self.legs}-leg current needs {dim} rows, not {len(rows)}")
         split = [[None] * dim for _ in range(dim)]
         span = [(0, 0)] * len(self.spectral_vars)
         for i in range(dim):
@@ -376,9 +390,8 @@ def series_bracket(a, b, bracket_fn=bracket):
     bracket_fn defaults to the mode-algebra bracket; the abstract families
     pass their own.
     """
-    assert not set(a.spectral_vars) & set(b.spectral_vars), (
-        "series_bracket needs disjoint spectral variables"
-    )
+    if set(a.spectral_vars) & set(b.spectral_vars):
+        raise ValueError("series_bracket needs disjoint spectral variables")
     dim_b = b.dim
     out = {}
     for (ia, ja), ca in a.entries.items():
@@ -503,11 +516,14 @@ def build_B(family, window, x=None):
         total = total + CurrentMat(1, (x,), cent, (c_meta,))
     nat_lo = _B_NATURAL_LO[family]
     meta = total.metas[0]
+    # Post-conditions of the construction above, which hold for every valid
+    # input, so a failure is a bug here and not bad input: the margin keeps
+    # the exact region past the window, and everything below the family's
+    # lowest degree cancels (checked before truncate would drop it).
     assert meta.trunc_hi is None or meta.trunc_hi >= nat_lo + 2 * window
-    out = total.truncate(x, nat_lo, nat_lo + 2 * window)
-    # nothing may live below the family's known lowest degree
-    for pos, coeffs in out.entries.items():
+    for pos, coeffs in total.entries.items():
         assert all(d[0] >= nat_lo for d in coeffs), (family, pos)
+    out = total.truncate(x, nat_lo, nat_lo + 2 * window)
     metas = (SupportMeta(nat_lo, None, None, nat_lo + 2 * window),)
     return CurrentMat(1, (x,), out.entries, metas)
 
@@ -517,7 +533,11 @@ def build_B(family, window, x=None):
 
 def compare_region(a, b):
     """Intersection of the operands' safe windows, per spectral variable."""
-    assert a.spectral_vars == b.spectral_vars
+    if a.spectral_vars != b.spectral_vars:
+        raise ValueError(
+            f"cannot compare series over {_names(a.spectral_vars)} "
+            f"and {_names(b.spectral_vars)}"
+        )
     region = []
     for v, ma, mb in zip(a.spectral_vars, a.metas, b.metas):
         m = SupportMeta(

@@ -1,17 +1,22 @@
 """Exact arithmetic: sparse Laurent polynomials, canonical denominator
 factors with the one clearing rule (complement), and LinComb, the sparse
-linear combination with polynomial coefficients that holds every Lie,
-family and enveloping-algebra element.  There is no rational-function
-type: a quotient is a numerator over a multiset of canonical factors
-(see tensormat.TensorMat).
+linear combination that holds every Lie, family and enveloping-algebra
+element.  There is no rational-function type: a quotient is a numerator
+over a multiset of canonical factors (see tensormat.TensorMat).
 
-A coefficient is a Python int when it is integral, and an exact Rational
+A scalar is a Python int when it is integral, and an exact Rational
 (gmpy2.mpq when available, else fractions.Fraction) only when it is not:
-never an integral Rational, never a float.  int and Rational values that
-are equal compare, hash and print alike, so the split shows nowhere but in
-speed.  Sums and products normalise only where a Rational operand could
-make an integral result, and every coefficient division goes through
-_quotient.
+never an integral Rational, never a float (a float input raises
+TypeError).  int and Rational values that are equal compare, hash and
+print alike, so the split shows nowhere but in speed.  Sums and products
+normalise only where a Rational operand could make an integral result, and
+every coefficient division goes through _quotient.
+
+A LinComb coefficient is such a scalar unless it involves a variable; only
+then is it a LaurentPoly (see _stored).  A constant LaurentPoly equals,
+hashes and prints as its scalar, so this split too shows only in speed:
+the mode algebras' structure constants are integers, and int arithmetic
+needs no polynomial around it.
 
 A polynomial carries no variable context: its terms map one packed
 monomial key, a Python int, to a nonzero coefficient.  Each Variable owns
@@ -52,12 +57,33 @@ def rat(p, q=1):
 
 def _rational(c):
     """The stored form of a scalar: an int when it is integral, else a
-    Rational (never an integral Rational, never a float)."""
+    Rational (never an integral Rational).  A float raises TypeError: its
+    binary value is rarely the number meant.  Strings such as "1/2" parse
+    exactly."""
     if type(c) is int:
         return c
     if not isinstance(c, _RATIONAL):
+        if isinstance(c, float):
+            raise TypeError(f"a coefficient must be exact, not the float {c!r}")
         c = Rational(c)
     return int(c) if c.denominator == 1 else c
+
+
+def _stored(c):
+    """The stored form of a LinComb coefficient: the scalar of a constant
+    LaurentPoly, the int of an integral Rational, else c itself (an int, a
+    non-integral Rational, a LaurentPoly that involves a variable, or a
+    LinComb, which CurrentMat accumulates)."""
+    t = type(c)
+    if t is LaurentPoly:
+        terms = c.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and 0 in terms:
+            return terms[0]
+    elif t is _RATIONAL and c.denominator == 1:
+        return int(c)
+    return c
 
 
 def _quotient(a, b):
@@ -201,10 +227,11 @@ class LaurentPoly:
         bound = 0
         if terms:
             for exps, c in terms.items():
+                c = _rational(c)
                 if not c:
                     continue
                 key, b = _pack(variables, tuple(exps))
-                accumulate(clean, key, _rational(c))
+                accumulate(clean, key, c)
                 bound = max(bound, b)
         self.terms = clean
         self._bound = bound
@@ -460,31 +487,32 @@ def accumulate(out, key, value):
     cancels.
 
     out is a dict the caller owns.  The values already in it are replaced,
-    never changed in place, so they may be shared with other elements.  A
-    sum of two Rationals that is integral is stored as an int.
+    never changed in place, so they may be shared with other elements.
+    What is stored is in its simplest form (see _stored): an integral
+    Rational becomes an int, and a constant LaurentPoly its scalar.
     """
     prev = out.get(key)
-    if prev is None:
-        out[key] = value
-    else:
-        s = prev + value
-        if s:
-            out[key] = _rational(s) if type(s) is _RATIONAL else s
-        else:
+    if prev is not None:
+        value = prev + value
+        if not value:
             del out[key]
+            return
+    out[key] = value if type(value) is int else _stored(value)
 
 
 def _as_coeff(c):
-    return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+    return _stored(c) if isinstance(c, LaurentPoly) else _rational(c)
 
 
 class LinComb:
     """A finite linear combination of hashable basis keys.
 
-    terms maps each key to a nonzero LaurentPoly coefficient; scalar
-    coefficients given to the constructor are converted.  Elements are
-    immutable values: no operation changes terms in place, so memo entries
-    and series coefficients can be shared.
+    terms maps each key to a nonzero coefficient: a scalar (an int, or a
+    Rational when not integral) unless it involves a variable, and only
+    then a LaurentPoly.  Coefficients given to the constructor, to single
+    and to scale are brought to that form.  Elements are immutable values:
+    no operation changes terms in place, so memo entries and series
+    coefficients can be shared.
     """
 
     __slots__ = ("terms",)
@@ -499,7 +527,8 @@ class LinComb:
 
     @classmethod
     def from_dict(cls, terms):
-        """Take over terms, a dict of nonzero LaurentPolys, without a copy."""
+        """Take over terms, a dict of nonzero stored coefficients, without a
+        copy."""
         e = cls.__new__(cls)
         e.terms = terms
         return e
@@ -541,7 +570,9 @@ class LinComb:
         s = _as_coeff(s)
         if not s:
             return self.zero()
-        return self.from_dict({key: c * s for key, c in self.terms.items()})
+        if s == 1:
+            return self
+        return self.from_dict({key: _stored(c * s) for key, c in self.terms.items()})
 
     __mul__ = scale
     __rmul__ = scale
@@ -565,7 +596,7 @@ class LinComb:
                 bits.append(str(key))
             elif cs == "-1":
                 bits.append(f"-{key}")
-            elif len(c.terms) > 1 or "*" in cs or "/" in cs:
+            elif (isinstance(c, LaurentPoly) and len(c.terms) > 1) or "*" in cs or "/" in cs:
                 bits.append(f"({cs})*{key}")
             else:
                 bits.append(f"{cs}*{key}")

@@ -7,7 +7,8 @@ Brackets follow
     [h_n, e_m] = 2 e_{n+m}          [h_n, f_m] = -2 f_{n+m}
     [h_n, h_m] = 2 c n delta_{n+m}  [e_n, f_m] = h_{n+m} + c n delta_{n+m}
 
-Elements carry coefficients that are polynomials in parameter variables,
+Elements carry exact coefficients: plain integers or rationals, and
+polynomials in parameter variables only where a coefficient involves one,
 so symbolic linear combinations stay exact.
 """
 
@@ -219,19 +220,19 @@ def check_automorphism(name, window, override=None):
     |mode| <= window, and squares to the identity when it should."""
     started = time.monotonic()
     syms = _basis_range(window)
+    elts = {a: LieElt.single(a) for a in syms}
+    # each basis vector's image, computed once for all pairs
+    images = {a: apply_map(name, elts[a], override) for a in syms}
     res = Residuals()
     for a in syms:
-        ea = LieElt.single(a)
-        fa = apply_map(name, ea, override)
+        ea, fa = elts[a], images[a]
         for b in syms:
-            eb = LieElt.single(b)
-            lhs = apply_map(name, bracket(ea, eb), override)
-            rhs = bracket(fa, apply_map(name, eb, override))
+            lhs = apply_map(name, bracket(ea, elts[b]), override)
+            rhs = bracket(fa, images[b])
             res.add(lhs - rhs, "[{}, {}]", a, b)
     if name in _INVOLUTIVE:
         for a in syms:
-            ea = LieElt.single(a)
-            diff = apply_map(name, apply_map(name, ea, override), override) - ea
+            diff = apply_map(name, images[a], override) - elts[a]
             res.add(diff, "involution at {}", a)
     return res.report(
         f"automorphism[{name}]", f"basis pairs with |mode| <= {window}", started

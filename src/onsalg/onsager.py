@@ -61,6 +61,10 @@ class OnsSymbol:
     __repr__ = __str__
 
 
+def _unknown_family(family, choices):
+    return f"unknown family {family!r} (choose from {', '.join(choices)})"
+
+
 def canonicalize(family, letter, mode):
     """Reduce a generator to its canonical index; returns (sign, symbol).
 
@@ -84,7 +88,8 @@ def canonicalize(family, letter, mode):
             if mode < 0:
                 mode = -mode - 1
         return 1, OnsSymbol(family, letter, mode)
-    assert family == "invariant"
+    if family != "invariant":
+        raise ValueError(_unknown_family(family, FAMILIES))
     return 1, OnsSymbol(family, letter, abs(mode))
 
 
@@ -104,7 +109,8 @@ def ons(family, letter, mode, coeff=1):
 def _pair_bracket(a, b):
     """Bracket of two canonical generators, as (coeff, letter, mode) triples."""
     fam = a.family
-    assert fam == b.family
+    if fam != b.family:
+        raise ValueError(f"cannot bracket generators of families {fam!r} and {b.family!r}")
     la, lb, n, m = a.letter, b.letter, a.mode, b.mode
     if fam == "onsager":
         if la == "A" and lb == "A":
@@ -204,7 +210,8 @@ def morphism_image(family, sym):
     if family == "invariant":
         gen = {"E": me, "F": mf, "H": mh}[sym.letter]
         return LieElt.single(gen(n)) + LieElt.single(gen(-n))
-    assert family == "kappa_minus"
+    if family != "kappa_minus":
+        raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
     if sym.letter == "E":
         return LieElt.single(me(n + 1)) + LieElt.single(me(1 - n))
     if sym.letter == "F":
@@ -230,16 +237,19 @@ def check_morphism(family, window, override=None):
     None falls through), which is how a perturbed realization is checked."""
     started = time.monotonic()
     if family not in MORPHISM_FAMILIES:
-        raise ValueError(
-            f"unknown family {family!r} (choose from {', '.join(MORPHISM_FAMILIES)})"
-        )
+        raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
+
+    images = {}
 
     def img(sym):
-        if override is not None:
-            alt = override(sym)
-            if alt is not None:
-                return alt
-        return morphism_image(family, sym)
+        # each generator's image is computed once for all pairs
+        out = images.get(sym)
+        if out is None:
+            out = override(sym) if override is not None else None
+            if out is None:
+                out = morphism_image(family, sym)
+            images[sym] = out
+        return out
 
     syms = canonical_symbols(_abstract_family(family), window)
     res = Residuals()
@@ -338,7 +348,8 @@ def check_dolan_grady(family):
         expect("[Z+0,[Z+0,[Z+0,Z-0]]] = 0", br(zp, br(zp, br(zp, zm))), OnsElt())
         expect("[Z-0,[Z-0,[Z-0,Z+0]]] = 0", br(zm, br(zm, br(zm, zp))), OnsElt())
     else:
-        assert family == "invariant"
+        if family != "invariant":
+            raise ValueError(_unknown_family(family, FAMILIES))
         h0, h1 = ons(family, "H", 0), ons(family, "H", 1)
         e0, e1 = ons(family, "E", 0), ons(family, "E", 1)
         f0, f1 = ons(family, "F", 0), ons(family, "F", 1)
@@ -394,8 +405,22 @@ def check_kappa_isomorphism(window, correspondence_shift=0):
 # -- generating series -------------------------------------------------------------
 
 
+_CURRENT_LETTERS = {
+    "onsager": ("G", "A+", "A-"),
+    "augmented": ("K", "Z+", "Z-"),
+    "invariant": ("H", "E", "F"),
+}
+
+
 def build_current(family, letter, window, x=None):
     """Generating series of one family letter, truncated at degree window."""
+    if family not in _CURRENT_LETTERS:
+        raise ValueError(_unknown_family(family, FAMILIES))
+    if letter not in _CURRENT_LETTERS[family]:
+        raise ValueError(
+            f"{letter!r} is not a current letter of family {family!r} "
+            f"(choose from {', '.join(_CURRENT_LETTERS[family])})"
+        )
     if x is None:
         x = spectral("x")
     coeffs = {}
@@ -410,7 +435,6 @@ def build_current(family, letter, window, x=None):
                 coeffs[(2 * n,)] = ons(family, "A", n)
             lo = 2
         else:
-            assert letter == "A-"
             for n in range(window + 1):
                 coeffs[(2 * n,)] = ons(family, "A", -n)
             lo = 0
@@ -425,12 +449,10 @@ def build_current(family, letter, window, x=None):
                 coeffs[(2 * n,)] = ons(family, "Z+", n)
             lo = 2
         else:
-            assert letter == "Z-"
             for n in range(window + 1):
                 coeffs[(2 * n,)] = ons(family, "Z-", n)
             lo = 0
     else:
-        assert family == "invariant" and letter in ("H", "E", "F")
         coeffs[(0,)] = ons(family, letter, 0, half)
         for n in range(1, window + 1):
             coeffs[(2 * n,)] = ons(family, letter, n)
@@ -459,9 +481,9 @@ def check_current_relations(family, window):
     xmy = xx - yy
     xym1 = xx * yy - one
     clearing = [xmy, xym1]
-    letters = {"onsager": ("G", "A+", "A-"), "augmented": ("K", "Z+", "Z-")}.get(
-        family, ("H", "E", "F")
-    )
+    if family not in _CURRENT_LETTERS:
+        raise ValueError(_unknown_family(family, FAMILIES))
+    letters = _CURRENT_LETTERS[family]
     cur_x = {l: build_current(family, l, window, x) for l in letters}
     raw_y = {l: build_current(family, l, window, y) for l in letters}
     cur_y = {l: raw_y[l].with_spectral_vars((x, y)) for l in letters}

@@ -3,12 +3,14 @@
 import pytest
 
 from onsalg.currents import (
+    CurrentMat,
     SupportMeta,
     build_B,
     build_T,
     check_exchange,
     check_frt_relations,
     clear_and_compare,
+    compare_region,
     extract_mode,
     series_bracket,
 )
@@ -209,7 +211,7 @@ def test_series_bracket_needs_disjoint_variables():
     x = spectral("x")
     a = build_T("+", 3, x=x).embed((1,), 2)
     b = build_T("+", 3, x=x).embed((2,), 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="series_bracket needs disjoint spectral variables"):
         series_bracket(a, b)
 
 
@@ -265,3 +267,36 @@ def test_clear_and_compare_rejects_a_scalar_outside_the_clearing_set():
     assert clear_and_compare(tp, [((xx + 1, [xx + 1]), tp)], [xx + 1]).passed
     with pytest.raises(ValueError, match=r"not covered by the clearing set: -1 \+ x"):
         clear_and_compare(tp, [((one, [xx - 1]), tp)], [xx + 1])
+
+
+# -- input guards -----------------------------------------------------------------
+
+_X, _Y = spectral("x"), spectral("y")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CurrentMat(1, (_X,), {}, ()), "0 support metas for 1 spectral variables"),
+        (lambda: build_T("+", 3, _X) + build_T("+", 3, _Y),
+         r"shape mismatch: 1 legs over \(x\) and 1 legs over \(y\)"),
+        (lambda: build_T("+", 3, _X) + build_T("+", 3, _X).embed((1,), 2),
+         r"shape mismatch: 1 legs over \(x\) and 2 legs over \(x\)"),
+        (lambda: build_T("+", 3, _X).poly_commutator([[LaurentPoly.const(1)]]),
+         "a 1-leg current needs 2 rows, not 1"),
+        (lambda: series_bracket(build_T("+", 3, _X), build_T("-", 3, _X)),
+         "series_bracket needs disjoint spectral variables"),
+        (lambda: compare_region(build_T("+", 3, _X), build_T("+", 3, _Y)),
+         r"cannot compare series over \(x\) and \(y\)"),
+    ],
+    ids=["metas", "add_variables", "add_legs", "rows", "disjoint", "region_variables"],
+)
+def test_guards_raise_value_error(call, message):
+    # explicit exceptions, so python -O keeps them
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_guards_add_refuses_a_non_current():
+    with pytest.raises(TypeError, match="unsupported operand"):
+        build_T("+", 3, _X) + LieElt.single(C)

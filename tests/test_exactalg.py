@@ -1,5 +1,6 @@
 """Arithmetic layer: sparse Laurent polynomials, denominator factors and
-linear combinations, and the input guards of the matrices built on them."""
+linear combinations, the stored form of their coefficients, and the input
+guards of the matrices built on them."""
 
 import operator
 import os
@@ -25,6 +26,9 @@ from onsalg.exactalg import (
     spectral,
 )
 from onsalg import tensormat
+from onsalg.envelope import UeaElt, uea_commutator, uea_mul
+from onsalg.kacmoody import C, E, F, H, bracket
+from onsalg.onsager import OnsSymbol, abstract_bracket
 from onsalg.tensormat import TensorMat
 
 X = spectral("x")
@@ -211,10 +215,10 @@ def test_pickle_names_variables_across_interpreters():
     here = LaurentPoly((p1, p2, p3), {(1, -2, 0): rat(3, 2), (0, 4, 2): -1})
     child = textwrap.dedent("""
         import pickle, sys
-        from onsalg.exactalg import LaurentPoly, parameter, spectral
+        from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
         p1, p2, p3 = spectral("pickle_1"), spectral("pickle_2"), parameter("pickle_3")
         LaurentPoly((p3, p2, p1), {(2, 2, 2): 1})  # registers p3 first
-        p = LaurentPoly((p1, p2, p3), {(1, -2, 0): 3 / 2, (0, 4, 2): -1})
+        p = LaurentPoly((p1, p2, p3), {(1, -2, 0): rat(3, 2), (0, 4, 2): -1})
         print(sorted(p.terms))
         print(pickle.dumps(p).hex())
     """)
@@ -430,7 +434,6 @@ _HALVES = LaurentPoly((X, Y), {(2, 0): rat(1, 2), (0, 2): rat(3, 2)})
 @example(_HALVES, _HALVES, rat(2, 3), rat(1, 2))
 def test_coefficients_are_ints_unless_not_integral(p, q, c, m):
     results = [p, q, p + q, p - q, p * q, p * c, c * p, p.derivative(X)]
-    results += LinComb.single("e", p).scale(c).terms.values()
     # x -> m / x needs an integer power of x wherever m is not 1
     even = all(e % 2 == 0 for (e,) in p.split((X,)))
     image = LaurentPoly.monomial((X,), (-2,), m if even else 1)
@@ -453,3 +456,80 @@ def test_an_integral_fraction_is_stored_as_an_int():
     two = LaurentPoly.const(Fraction(2))
     assert two == LaurentPoly.const(2) and hash(two) == hash(LaurentPoly.const(2))
     assert [type(c) for c in two.terms.values()] == [int]
+
+
+def test_guards_refuse_float_coefficients():
+    # a float's binary value is rarely the number meant: 0.1 is not 1/10
+    for call in (
+        lambda: LaurentPoly.const(0.1),
+        lambda: LaurentPoly((X,), {(2,): 0.5}),
+        lambda: LaurentPoly((X,), {(2,): 0.0}),
+        lambda: LinComb.single("e", 0.5),
+        lambda: LinComb({"e": 0.5}),
+        lambda: LinComb.single("e").scale(0.5),
+        lambda: LaurentPoly.var(X) * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            call()
+    # a string parses exactly
+    assert LaurentPoly.const("1/2") == LaurentPoly.const(rat(1, 2))
+    assert LinComb.single("e", "-3/6") == LinComb.single("e", rat(-1, 2))
+
+
+# -- LinComb coefficients: a scalar unless it involves a variable ------------------
+
+# ints, proper and integral rationals, and one-variable polynomials, some
+# of them constant and some whose products are (x times 1/x)
+lin_coeffs = st.one_of(
+    mixed_coeffs,
+    st.builds(
+        lambda e, c, c0: LaurentPoly((X,), {(e,): c, (0,): c0}),
+        st.sampled_from([-2, 0, 2]),
+        mixed_coeffs,
+        mixed_coeffs,
+    ),
+)
+_LIE_KEYS = [E(0), E(1), F(-1), F(0), H(0), H(1), C]
+_ONS_KEYS = [OnsSymbol("onsager", "A", n) for n in (-1, 0, 1, 2)] + [
+    OnsSymbol("onsager", "G", n) for n in (1, 2)
+]
+
+
+def _elements(keys):
+    return st.dictionaries(st.sampled_from(keys), lin_coeffs, max_size=4).map(LinComb)
+
+
+def _assert_lincomb_stored(elt):
+    for c in elt.terms.values():
+        if isinstance(c, LaurentPoly):
+            assert any(c.terms.keys() - {0}), f"constant polynomial {c!r}"
+            _assert_stored(c)
+        else:
+            assert type(c) is int or (type(c) is _RATIONAL and c.denominator != 1), repr(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elements(_LIE_KEYS), _elements(_LIE_KEYS), _elements(_ONS_KEYS),
+       _elements(_ONS_KEYS), lin_coeffs)
+def test_lincomb_coefficients_are_scalars_unless_they_involve_a_variable(a, b, p, q, c):
+    ua = UeaElt({(s,): k for s, k in a.terms.items()})
+    ub = uea_mul(ua, UeaElt({(s,): k for s, k in b.terms.items()}))
+    results = [a, b, a + b, a - b, a.scale(c), c * b, bracket(a, b),
+               p, q, p - q, p.scale(c), abstract_bracket(p, q), uea_commutator(ua, ub)]
+    for r in results:
+        _assert_lincomb_stored(r)
+
+
+def test_a_constant_coefficient_is_stored_as_its_scalar():
+    for value in (2, rat(-1, 2)):
+        poly = LinComb.single("k", LaurentPoly.const(value, (X,)))
+        plain = LinComb.single("k", value)
+        assert poly == plain and hash(poly) == hash(plain)
+        assert str(poly) == str(plain)
+        assert [type(c) for c in poly.terms.values()] == [type(value)]
+    # x times 1/x is a constant, and so is a sum that cancels the variable
+    x, inv = LaurentPoly.var(X), LaurentPoly.var(X, half_steps=-2)
+    scaled = LinComb.single("k", x).scale(inv)
+    assert scaled.terms == {"k": 1} and type(scaled.terms["k"]) is int
+    summed = LinComb.single("k", x + 3) - LinComb.single("k", x)
+    assert [type(c) for c in summed.terms.values()] == [int]

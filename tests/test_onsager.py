@@ -12,6 +12,7 @@ from onsalg.onsager import (
     abstract_bracket,
     build_current,
     canonical_symbols,
+    canonicalize,
     check_current_relations,
     check_dolan_grady,
     check_fixed_point,
@@ -258,8 +259,24 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
         (lambda: OnsSymbol("bogus", "A", 1),
          "'A' is not a generator letter of family 'bogus'"),
         (lambda: check_morphism("bogus", 2), "unknown family 'bogus'"),
+        (lambda: build_current("onsager", "K", 3), "'K' is not a current letter of family 'onsager'"),
+        (lambda: build_current("augmented", "A-", 3),
+         "'A-' is not a current letter of family 'augmented'"),
+        (lambda: build_current("invariant", "Z-", 3),
+         "'Z-' is not a current letter of family 'invariant'"),
+        (lambda: build_current("bogus", "H", 3), "unknown family 'bogus'"),
+        (lambda: canonicalize("bogus", "H", 1), "unknown family 'bogus'"),
+        (lambda: abstract_bracket(ons("onsager", "A", 1), ons("invariant", "H", 1)),
+         "cannot bracket generators of families 'onsager' and 'invariant'"),
+        (lambda: morphism_image("bogus", OnsSymbol("invariant", "H", 1)),
+         "unknown family 'bogus'"),
+        (lambda: check_dolan_grady("bogus"), "unknown family 'bogus'"),
+        (lambda: check_current_relations("bogus", 3), "unknown family 'bogus'"),
     ],
-    ids=["letter", "symbol_family", "morphism_family"],
+    ids=["letter", "symbol_family", "morphism_family", "current_letter_onsager",
+         "current_letter_augmented", "current_letter_invariant", "current_family",
+         "canonicalize_family", "bracket_families", "image_family", "dolan_grady_family",
+         "current_relations_family"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them
