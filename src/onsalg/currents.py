@@ -4,6 +4,12 @@ A CurrentMat is a matrix of formal series whose coefficients live in the
 mode Lie algebra.  Each spectral variable carries a SupportMeta recording
 where the truncated data is exact, so every comparison happens only on a
 provably safe window; degrees are doubled like LaurentPoly exponents.
+
+Every series identity (the FRT relations, the exchange relations and the
+abstract current relations of onsager) is checked the same way: both sides
+are multiplied by a clearing set of factors through exactalg.complement
+and TensorMat.cleared, and _compare adds each coefficient of their
+difference on its safe window to the caller's Residuals.
 """
 
 import time
@@ -251,46 +257,32 @@ class CurrentMat:
                 raise ValueError(f"scalar uses foreign spectral variable {v.name}")
         return list(p.split(self.spectral_vars).items())
 
-    def _poly_span(self, p):
-        return [p.degree_range(v) or (0, 0) for v in self.spectral_vars]
-
     def scale_poly(self, p):
         """Multiply every entry by a scalar LaurentPoly (spectral degrees
         shift the series; parameter content scales the coefficients)."""
         if not isinstance(p, LaurentPoly):
             p = LaurentPoly.const(p)
-        parts = self._split_poly(p)
-        out = {}
-        for pos, coeffs in self.entries.items():
-            tgt = {}
-            for deg, lie in coeffs.items():
-                for shift, mono in parts:
-                    nd = tuple(d + s for d, s in zip(deg, shift))
-                    accumulate(tgt, nd, lie.scale(mono))
-            if tgt:
-                out[pos] = tgt
-        metas = tuple(
-            m.shifted(lo, hi) for m, (lo, hi) in zip(self.metas, self._poly_span(p))
+        dim = self.dim
+        return self._mixed_mul(
+            [[p if i == j else None for j in range(dim)] for i in range(dim)], True
         )
-        return CurrentMat(self.legs, self.spectral_vars, out, metas)
 
     def _mixed_mul(self, rows, current_on_left):
-        """Product with a dense scalar matrix (list of lists of LaurentPoly)."""
+        """Product with a dense scalar matrix (list of lists of LaurentPoly,
+        None for zero); the metas shift by the exact degree span of the
+        nonzero entries."""
         dim = self.dim
         if len(rows) != dim:
             raise ValueError(f"a {self.legs}-leg current needs {dim} rows, not {len(rows)}")
         split = [[None] * dim for _ in range(dim)]
-        span = [(0, 0)] * len(self.spectral_vars)
+        spans = []
         for i in range(dim):
             for j in range(dim):
                 p = rows[i][j]
                 if p is None or p.is_zero():
                     continue
                 split[i][j] = self._split_poly(p)
-                span = [
-                    (min(a, c), max(b, d))
-                    for (a, b), (c, d) in zip(span, self._poly_span(p))
-                ]
+                spans.append([p.degree_range(v) or (0, 0) for v in self.spectral_vars])
         out = {}
         for (i, j), coeffs in self.entries.items():
             for k in range(dim):
@@ -304,6 +296,9 @@ class CurrentMat:
                         nd = tuple(d + s for d, s in zip(deg, shift))
                         accumulate(tgt, nd, lie.scale(mono))
         out = {pos: tgt for pos, tgt in out.items() if tgt}
+        span = [
+            (min(lo for lo, _ in col), max(hi for _, hi in col)) for col in zip(*spans)
+        ] or [(0, 0)] * len(self.spectral_vars)
         metas = tuple(
             m.shifted(lo, hi) for m, (lo, hi) in zip(self.metas, span)
         )
@@ -466,6 +461,19 @@ def build_T(sign, window, x=None):
     return CurrentMat(1, (x,), ent, (meta,))
 
 
+def _times_c(scale, rows, spectral_vars):
+    """The current scale * c * rows for a square matrix of scalar
+    polynomials; its metas are the rows' exact degree span."""
+    zero = (0,) * len(spectral_vars)
+    unit = CurrentMat(
+        len(rows).bit_length() - 1,
+        spectral_vars,
+        {(i, i): {zero: LieElt.single(C, scale)} for i in range(len(rows))},
+        (SupportMeta(0, 0),) * len(spectral_vars),
+    )
+    return unit._mixed_mul(rows, True)
+
+
 B_FAMILIES = {
     "onsager": ("U_diag", {"k": 1, "kstar": 1}),
     "augmented": ("U_offdiag", {"sign": -1}),
@@ -499,21 +507,9 @@ def build_B(family, window, x=None):
     # the boundary families and their inverses are polynomial
     kinv = b.inverse()
     conj = tm._mixed_mul(b.mat.cleared(()), False)._mixed_mul(kinv.cleared(()), True)
-    total = tp + conj
     # central term: -c x k'(x) k(x)^-1
-    xk_rows = (b.derivative() @ kinv).cleared(())
-    cent = {}
-    lo = hi = None
-    for i in range(2):
-        for j in range(2):
-            p = LaurentPoly.var(x) * xk_rows[i][j]
-            for (d,), cval in p.split((x,)).items():
-                cent.setdefault((i, j), {})[(d,)] = LieElt.single(C, -cval)
-                lo = d if lo is None else min(lo, d)
-                hi = d if hi is None else max(hi, d)
-    if cent:
-        c_meta = SupportMeta(lo, hi, None, None)
-        total = total + CurrentMat(1, (x,), cent, (c_meta,))
+    xk_rows = (b.derivative() @ kinv).scale(LaurentPoly.var(x)).cleared(())
+    total = tp + conj + _times_c(-1, xk_rows, (x,))
     nat_lo = _B_NATURAL_LO[family]
     meta = total.metas[0]
     # Post-conditions of the construction above, which hold for every valid
@@ -531,52 +527,6 @@ def build_B(family, window, x=None):
 # -- clearing and comparison -------------------------------------------------------
 
 
-def compare_region(a, b):
-    """Intersection of the operands' safe windows, per spectral variable."""
-    if a.spectral_vars != b.spectral_vars:
-        raise ValueError(
-            f"cannot compare series over {_names(a.spectral_vars)} "
-            f"and {_names(b.spectral_vars)}"
-        )
-    region = []
-    for v, ma, mb in zip(a.spectral_vars, a.metas, b.metas):
-        m = SupportMeta(
-            _nmin(ma.natural_lo, mb.natural_lo),
-            _nmax(ma.natural_hi, mb.natural_hi),
-            ma.added(mb).trunc_lo,
-            ma.added(mb).trunc_hi,
-        )
-        m.require_nonvacuous(f"variable {v.name}")
-        region.append((v, m.exact_window()))
-    return region
-
-
-def clear_and_compare(lhs, rhs_scalar_parts, clearing, name="clear_and_compare"):
-    """Verify lhs == sum(scalar_i * current_i) after clearing denominators.
-
-    Each scalar is a (numerator, factors) pair meaning numerator /
-    prod(factors); clearing and factors are multisets of canonical
-    factors, as in TensorMat.den_factors.  Both sides are multiplied by
-    prod(clearing) through exactalg.complement, which raises ValueError if
-    clearing lacks a factor of some scalar.  The comparison runs over the
-    intersection of safe windows and raises ValueError if that region is
-    empty.  Returns a CheckReport.
-    """
-    started = time.monotonic()
-    cleared = lhs.scale_poly(complement((), clearing))
-    rhs = None
-    for (num, factors), cm in rhs_scalar_parts:
-        part = cm.scale_poly(num * complement(factors, clearing))
-        rhs = part if rhs is None else rhs + part
-    if rhs is None:
-        rhs = CurrentMat(lhs.legs, lhs.spectral_vars, {}, cleared.metas)
-    region = compare_region(cleared, rhs)
-    res = Residuals()
-    for lie, pos, nd in _region_residuals(cleared - rhs, region):
-        res.add(lie, "entry {}, degree {}", pos, nd)
-    return res.report(name, _region_string(region), started)
-
-
 def _fmt_window(v, w):
     lo, hi = w
     lo = "-inf" if lo is None else f"{lo // 2}" if lo % 2 == 0 else f"{lo}/2"
@@ -584,36 +534,50 @@ def _fmt_window(v, w):
     return f"{v.name} in [{lo}, {hi}]"
 
 
-def _region_residuals(diff, region):
-    """(coefficient, entry, degree) for each nonzero coefficient of diff
-    inside region, in entry and degree order; degrees are undoubled."""
-    windows = [w for _, w in region]
+def _compare(res, tag, lhs, rhs):
+    """Add every coefficient of lhs - rhs on its safe window to res, at
+    positions prefixed by tag, and return the window as a string.
+
+    The window is the exact window of the difference's metas per spectral
+    variable; raises ValueError if it is empty.
+    """
+    diff = lhs - rhs
+    windows = []
+    for v, m in zip(diff.spectral_vars, diff.metas):
+        m.require_nonvacuous(f"variable {v.name}")
+        windows.append(m.exact_window())
+    prefix = f"{tag} " if tag else ""
     for pos in sorted(diff.entries):
         coeffs = diff.entries[pos]
         for deg in sorted(coeffs):
-            inside = all(
+            if all(
                 (lo is None or d >= lo) and (hi is None or d <= hi)
                 for d, (lo, hi) in zip(deg, windows)
-            )
-            if inside:
+            ):
                 nd = tuple(d / 2 if d % 2 else d // 2 for d in deg)
-                yield coeffs[deg], pos, nd
+                res.add(coeffs[deg], "{}entry {}, degree {}", prefix, pos, nd)
+    return ", ".join(_fmt_window(v, w) for v, w in zip(diff.spectral_vars, windows))
 
 
-def _region_string(region):
-    return ", ".join(_fmt_window(v, w) for v, w in region)
+def clear_and_compare(res, tag, lhs, rhs_scalar_parts, clearing):
+    """Compare lhs with sum(scalar_i * current_i) after clearing denominators.
+
+    Each scalar is a (numerator, factors) pair meaning numerator /
+    prod(factors); clearing and factors are multisets of canonical
+    factors, as in TensorMat.den_factors.  Both sides are multiplied by
+    prod(clearing) through exactalg.complement, which raises ValueError if
+    clearing lacks a factor of some scalar.  The residuals go to res as in
+    _compare, whose region string is returned.
+    """
+    cleared = lhs.scale_poly(complement((), clearing))
+    # zero on cleared's metas, which leaves the compared window as it is
+    rhs = cleared.copy_with(entries={})
+    for (num, factors), cm in rhs_scalar_parts:
+        rhs = rhs + cm.scale_poly(num * complement(factors, clearing))
+    return _compare(res, tag, cleared, rhs)
 
 
 # -- the defining relations ----------------------------------------------------------
-
-
-def _r_cleared(x, y, xy):
-    """(x - y) r(x/y) and (x - y)^2 (x/y) r'(x/y) as polynomial rows, 4x4;
-    xy is x - y."""
-    u = spectral("u")
-    r = build_r(u)
-    at = {u: LaurentPoly.monomial((x, y), (2, -2), 1)}
-    return r.substitute(at).cleared([xy]), u_derivative(r).substitute(at).cleared([xy, xy])
 
 
 def check_frt_relations(window, omit_central=False):
@@ -630,50 +594,31 @@ def check_frt_relations(window, omit_central=False):
     tp_x, tm_x = build_T("+", window, x), build_T("-", window, x)
     tp_y, tm_y = build_T("+", window, y), build_T("-", window, y)
     vars2 = (x, y)
+    u = spectral("u")
+    r = build_r(u)
+    at = {u: LaurentPoly.monomial((x, y), (2, -2), 1)}
+    r_xy = r.substitute(at)
     xy = LaurentPoly.var(x) - LaurentPoly.var(y)
-    r_rows, cent_rows = _r_cleared(x, y, xy)
     res = Residuals()
     regions = []
 
-    def one_relation(tag, ta, tb, central):
-        lhs = series_bracket(ta, tb)
+    def one_relation(tag, ta, tb, clearing, central):
+        lhs = series_bracket(ta, tb).scale_poly(complement((), clearing))
         t_sum = ta.embed((1,), 2).with_spectral_vars(vars2) + tb.embed(
             (2,), 2
         ).with_spectral_vars(vars2)
-        if central is None:
-            cleared = lhs.scale_poly(xy)
-            rhs = t_sum.poly_commutator(r_rows)
-        else:
-            cleared = lhs.scale_poly(xy * xy)
-            rows2 = [[n * xy for n in row] for row in r_rows]
-            rhs = t_sum.poly_commutator(rows2)
-            if not omit_central:
-                rhs = rhs + central
-        region = compare_region(cleared, rhs)
-        regions.append(f"{tag}: {_region_string(region)}")
-        for lie, pos, nd in _region_residuals(cleared - rhs, region):
-            res.add(lie, "{} entry {}, degree {}", tag, pos, nd)
+        rhs = t_sum.poly_commutator(r_xy.cleared(clearing))
+        if central is not None:
+            rhs = rhs + central
+        regions.append(f"{tag}: {_compare(res, tag, lhs, rhs)}")
 
-    # central correction for the mixed relation: -2c (x/y) r'(x/y), cleared
-    cent_entries = {}
-    for i in range(4):
-        for j in range(4):
-            coeffs = {
-                degs: LieElt.single(C, -2 * cval)
-                for degs, cval in cent_rows[i][j].split((x, y)).items()
-            }
-            if coeffs:
-                cent_entries[(i, j)] = coeffs
-    central = CurrentMat(
-        2,
-        vars2,
-        cent_entries,
-        (SupportMeta(0, 4, None, None), SupportMeta(0, 4, None, None)),
-    )
-
-    one_relation("[T+,T+]", tp_x, tp_y, None)
-    one_relation("[T-,T-]", tm_x, tm_y, None)
-    one_relation("[T+,T-]", tp_x, tm_y, central)
+    # the mixed relation's central correction -2c (x/y) r'(x/y) has a
+    # double pole at x = y
+    mixed = [xy, xy]
+    central = _times_c(-2, u_derivative(r).substitute(at).cleared(mixed), vars2)
+    one_relation("[T+,T+]", tp_x, tp_y, [xy], None)
+    one_relation("[T-,T-]", tm_x, tm_y, [xy], None)
+    one_relation("[T+,T-]", tp_x, tm_y, mixed, None if omit_central else central)
 
     # centrality of c against every stored coefficient
     for cur in (tp_x, tm_x):
@@ -713,11 +658,9 @@ def check_exchange(family, window, rbar_family=None):
     b2 = by.embed((2,), 2).with_spectral_vars(vars2)
     lhs = series_bracket(bx, by).scale_poly(complement((), clearing))
     rhs = (-b1.poly_commutator(r21_rows)) + b2.poly_commutator(r12_rows)
-    region = compare_region(lhs, rhs)
     res = Residuals()
-    for lie, pos, nd in _region_residuals(lhs - rhs, region):
-        res.add(lie, "entry {}, degree {}", pos, nd)
+    region = _compare(res, "", lhs, rhs)
     tag = f"exchange[{family}]"
     if rbar_family and rbar_family != family:
         tag += f"[rbar from {rbar_family}]"
-    return res.report(tag, _region_string(region), started)
+    return res.report(tag, region, started)

@@ -12,8 +12,8 @@ import time
 
 from .exactalg import LaurentPoly, LinComb, accumulate, parameter, spectral
 from .kacmoody import BasisSymbol, _basis_bracket
-from .currents import build_B, extract_mode
-from .onsager import OnsElt, abstract_bracket, build_current, ons
+from .currents import build_B
+from .onsager import OnsElt, _image_elt, abstract_bracket, build_current, ons
 from .report import Residuals
 
 __all__ = [
@@ -301,8 +301,6 @@ def check_quadratic_charges(family, max_k, mutate=False):
 
 def note_mixed_commutator(family, j, k):
     """[t_j, image(I_k)] is generically nonzero; report its size as a note."""
-    from .onsager import _image_elt
-
     ts = build_quadratic_charge(family, j)
     ik = build_linear_charge(family, k)
     res = uea_commutator(ts[j], lie_to_uea(_image_elt(family, ik)))

@@ -197,7 +197,9 @@ def apply_map(name, a, override=None):
     override, if given, is a callable BasisSymbol -> LieElt | None tried
     before the named map (used to verify that perturbed maps fail).
     """
-    fn = _MAPS[name]
+    fn = _MAPS.get(name)
+    if fn is None:
+        raise ValueError(f"unknown map {name!r} (choose from {', '.join(MAP_NAMES)})")
     out = {}
     for sym, c in a.terms.items():
         img = override(sym) if override else None

@@ -172,9 +172,11 @@ def canonical_symbols(family, window):
         syms += [OnsSymbol(family, "K", n) for n in range(window + 1)]
         syms += [OnsSymbol(family, "Z+", n) for n in range(1, window + 1)]
         syms += [OnsSymbol(family, "Z-", n) for n in range(window + 1)]
-    else:
+    elif family == "invariant":
         for letter in ("H", "E", "F"):
             syms += [OnsSymbol(family, letter, n) for n in range(window + 1)]
+    else:
+        raise ValueError(_unknown_family(family, FAMILIES))
     return syms
 
 
@@ -369,6 +371,8 @@ def check_dolan_grady(family):
 def check_fixed_point(family, max_mode):
     """The family's distinguished involution fixes its realization pointwise."""
     started = time.monotonic()
+    if family not in FIXING_MAP:
+        raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
     name = FIXING_MAP[family]
     res = Residuals()
     for sym in canonical_symbols(_abstract_family(family), max_mode):
@@ -554,8 +558,6 @@ def check_current_relations(family, window):
     regions = []
     for (la, lb), parts in scalars(family).items():
         lhs = series_bracket(cur_x[la], raw_y[lb], abstract_bracket)
-        rep = clear_and_compare(lhs, parts, clearing, name=f"[{la}(x), {lb}(y)]")
         tag = f"[{la}(x),{lb}(y)]"
-        regions.append(f"{tag}: {rep.region}")
-        res.merge(rep, tag)
+        regions.append(f"{tag}: {clear_and_compare(res, tag, lhs, parts, clearing)}")
     return res.report(f"current_relations[{family}]", "; ".join(regions), started)

@@ -96,11 +96,5 @@ class Residuals:
                 s = s[:WITNESS_CHARS] + " ..."
             self.witnesses.append((position.format(*args) if args else position, s))
 
-    def merge(self, report, tag):
-        """Fold in a sub-check's report, prefixing its witness positions."""
-        self.count += report.residual_term_count
-        for w in report.witnesses[: MAX_WITNESSES - len(self.witnesses)]:
-            self.witnesses.append((f"{tag} {w['position']}", w["residual"]))
-
     def report(self, name, region, started):
         return finish_report(name, self.witnesses, self.count, region, started)

@@ -10,12 +10,12 @@ from onsalg.currents import (
     check_exchange,
     check_frt_relations,
     clear_and_compare,
-    compare_region,
     extract_mode,
     series_bracket,
 )
 from onsalg.exactalg import LaurentPoly, spectral
 from onsalg.kacmoody import C, E, F, H, LieElt
+from onsalg.report import Residuals
 
 
 def lie(*pairs):
@@ -64,6 +64,17 @@ def test_meta_product_rejects_unknown_tails():
     unbounded_below = SupportMeta(None, 0, -12, None)
     with pytest.raises(ValueError):
         bounded.multiplied(unbounded_below)
+
+
+def test_scale_poly_shifts_metas_by_the_exact_span():
+    # a span widened to include degree 0 would leave x * T+ at (0, 8)
+    x = spectral("x")
+    xx = LaurentPoly.var(x)
+    tp = build_T("+", 4, x)
+    assert tp.scale_poly(xx).metas[0].exact_window() == (2, 10)
+    assert tp.scale_poly(xx * xx).metas[0].exact_window() == (4, 12)
+    assert tp.scale_poly(xx + xx * xx).metas[0].exact_window() == (2, 10)
+    assert tp.scale_poly(xx * xx).entry(0, 1)[(4,)] == LieElt.single(F(0), 2)
 
 
 def test_meta_shift_and_invert():
@@ -264,9 +275,28 @@ def test_clear_and_compare_rejects_a_scalar_outside_the_clearing_set():
     xx = LaurentPoly.var(x, (x,))
     one = LaurentPoly.const(1, (x,))
     # (x + 1)/(x + 1) * T+ = T+ passes; 1/(x - 1) is not cleared by x + 1
-    assert clear_and_compare(tp, [((xx + 1, [xx + 1]), tp)], [xx + 1]).passed
+    res = Residuals()
+    assert clear_and_compare(res, "", tp, [((xx + 1, [xx + 1]), tp)], [xx + 1]) == "x in [0, 4]"
+    assert res.count == 0
     with pytest.raises(ValueError, match=r"not covered by the clearing set: -1 \+ x"):
-        clear_and_compare(tp, [((one, [xx - 1]), tp)], [xx + 1])
+        clear_and_compare(res, "", tp, [((one, [xx - 1]), tp)], [xx + 1])
+
+
+def test_clear_and_compare_adds_tagged_residuals_to_the_callers_collector():
+    x = spectral("x")
+    tp = build_T("+", 4, x)
+    one = LaurentPoly.const(1, (x,))
+    res = Residuals()
+    res.add(LieElt.single(C), "earlier")
+    # 2 T+ against T+ leaves every stored coefficient of T+
+    region = clear_and_compare(res, "[T]", tp.scale_poly(2), [((one, []), tp)], [])
+    assert region == "x in [0, 4]"
+    assert res.count == 1 + 19
+    assert res.witnesses[:3] == [
+        ("earlier", "c"),
+        ("[T] entry (0, 0), degree (0,)", "(1/2)*h[0]"),
+        ("[T] entry (0, 0), degree (1,)", "h[1]"),
+    ]
 
 
 # -- input guards -----------------------------------------------------------------
@@ -286,10 +316,8 @@ _X, _Y = spectral("x"), spectral("y")
          "a 1-leg current needs 2 rows, not 1"),
         (lambda: series_bracket(build_T("+", 3, _X), build_T("-", 3, _X)),
          "series_bracket needs disjoint spectral variables"),
-        (lambda: compare_region(build_T("+", 3, _X), build_T("+", 3, _Y)),
-         r"cannot compare series over \(x\) and \(y\)"),
     ],
-    ids=["metas", "add_variables", "add_legs", "rows", "disjoint", "region_variables"],
+    ids=["metas", "add_variables", "add_legs", "rows", "disjoint"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them

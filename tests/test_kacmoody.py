@@ -152,8 +152,11 @@ def test_serre_chevalley():
     [
         (lambda: BasisSymbol("X", 1), "type must be E, F, H or C, not 'X'"),
         (lambda: BasisSymbol("C", 2), "the central element C has mode 0, not 2"),
+        (lambda: check_automorphism("bogus", 3),
+         r"unknown map 'bogus' \(choose from theta1, theta2, lusztig_plus, lusztig_minus, shift\)"),
+        (lambda: apply_map("bogus", LieElt.single(C)), "unknown map 'bogus'"),
     ],
-    ids=["type", "central_mode"],
+    ids=["type", "central_mode", "automorphism_map", "apply_map"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them

@@ -272,11 +272,18 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
          "unknown family 'bogus'"),
         (lambda: check_dolan_grady("bogus"), "unknown family 'bogus'"),
         (lambda: check_current_relations("bogus", 3), "unknown family 'bogus'"),
+        (lambda: check_fixed_point("bogus", 3),
+         r"unknown family 'bogus' \(choose from onsager, augmented, invariant, kappa_minus\)"),
+        (lambda: check_jacobi("bogus", 2),
+         r"unknown family 'bogus' \(choose from onsager, augmented, invariant\)"),
+        (lambda: check_jacobi_sampled("bogus", 2, seed=0), "unknown family 'bogus'"),
+        (lambda: canonical_symbols("bogus", 2), "unknown family 'bogus'"),
     ],
     ids=["letter", "symbol_family", "morphism_family", "current_letter_onsager",
          "current_letter_augmented", "current_letter_invariant", "current_family",
          "canonicalize_family", "bracket_families", "image_family", "dolan_grady_family",
-         "current_relations_family"],
+         "current_relations_family", "fixed_point_family", "jacobi_family",
+         "jacobi_sampled_family", "symbols_family"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them

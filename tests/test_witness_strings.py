@@ -4,7 +4,8 @@ test_acceptance checks only that each perturbed input fails with some
 witness.  These tests pin what each failing report says: its residual term
 count and every witness, position and residual string alike, so a change
 to the coefficient representation or to printing cannot alter a report
-unseen.
+unseen.  check_current_relations, which has no perturbation argument, is
+pinned with the abstract bracket doubled.
 """
 
 import os
@@ -12,6 +13,7 @@ import sys
 
 import pytest
 
+import onsalg.onsager as onsager
 from onsalg.currents import check_exchange, check_frt_relations
 from onsalg.envelope import check_linear_charges, check_quadratic_charges
 from onsalg.kacmoody import check_automorphism
@@ -214,3 +216,59 @@ def test_mutation_report_is_pinned(run):
 
 def test_every_mutation_is_pinned():
     assert len(MUTATIONS) == len(EXPECTED)
+
+
+# check_current_relations at window 3 with every abstract bracket doubled:
+# family -> (residual_term_count, [(position, residual), ...])
+CURRENT_RELATIONS_DOUBLED = {
+    "onsager": (
+        48,
+        [
+            ("[G(x),A+(y)] entry (0, 0), degree (1, 2)", "-2*A[0] + 2*A[2]"),
+            ("[G(x),A+(y)] entry (0, 0), degree (1, 3)", "-2*A[1] + 2*A[3]"),
+            ("[G(x),A+(y)] entry (0, 0), degree (2, 1)", "2*A[0] - 2*A[2]"),
+            ("[G(x),A+(y)] entry (0, 0), degree (2, 2)", "-2*A[-1] + 2*A[1]"),
+            ("[G(x),A+(y)] entry (0, 0), degree (3, 1)", "2*A[-1] - 2*A[3]"),
+            ("[G(x),A+(y)] entry (0, 0), degree (3, 2)", "-2*A[-2] + 2*A[2]"),
+            ("[G(x),A-(y)] entry (0, 0), degree (1, 1)", "-2*A[-1] + 2*A[1]"),
+            ("[G(x),A-(y)] entry (0, 0), degree (1, 2)", "-2*A[-2] + 2*A[0]"),
+        ],
+    ),
+    "augmented": (
+        42,
+        [
+            ("[K(x),Z+(y)] entry (0, 0), degree (0, 2)", "2*Z+[1]"),
+            ("[K(x),Z+(y)] entry (0, 0), degree (0, 3)", "2*Z+[2]"),
+            ("[K(x),Z+(y)] entry (0, 0), degree (1, 1)", "-2*Z+[1]"),
+            ("[K(x),Z+(y)] entry (0, 0), degree (1, 2)", "2*Z+[1]"),
+            ("[K(x),Z+(y)] entry (0, 0), degree (2, 1)", "-2*Z+[1] - 2*Z+[2]"),
+            ("[K(x),Z+(y)] entry (0, 0), degree (2, 2)", "2*Z+[2]"),
+            ("[K(x),Z+(y)] entry (0, 0), degree (2, 3)", "-2*Z+[2]"),
+            ("[K(x),Z+(y)] entry (0, 0), degree (3, 1)", "-2*Z+[2] - 2*Z+[3]"),
+        ],
+    ),
+    "invariant": (
+        30,
+        [
+            ("[H(x),E(y)] entry (0, 0), degree (0, 1)", "E[0]"),
+            ("[H(x),E(y)] entry (0, 0), degree (0, 2)", "2*E[1]"),
+            ("[H(x),E(y)] entry (0, 0), degree (0, 3)", "2*E[2]"),
+            ("[H(x),E(y)] entry (0, 0), degree (1, 0)", "-E[0]"),
+            ("[H(x),E(y)] entry (0, 0), degree (1, 2)", "E[0]"),
+            ("[H(x),E(y)] entry (0, 0), degree (2, 0)", "-2*E[1]"),
+            ("[H(x),E(y)] entry (0, 0), degree (2, 1)", "-E[0]"),
+            ("[H(x),E(y)] entry (0, 0), degree (2, 3)", "-2*E[2]"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(CURRENT_RELATIONS_DOUBLED))
+def test_current_relations_failure_is_pinned(monkeypatch, family):
+    real = onsager.abstract_bracket
+    monkeypatch.setattr(onsager, "abstract_bracket", lambda a, b: real(a, b).scale(2))
+    rep = onsager.check_current_relations(family, 3)
+    count, witnesses = CURRENT_RELATIONS_DOUBLED[family]
+    assert rep.name == f"current_relations[{family}]"
+    assert rep.residual_term_count == count
+    assert [(w["position"], w["residual"]) for w in rep.witnesses] == witnesses
