@@ -485,6 +485,10 @@ _B_NATURAL_LO = {"onsager": 0, "augmented": 0, "invariant": 0, "kappa_minus": -2
 
 
 def boundary_for(family, x):
+    if family not in B_FAMILIES:
+        raise ValueError(
+            f"unknown family {family!r} (choose from {', '.join(B_FAMILIES)})"
+        )
     fam, params = B_FAMILIES[family]
     return build_boundary(fam, dict(params) if params else None, x=x)
 
@@ -494,8 +498,6 @@ def build_B(family, window, x=None):
 
     Keeps window+1 exact coefficients starting at the family's lowest degree.
     """
-    if family not in B_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     if window < 1:
         raise ValueError(f"window must be >= 1, not {window}")
     if x is None:

@@ -577,6 +577,27 @@ class LinComb:
     __mul__ = scale
     __rmul__ = scale
 
+    def linear(self, image):
+        """The linear extension of image, a map from a key to a LinComb."""
+        out = {}
+        for key, c in self.terms.items():
+            for k, ck in image(key).terms.items():
+                accumulate(out, k, ck * c)
+        return self.from_dict(out)
+
+    def bilinear(self, other, product):
+        """The bilinear extension of product, a map from a pair of keys to
+        (key, coefficient) pairs."""
+        out = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                pairs = product(ka, kb)
+                if pairs:
+                    c = ca * cb
+                    for k, ck in pairs:
+                        accumulate(out, k, c * ck)
+        return self.from_dict(out)
+
     def __eq__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented

@@ -10,7 +10,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .exactalg import LaurentPoly, LinComb, accumulate, rat, spectral
+from .exactalg import LaurentPoly, LinComb, rat, spectral
 from .kacmoody import C, E as me, F as mf, H as mh, LieElt, apply_map, bracket
 from .currents import CurrentMat, SupportMeta, clear_and_compare, series_bracket
 from .report import Residuals
@@ -36,10 +36,12 @@ __all__ = [
 
 FAMILIES = ("onsager", "augmented", "invariant")
 
+# Each family's generator letters in order, with the index symmetry of
+# each: (r, sign) means X[m] = sign X[r - m]; None means no symmetry.
 _LETTERS = {
-    "onsager": ("A", "G"),
-    "augmented": ("K", "Z+", "Z-"),
-    "invariant": ("H", "E", "F"),
+    "onsager": {"A": None, "G": (0, -1)},
+    "augmented": {"K": (0, 1), "Z+": (1, 1), "Z-": (-1, 1)},
+    "invariant": {"H": (0, 1), "E": (0, 1), "F": (0, 1)},
 }
 
 
@@ -66,31 +68,25 @@ def _unknown_family(family, choices):
 
 
 def canonicalize(family, letter, mode):
-    """Reduce a generator to its canonical index; returns (sign, symbol).
+    """Reduce a generator to its canonical index; returns (sign, symbol),
+    or (0, None) for a generator that is zero.
 
-    The index symmetries are: A free and G odd under negation (G_0 = 0);
-    K even, Z+ symmetric about 1/2, Z- symmetric about -1/2; H, E, F even.
+    Under X[m] = sign X[r - m] (see _LETTERS) the canonical index is the
+    larger of m and r - m; a letter odd about its fixed point is zero there.
+    So G is odd under negation (G_0 = 0), K, H, E and F are even, Z+ is
+    symmetric about 1/2 and Z- about -1/2.
     """
-    if family == "onsager":
-        if letter == "G":
-            if mode == 0:
-                return 0, None
-            if mode < 0:
-                return -1, OnsSymbol(family, "G", -mode)
-        return 1, OnsSymbol(family, letter, mode)
-    if family == "augmented":
-        if letter == "K":
-            mode = abs(mode)
-        elif letter == "Z+":
-            if mode < 1:
-                mode = 1 - mode
-        else:
-            if mode < 0:
-                mode = -mode - 1
-        return 1, OnsSymbol(family, letter, mode)
-    if family != "invariant":
+    letters = _LETTERS.get(family)
+    if letters is None:
         raise ValueError(_unknown_family(family, FAMILIES))
-    return 1, OnsSymbol(family, letter, abs(mode))
+    rule = letters.get(letter)
+    if rule is not None:
+        r, sign = rule
+        if r - mode > mode:
+            return sign, OnsSymbol(family, letter, r - mode)
+        if r - mode == mode and sign == -1:
+            return 0, None
+    return 1, OnsSymbol(family, letter, mode)
 
 
 # Elements of a family: linear combinations of canonical generators.
@@ -106,77 +102,60 @@ def ons(family, letter, mode, coeff=1):
     return OnsElt.single(sym, coeff).scale(sign)
 
 
+# [X[n], Y[m]] for each non-commuting letter pair (X, Y), as terms
+# (coeff, Z, p, q, r) meaning coeff Z[p n + q m + r].  [Y[m], X[n]] follows
+# by antisymmetry; every pair not listed either way commutes.
+_BRACKETS = {
+    ("A", "A"): ((4, "G", 1, -1, 0),),
+    ("G", "A"): ((2, "A", 1, 1, 0), (-2, "A", -1, 1, 0)),
+    ("K", "Z+"): ((2, "Z+", 1, 1, 0), (2, "Z+", -1, 1, 0)),
+    ("K", "Z-"): ((-2, "Z-", 1, 1, 0), (-2, "Z-", -1, 1, 0)),
+    ("Z+", "Z-"): ((4, "K", 1, 1, 0), (4, "K", -1, 1, 1)),
+    ("H", "E"): ((2, "E", 1, 1, 0), (2, "E", -1, 1, 0)),
+    ("H", "F"): ((-2, "F", 1, 1, 0), (-2, "F", -1, 1, 0)),
+    ("E", "F"): ((1, "H", 1, 1, 0), (1, "H", -1, 1, 0)),
+}
+
+
 def _pair_bracket(a, b):
-    """Bracket of two canonical generators, as (coeff, letter, mode) triples."""
-    fam = a.family
-    if fam != b.family:
-        raise ValueError(f"cannot bracket generators of families {fam!r} and {b.family!r}")
-    la, lb, n, m = a.letter, b.letter, a.mode, b.mode
-    if fam == "onsager":
-        if la == "A" and lb == "A":
-            return ((4, "G", n - m),)
-        if la == "G" and lb == "A":
-            return ((2, "A", n + m), (-2, "A", m - n))
-        if la == "A" and lb == "G":
-            return ((-2, "A", m + n), (2, "A", n - m))
-        return ()
-    if fam == "augmented":
-        if la == lb:
-            return ()
-        if la == "K" and lb == "Z+":
-            return ((2, "Z+", n + m), (2, "Z+", -n + m))
-        if la == "K" and lb == "Z-":
-            return ((-2, "Z-", n + m), (-2, "Z-", -n + m))
-        if la == "Z+" and lb == "K":
-            return ((-2, "Z+", m + n), (-2, "Z+", -m + n))
-        if la == "Z-" and lb == "K":
-            return ((2, "Z-", m + n), (2, "Z-", -m + n))
-        if la == "Z+" and lb == "Z-":
-            return ((4, "K", n + m), (4, "K", -n + m + 1))
-        return ((-4, "K", m + n), (-4, "K", -m + n + 1))
-    if la == lb:
-        return ()
-    if la == "H" and lb == "E":
-        return ((2, "E", n + m), (2, "E", -n + m))
-    if la == "E" and lb == "H":
-        return ((-2, "E", m + n), (-2, "E", -m + n))
-    if la == "H" and lb == "F":
-        return ((-2, "F", n + m), (-2, "F", -n + m))
-    if la == "F" and lb == "H":
-        return ((2, "F", m + n), (2, "F", -m + n))
-    if la == "E" and lb == "F":
-        return ((1, "H", n + m), (1, "H", -n + m))
-    return ((-1, "H", m + n), (-1, "H", -m + n))
+    """[a, b] for two canonical generators, as (symbol, coefficient) pairs."""
+    family = a.family
+    if family != b.family:
+        raise ValueError(
+            f"cannot bracket generators of families {family!r} and {b.family!r}"
+        )
+    n, m, sign = a.mode, b.mode, 1
+    terms = _BRACKETS.get((a.letter, b.letter))
+    if terms is None:
+        terms = _BRACKETS.get((b.letter, a.letter), ())
+        n, m, sign = m, n, -1
+    out = []
+    for k, letter, p, q, r in terms:
+        s, sym = canonicalize(family, letter, p * n + q * m + r)
+        if s:
+            out.append((sym, s * sign * k))
+    return out
 
 
 def abstract_bracket(a, b):
     """Bilinear bracket of OnsElts via the family's defining relations."""
-    out = {}
-    for sa, ca in a.terms.items():
-        for sb, cb in b.terms.items():
-            c = ca * cb
-            for k, letter, mode in _pair_bracket(sa, sb):
-                sign, sym = canonicalize(sa.family, letter, mode)
-                if sign:
-                    accumulate(out, sym, sign * (k * c))
-    return OnsElt.from_dict(out)
+    return a.bilinear(b, _pair_bracket)
 
 
 def canonical_symbols(family, window):
-    """All canonical generators with |mode| <= window, in a stable order."""
-    syms = []
-    if family == "onsager":
-        syms += [OnsSymbol(family, "A", n) for n in range(-window, window + 1)]
-        syms += [OnsSymbol(family, "G", n) for n in range(1, window + 1)]
-    elif family == "augmented":
-        syms += [OnsSymbol(family, "K", n) for n in range(window + 1)]
-        syms += [OnsSymbol(family, "Z+", n) for n in range(1, window + 1)]
-        syms += [OnsSymbol(family, "Z-", n) for n in range(window + 1)]
-    elif family == "invariant":
-        for letter in ("H", "E", "F"):
-            syms += [OnsSymbol(family, letter, n) for n in range(window + 1)]
-    else:
+    """All canonical generators with |mode| <= window: letter by letter in
+    the family's order, modes ascending."""
+    letters = _LETTERS.get(family)
+    if letters is None:
         raise ValueError(_unknown_family(family, FAMILIES))
+    if window < 0:
+        raise ValueError(f"window must be >= 0, not {window}")
+    syms = []
+    for letter in letters:
+        for n in range(-window, window + 1):
+            _, sym = canonicalize(family, letter, n)
+            if sym is not None and sym.mode == n:
+                syms.append(sym)
     return syms
 
 
@@ -221,22 +200,15 @@ def morphism_image(family, sym):
     return LieElt.single(mh(n)) + LieElt({mh(-n): 1, C: 2 if n == 0 else 0})
 
 
-def _image_elt(family, elt):
-    out = {}
-    for sym, c in elt.terms.items():
-        for s, ci in morphism_image(family, sym).terms.items():
-            accumulate(out, s, ci * c)
-    return LieElt.from_dict(out)
-
-
 def _abstract_family(family):
     return "invariant" if family == "kappa_minus" else family
 
 
 def check_morphism(family, window, override=None):
-    """The realization is a Lie algebra homomorphism on all generator pairs
-    with |mode| <= window.  `override(sym)` replaces single images (returning
-    None falls through), which is how a perturbed realization is checked."""
+    """The realization is a Lie algebra homomorphism on all ordered generator
+    pairs with |mode| <= window (no symmetry is assumed).  `override(sym)`
+    replaces single images (returning None falls through), which is how a
+    perturbed realization is checked."""
     started = time.monotonic()
     if family not in MORPHISM_FAMILIES:
         raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
@@ -259,12 +231,8 @@ def check_morphism(family, window, override=None):
         ia = img(a)
         for b in syms:
             lhs = bracket(ia, img(b))
-            rhs = {}
-            ab = abstract_bracket(OnsElt.single(a), OnsElt.single(b))
-            for sym, c in ab.terms.items():
-                for s, ci in img(sym).terms.items():
-                    accumulate(rhs, s, ci * c)
-            res.add(lhs - LieElt.from_dict(rhs), "[{}, {}]", a, b)
+            rhs = abstract_bracket(OnsElt.single(a), OnsElt.single(b)).linear(img)
+            res.add(lhs - rhs, "[{}, {}]", a, b)
     return res.report(
         f"morphism[{family}]" + ("[override]" if override else ""),
         f"generator pairs with |mode| <= {window}",
@@ -272,27 +240,40 @@ def check_morphism(family, window, override=None):
     )
 
 
+def _jacobi(a, b, c):
+    br = abstract_bracket
+    return br(br(a, b), c) + br(br(b, c), a) + br(br(c, a), b)
+
+
 def check_jacobi(family, window):
-    """Jacobi identity for every triple of canonical generators up to the
-    window; this is what makes the bracket tables an actual Lie algebra."""
+    """Antisymmetry and the Jacobi identity on the canonical generators up
+    to the window: the axioms that make the bracket tables a Lie algebra.
+
+    [a, b] + [b, a] is symmetric in a and b, so each unordered pair (a = b
+    included) is compared once.  The Jacobi sum is cyclically symmetric for
+    any bilinear bracket, and it changes sign under a transposition because
+    the bracket is antisymmetric on the window's pairs, which the first
+    sweep proves; so the sorted triples i <= j <= k cover every triple.
+    """
     started = time.monotonic()
     syms = canonical_symbols(family, window)
-    elts = {s: OnsElt.single(s) for s in syms}
+    elts = [OnsElt.single(s) for s in syms]
     res = Residuals()
     n = len(syms)
     for i in range(n):
         for j in range(i, n):
+            a, b = elts[i], elts[j]
+            res.add(abstract_bracket(a, b) + abstract_bracket(b, a),
+                    "[{0}, {1}] + [{1}, {0}]", syms[i], syms[j])
+    for i in range(n):
+        for j in range(i, n):
             for k in range(j, n):
-                a, b, c = elts[syms[i]], elts[syms[j]], elts[syms[k]]
-                jac = (
-                    abstract_bracket(abstract_bracket(a, b), c)
-                    + abstract_bracket(abstract_bracket(b, c), a)
-                    + abstract_bracket(abstract_bracket(c, a), b)
-                )
-                res.add(jac, "({}, {}, {})", syms[i], syms[j], syms[k])
+                res.add(_jacobi(elts[i], elts[j], elts[k]),
+                        "({}, {}, {})", syms[i], syms[j], syms[k])
     return res.report(
         f"jacobi[{family}]",
-        f"all generator triples with |mode| <= {window}",
+        f"antisymmetry on generator pairs and Jacobi on generator triples with "
+        f"|mode| <= {window}",
         started,
     )
 
@@ -306,12 +287,7 @@ def check_jacobi_sampled(family, max_mode, seed, samples=40):
     res = Residuals()
     for _ in range(samples):
         sa, sb, sc = (rng.choice(syms) for _ in range(3))
-        a, b, c = OnsElt.single(sa), OnsElt.single(sb), OnsElt.single(sc)
-        jac = (
-            abstract_bracket(abstract_bracket(a, b), c)
-            + abstract_bracket(abstract_bracket(b, c), a)
-            + abstract_bracket(abstract_bracket(c, a), b)
-        )
+        jac = _jacobi(OnsElt.single(sa), OnsElt.single(sb), OnsElt.single(sc))
         res.add(jac, "({}, {}, {})", sa, sb, sc)
     return res.report(
         f"jacobi_sampled[{family}]",
@@ -409,59 +385,37 @@ def check_kappa_isomorphism(window, correspondence_shift=0):
 # -- generating series -------------------------------------------------------------
 
 
-_CURRENT_LETTERS = {
-    "onsager": ("G", "A+", "A-"),
-    "augmented": ("K", "Z+", "Z-"),
-    "invariant": ("H", "E", "F"),
+# Each family's current letters in order: letter -> (generator, index
+# sign, first n, zero mode halved).  The series is the sum over first <= n
+# of generator[index sign * n] x^n, its n = 0 coefficient halved if so marked.
+_CURRENTS = {
+    "onsager": {"G": ("G", 1, 1, False), "A+": ("A", 1, 1, False),
+                "A-": ("A", -1, 0, False)},
+    "augmented": {"K": ("K", 1, 0, True), "Z+": ("Z+", 1, 1, False),
+                  "Z-": ("Z-", 1, 0, False)},
+    "invariant": {"H": ("H", 1, 0, True), "E": ("E", 1, 0, True),
+                  "F": ("F", 1, 0, True)},
 }
 
 
 def build_current(family, letter, window, x=None):
     """Generating series of one family letter, truncated at degree window."""
-    if family not in _CURRENT_LETTERS:
+    letters = _CURRENTS.get(family)
+    if letters is None:
         raise ValueError(_unknown_family(family, FAMILIES))
-    if letter not in _CURRENT_LETTERS[family]:
+    if letter not in letters:
         raise ValueError(
             f"{letter!r} is not a current letter of family {family!r} "
-            f"(choose from {', '.join(_CURRENT_LETTERS[family])})"
+            f"(choose from {', '.join(letters)})"
         )
     if x is None:
         x = spectral("x")
-    coeffs = {}
-    half = rat(1, 2)
-    if family == "onsager":
-        if letter == "G":
-            for n in range(1, window + 1):
-                coeffs[(2 * n,)] = ons(family, "G", n)
-            lo = 2
-        elif letter == "A+":
-            for n in range(1, window + 1):
-                coeffs[(2 * n,)] = ons(family, "A", n)
-            lo = 2
-        else:
-            for n in range(window + 1):
-                coeffs[(2 * n,)] = ons(family, "A", -n)
-            lo = 0
-    elif family == "augmented":
-        if letter == "K":
-            coeffs[(0,)] = ons(family, "K", 0, half)
-            for n in range(1, window + 1):
-                coeffs[(2 * n,)] = ons(family, "K", n)
-            lo = 0
-        elif letter == "Z+":
-            for n in range(1, window + 1):
-                coeffs[(2 * n,)] = ons(family, "Z+", n)
-            lo = 2
-        else:
-            for n in range(window + 1):
-                coeffs[(2 * n,)] = ons(family, "Z-", n)
-            lo = 0
-    else:
-        coeffs[(0,)] = ons(family, letter, 0, half)
-        for n in range(1, window + 1):
-            coeffs[(2 * n,)] = ons(family, letter, n)
-        lo = 0
-    meta = SupportMeta(lo, None, None, 2 * window)
+    gen, sign, first, halved = letters[letter]
+    coeffs = {
+        (2 * n,): ons(family, gen, sign * n, rat(1, 2) if halved and n == 0 else 1)
+        for n in range(first, window + 1)
+    }
+    meta = SupportMeta(2 * first, None, None, 2 * window)
     return CurrentMat(0, (x,), {(0, 0): coeffs}, (meta,))
 
 
@@ -485,17 +439,19 @@ def check_current_relations(family, window):
     xmy = xx - yy
     xym1 = xx * yy - one
     clearing = [xmy, xym1]
-    if family not in _CURRENT_LETTERS:
+    if family not in _CURRENTS:
         raise ValueError(_unknown_family(family, FAMILIES))
-    letters = _CURRENT_LETTERS[family]
+    letters = _CURRENTS[family]
     cur_x = {l: build_current(family, l, window, x) for l in letters}
     raw_y = {l: build_current(family, l, window, y) for l in letters}
     cur_y = {l: raw_y[l].with_spectral_vars((x, y)) for l in letters}
     cx = {l: cur_x[l].with_spectral_vars((x, y)) for l in letters}
 
     def scalars(fam):
-        g, ap, am = ("G", "A+", "A-") if fam == "onsager" else (None,) * 3
         if fam == "onsager":
+            g, ap, am = "G", "A+", "A-"
+            # G(x) - G(y), lifted to the shared variable pair
+            gdiff = cx[g] - cur_y[g]
             return {
                 (g, g): [],
                 (g, ap): [
@@ -508,9 +464,9 @@ def check_current_relations(family, window):
                     ((-2 * xx, [xmy]), cx[am]),
                     ((-2 * one, [xym1]), cx[ap]),
                 ],
-                (ap, ap): [((-4 * xx * yy, [xym1]), _gdiff(fam))],
-                (ap, am): [((4 * xx, [xmy]), _gdiff(fam))],
-                (am, am): [((4 * one, [xym1]), _gdiff(fam))],
+                (ap, ap): [((-4 * xx * yy, [xym1]), gdiff)],
+                (ap, am): [((4 * xx, [xmy]), gdiff)],
+                (am, am): [((4 * one, [xym1]), gdiff)],
             }
         if fam == "augmented":
             k, zp, zm = "K", "Z+", "Z-"
@@ -549,10 +505,6 @@ def check_current_relations(family, window):
                 ((-yy * (xx * xx - one), clearing), cur_y[h]),
             ],
         }
-
-    def _gdiff(fam):
-        # G(x) - G(y), lifted to the shared variable pair
-        return cx["G"] - cur_y["G"]
 
     res = Residuals()
     regions = []

@@ -491,7 +491,9 @@ class BoundaryMat:
 def build_boundary(family, params=None, x=None):
     """Construct a named boundary matrix; see BOUNDARY_FAMILIES."""
     if family not in BOUNDARY_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise ValueError(
+            f"unknown family {family!r} (choose from {', '.join(BOUNDARY_FAMILIES)})"
+        )
     params = dict(params or {})
     if x is None:
         x = spectral("x")

@@ -316,8 +316,13 @@ _X, _Y = spectral("x"), spectral("y")
          "a 1-leg current needs 2 rows, not 1"),
         (lambda: series_bracket(build_T("+", 3, _X), build_T("-", 3, _X)),
          "series_bracket needs disjoint spectral variables"),
+        (lambda: check_exchange("onsager", 4, rbar_family="bogus"),
+         r"unknown family 'bogus' \(choose from onsager, augmented, invariant, kappa_minus\)"),
+        (lambda: build_B("bogus", 4),
+         r"unknown family 'bogus' \(choose from onsager, augmented, invariant, kappa_minus\)"),
     ],
-    ids=["metas", "add_variables", "add_legs", "rows", "disjoint"],
+    ids=["metas", "add_variables", "add_legs", "rows", "disjoint", "exchange_rbar_family",
+         "B_family"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them

@@ -200,12 +200,13 @@ def _short_series(monkeypatch):
             "unknown charge family 'bogus'",
         ),
         (lambda mp: check_quadratic_charges("bogus", 2), "unknown family 'bogus'"),
+        (lambda mp: check_linear_charges("onsager", -1), "max-k must be >= 0, not -1"),
         (lambda mp: build_B("onsager", 0), "window must be >= 1"),
         (lambda mp: build_T("0", 2), "sign must be '[+]' or '-', not '0'"),
         (lambda mp: build_T("+", -1), "window must be >= 0"),
     ],
     ids=["charge_window", "negative_k", "exact_window", "variant",
-         "series_family", "formula_family", "quadratic_family", "B_window",
+         "series_family", "formula_family", "quadratic_family", "linear_max_k", "B_window",
          "T_sign", "T_window"],
 )
 def test_guards_raise_value_error(monkeypatch, call, message):

@@ -173,7 +173,9 @@ def test_substitute_reads_every_exponent_before_replacing():
         (lambda: tensormat.partial_transpose(TensorMat(2), 3), "leg 3 is not in 1..2"),
         (lambda: tensormat.trace_leg(TensorMat(2), 0), "leg 0 is not in 1..2"),
         (lambda: tensormat.build_r(A), "build_r needs a spectral Variable"),
-        (lambda: tensormat.build_boundary("bogus"), "unknown family 'bogus'"),
+        (lambda: tensormat.build_boundary("bogus"),
+         r"unknown family 'bogus' \(choose from U_diag, U_offdiag, k_general, kappa_plus, "
+         r"kappa_minus, M_ons, M_aug, M_inv\)"),
         (lambda: tensormat.build_boundary("U_offdiag", params={"sign": 2}),
          "U_offdiag sign must be"),
         (lambda: tensormat.build_rbar(tensormat.build_boundary("U_diag", x=X), Y, X),
@@ -533,3 +535,49 @@ def test_a_constant_coefficient_is_stored_as_its_scalar():
     assert scaled.terms == {"k": 1} and type(scaled.terms["k"]) is int
     summed = LinComb.single("k", x + 3) - LinComb.single("k", x)
     assert [type(c) for c in summed.terms.values()] == [int]
+
+
+# -- the linear and bilinear extensions --------------------------------------------
+
+_WORD_KEYS = ["a", "b", "ab", "ba"]
+
+
+def _image(key):
+    # reversal with a polynomial part; "ab" and "ba" share a reversed key
+    return LinComb({key[::-1]: 2, key + "!": LaurentPoly.var(X) - rat(1, 2)})
+
+
+def _product(ka, kb):
+    # not symmetric, and zero on equal keys
+    if ka == kb:
+        return ()
+    return ((ka + kb, 3), (kb, rat(-1, 2)), (ka + kb, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elements(_WORD_KEYS), _elements(_WORD_KEYS), _elements(_WORD_KEYS), lin_coeffs)
+def test_linear_and_bilinear_extend_by_linearity(p, q, r, c):
+    s = p + q.scale(c)
+    assert s.linear(_image) == p.linear(_image) + q.linear(_image).scale(c)
+    left = p.bilinear(r, _product) + q.bilinear(r, _product).scale(c)
+    assert s.bilinear(r, _product) == left
+    right = r.bilinear(p, _product) + r.bilinear(q, _product).scale(c)
+    assert r.bilinear(s, _product) == right
+    for result in (s.linear(_image), s.bilinear(r, _product), r.bilinear(s, _product)):
+        _assert_lincomb_stored(result)
+
+
+@given(st.sampled_from(_WORD_KEYS), st.sampled_from(_WORD_KEYS), lin_coeffs, lin_coeffs)
+def test_linear_and_bilinear_agree_with_the_rule_on_keys(ka, kb, c, d):
+    a, b = LinComb.single(ka, c), LinComb.single(kb, d)
+    assert a.linear(_image) == _image(ka).scale(c)
+    want = LinComb.zero()
+    for key, k in _product(ka, kb):
+        want = want + LinComb.single(key, k)
+    assert a.bilinear(b, _product) == want.scale(c).scale(d)
+
+
+def test_extensions_keep_the_element_type():
+    u = UeaElt.single(("a",), 2)
+    assert type(u.linear(lambda w: LinComb.single(w + w))) is UeaElt
+    assert type(u.bilinear(u, lambda wa, wb: ((wa + wb, 1),))) is UeaElt

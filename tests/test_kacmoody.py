@@ -155,8 +155,11 @@ def test_serre_chevalley():
         (lambda: check_automorphism("bogus", 3),
          r"unknown map 'bogus' \(choose from theta1, theta2, lusztig_plus, lusztig_minus, shift\)"),
         (lambda: apply_map("bogus", LieElt.single(C)), "unknown map 'bogus'"),
+        (lambda: check_automorphism("theta1", -1), "window must be >= 0, not -1"),
+        (lambda: check_serre_chevalley(-1), "window must be >= 0, not -1"),
     ],
-    ids=["type", "central_mode", "automorphism_map", "apply_map"],
+    ids=["type", "central_mode", "automorphism_map", "apply_map", "automorphism_window",
+         "serre_window"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them

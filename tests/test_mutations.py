@@ -1,0 +1,79 @@
+"""Checkers without a perturbation argument fail on a perturbed table.
+
+serre_chevalley, jacobi, jacobi_sampled, dolan_grady and fixed_point take
+no override: the structure constants and the automorphisms they test are
+module data (onsager._BRACKETS, kacmoody._MAPS) or one basis-bracket
+function (kacmoody._basis_bracket).  Each test changes one entry for its
+duration and pins the residual count and first witness of the failure.
+"""
+
+import pytest
+
+import onsalg.kacmoody as kacmoody
+import onsalg.onsager as onsager
+
+
+def _first(rep):
+    assert not rep.passed and rep.witnesses, rep
+    w = rep.witnesses[0]
+    return rep.residual_term_count, w["position"], w["residual"]
+
+
+def test_serre_chevalley_fails_without_the_central_term(monkeypatch):
+    # [e_n, f_m] = h_{n+m} + c n delta_{n+m}, with the c term dropped
+    real = kacmoody._basis_bracket
+
+    def no_central(a, b):
+        return tuple(p for p in real(a, b) if p[0] != kacmoody.C or "H" in (a.type, b.type))
+
+    monkeypatch.setattr(kacmoody, "_basis_bracket", no_central)
+    assert _first(kacmoody.check_serre_chevalley(3)) == (1, "[x0+, x0-]", "c")
+
+
+def test_jacobi_fails_on_a_bracket_that_is_not_antisymmetric(monkeypatch):
+    # [G_n, G_m] = G_n, so [x, x] = x
+    monkeypatch.setitem(onsager._BRACKETS, ("G", "G"), ((1, "G", 1, 0, 0),))
+    rep = onsager.check_jacobi("onsager", 2)
+    assert _first(rep) == (60, "[G[1], G[1]] + [G[1], G[1]]", "2*G[1]")
+    assert rep.witnesses[1] == {
+        "position": "[G[1], G[2]] + [G[2], G[1]]",
+        "residual": "G[1] + G[2]",
+    }
+
+
+# [Z+_n, Z-_m] = 4 K_{n+m} + 4 K_{m-n+1}, with the +1 dropped
+_SHIFTED_ZZ = ((4, "K", 1, 1, 0), (4, "K", -1, 1, 0))
+
+
+def test_jacobi_fails_on_a_wrong_structure_constant(monkeypatch):
+    monkeypatch.setitem(onsager._BRACKETS, ("Z+", "Z-"), _SHIFTED_ZZ)
+    assert _first(onsager.check_jacobi("augmented", 2)) == (
+        58, "(K[1], Z+[1], Z-[0])", "-8*K[0] + 8*K[2]")
+
+
+def test_jacobi_sampled_fails_on_a_wrong_structure_constant(monkeypatch):
+    monkeypatch.setitem(onsager._BRACKETS, ("Z+", "Z-"), _SHIFTED_ZZ)
+    assert _first(onsager.check_jacobi_sampled("augmented", 12, seed=0)) == (
+        79, "(Z+[12], Z-[1], K[2])", "8*K[11] - 16*K[12] + 8*K[13]")
+
+
+def test_dolan_grady_fails_on_a_halved_structure_constant(monkeypatch):
+    # [A_n, A_m] = 2 G_{n-m} instead of 4 G_{n-m}
+    monkeypatch.setitem(onsager._BRACKETS, ("A", "A"), ((2, "G", 1, -1, 0),))
+    assert _first(onsager.check_dolan_grady("onsager")) == (
+        2, "[A0,[A0,[A0,A1]]] = 16 [A0,A1]", "16*G[1]")
+
+
+@pytest.mark.parametrize(
+    "family, name, rule, want",
+    [
+        # theta2 without its translation is lusztig_plus
+        ("augmented", "theta2", (False, -1, 0), (25, "K[0]", "-2*c")),
+        # theta1 without its e/f swap
+        ("onsager", "theta1", (False, -1, 0),
+         (30, "A[-3]", "-2*e[-3] + 2*e[3] + 2*f[-3] - 2*f[3]")),
+    ],
+)
+def test_fixed_point_fails_on_a_changed_involution(monkeypatch, family, name, rule, want):
+    monkeypatch.setitem(kacmoody._MAPS, name, rule)
+    assert _first(onsager.check_fixed_point(family, 3)) == want

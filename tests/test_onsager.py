@@ -47,6 +47,48 @@ def test_invariant_canonicalization():
         assert ons("invariant", letter, -2) == ons("invariant", letter, 2)
 
 
+def test_canonical_symbols_order_is_pinned():
+    # witness order follows this order, so it must not change
+    assert [str(s) for s in canonical_symbols("onsager", 3)] == [
+        "A[-3]", "A[-2]", "A[-1]", "A[0]", "A[1]", "A[2]", "A[3]",
+        "G[1]", "G[2]", "G[3]",
+    ]
+    assert [str(s) for s in canonical_symbols("augmented", 3)] == [
+        "K[0]", "K[1]", "K[2]", "K[3]", "Z+[1]", "Z+[2]", "Z+[3]",
+        "Z-[0]", "Z-[1]", "Z-[2]", "Z-[3]",
+    ]
+    assert [str(s) for s in canonical_symbols("invariant", 3)] == [
+        f"{letter}[{n}]" for letter in ("H", "E", "F") for n in range(4)
+    ]
+
+
+# (sign, canonical mode) of letter[m] for m = -4..4; None where it is zero
+_CANONICAL = {
+    ("onsager", "A"): [(1, m) for m in range(-4, 5)],
+    ("onsager", "G"): [(-1, 4), (-1, 3), (-1, 2), (-1, 1), (0, None),
+                       (1, 1), (1, 2), (1, 3), (1, 4)],
+    ("augmented", "K"): [(1, abs(m)) for m in range(-4, 5)],
+    ("augmented", "Z+"): [(1, 5), (1, 4), (1, 3), (1, 2), (1, 1),
+                          (1, 1), (1, 2), (1, 3), (1, 4)],
+    ("augmented", "Z-"): [(1, 3), (1, 2), (1, 1), (1, 0), (1, 0),
+                          (1, 1), (1, 2), (1, 3), (1, 4)],
+    ("invariant", "H"): [(1, abs(m)) for m in range(-4, 5)],
+    ("invariant", "E"): [(1, abs(m)) for m in range(-4, 5)],
+    ("invariant", "F"): [(1, abs(m)) for m in range(-4, 5)],
+}
+
+
+@pytest.mark.parametrize("family, letter", list(_CANONICAL))
+def test_canonicalize_is_pinned(family, letter):
+    got = []
+    for m in range(-4, 5):
+        sign, sym = canonicalize(family, letter, m)
+        if sym is not None:
+            assert (sym.family, sym.letter) == (family, letter)
+        got.append((sign, sym.mode if sym is not None else None))
+    assert got == _CANONICAL[family, letter]
+
+
 # -- bracket tables -----------------------------------------------------------
 
 
@@ -101,8 +143,10 @@ def family_elts(draw, family):
     return out
 
 
-@given(family_elts("augmented"), family_elts("augmented"))
-def test_bracket_antisymmetric(a, b):
+@pytest.mark.parametrize("family", FAMILIES)
+@given(data=st.data())
+def test_bracket_antisymmetric(family, data):
+    a, b = data.draw(family_elts(family)), data.draw(family_elts(family))
     assert abstract_bracket(a, b) == -abstract_bracket(b, a)
 
 
@@ -210,6 +254,36 @@ def test_current_layout():
     assert am.entry(0, 0)[(4,)] == ons("onsager", "A", -2)
 
 
+# build_current(family, letter, 3): the (letter, mode) at degree 2n for
+# n = 1, 2, 3; the lowest degree; the degree-0 (letter, mode, coefficient)
+_CURRENTS = {
+    ("onsager", "G"): ((("G", 1), ("G", 2), ("G", 3)), 2, None),
+    ("onsager", "A+"): ((("A", 1), ("A", 2), ("A", 3)), 2, None),
+    ("onsager", "A-"): ((("A", -1), ("A", -2), ("A", -3)), 0, ("A", 0, 1)),
+    ("augmented", "K"): ((("K", 1), ("K", 2), ("K", 3)), 0, ("K", 0, "1/2")),
+    ("augmented", "Z+"): ((("Z+", 1), ("Z+", 2), ("Z+", 3)), 2, None),
+    ("augmented", "Z-"): ((("Z-", 1), ("Z-", 2), ("Z-", 3)), 0, ("Z-", 0, 1)),
+    ("invariant", "H"): ((("H", 1), ("H", 2), ("H", 3)), 0, ("H", 0, "1/2")),
+    ("invariant", "E"): ((("E", 1), ("E", 2), ("E", 3)), 0, ("E", 0, "1/2")),
+    ("invariant", "F"): ((("F", 1), ("F", 2), ("F", 3)), 0, ("F", 0, "1/2")),
+}
+
+
+@pytest.mark.parametrize("family, letter", list(_CURRENTS))
+def test_build_current_is_pinned(family, letter):
+    higher, lo, zero = _CURRENTS[family, letter]
+    cur = build_current(family, letter, 3)
+    coeffs = cur.entry(0, 0)
+    want = {(2 * n,): ons(family, g, m) for n, (g, m) in enumerate(higher, 1)}
+    if zero is not None:
+        want[(0,)] = ons(family, *zero)
+    assert sorted(coeffs) == sorted(want)
+    assert coeffs == want
+    (meta,) = cur.metas
+    assert (meta.natural_lo, meta.natural_hi, meta.trunc_lo, meta.trunc_hi) == (
+        lo, None, None, 6)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_current_relations(family):
     rep = check_current_relations(family, 6)
@@ -278,12 +352,18 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
          r"unknown family 'bogus' \(choose from onsager, augmented, invariant\)"),
         (lambda: check_jacobi_sampled("bogus", 2, seed=0), "unknown family 'bogus'"),
         (lambda: canonical_symbols("bogus", 2), "unknown family 'bogus'"),
+        (lambda: canonical_symbols("onsager", -1), "window must be >= 0, not -1"),
+        (lambda: check_morphism("onsager", -1), "window must be >= 0, not -1"),
+        (lambda: check_jacobi("augmented", -1), "window must be >= 0, not -1"),
+        (lambda: check_fixed_point("invariant", -1), "window must be >= 0, not -1"),
+        (lambda: check_kappa_isomorphism(-1), "window must be >= 0, not -1"),
     ],
     ids=["letter", "symbol_family", "morphism_family", "current_letter_onsager",
          "current_letter_augmented", "current_letter_invariant", "current_family",
          "canonicalize_family", "bracket_families", "image_family", "dolan_grady_family",
          "current_relations_family", "fixed_point_family", "jacobi_family",
-         "jacobi_sampled_family", "symbols_family"],
+         "jacobi_sampled_family", "symbols_family", "symbols_window",
+         "morphism_window", "jacobi_window", "fixed_point_window", "kappa_window"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them
