@@ -6,11 +6,18 @@ parameters.  Products are normal-ordered against the basis order: c first,
 then modes ascending, with H before E before F at a tied mode.  Commutators
 use the Leibniz rule: each letter pair is bracketed once and only the
 shorter words are normal-ordered.
+
+A word is a tuple of interned basis symbols (see kacmoody.BasisSymbol), so
+it hashes at C speed.  Each symbol's PBW place is one int, memoised by
+symbol (_key), and each word's normal form is memoised in the module-level
+dict _NORMAL for the life of the process.  Bergman's diamond lemma makes
+the normal form independent of the rewrite order, so a memoised form is
+the same whichever product first asked for it.
 """
 
 import time
 
-from .exactalg import LaurentPoly, LinComb, accumulate, parameter, spectral
+from .exactalg import MODE_BOUND, LaurentPoly, LinComb, accumulate, parameter, spectral
 from .kacmoody import BasisSymbol, _basis_bracket
 from .currents import build_B
 from .onsager import OnsElt, abstract_bracket, build_current, morphism_image, ons
@@ -29,10 +36,21 @@ __all__ = [
 ]
 
 
-def _key(sym):
-    if sym.type == "C":
-        return (0, 0, 0)
-    return (1, sym.mode, "HEF".index(sym.type))
+class _PbwOrder(dict):
+    """Each basis symbol's place in PBW order as one int, memoised by
+    symbol: c is 0, and e, f, h of mode n sort after every symbol of lower
+    mode, H before E before F."""
+
+    def __missing__(self, sym):
+        if sym.type == "C":
+            key = 0
+        else:
+            key = 3 * (sym.mode + MODE_BOUND) + "HEF".index(sym.type) + 1
+        self[sym] = key
+        return key
+
+
+_key = _PbwOrder().__getitem__
 
 
 class UeaElt(LinComb):
@@ -114,6 +132,8 @@ def lie_to_uea(lie):
 
 def build_quadratic_charge(family, max_k):
     """Coefficients t_0..t_max_k of tr(B(x)^2), normal ordered."""
+    if max_k < 0:
+        raise ValueError(f"max-k must be >= 0, not {max_k}")
     window = max_k + 1
     b = build_B(family, window)
     meta = b.metas[0]

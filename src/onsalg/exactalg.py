@@ -34,6 +34,7 @@ visible depends on slot numbers.  Display, the leading term of a canonical
 factor and the order of factor multisets rank variables by name.
 """
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -59,12 +60,15 @@ def _rational(c):
     """The stored form of a scalar: an int when it is integral, else a
     Rational (never an integral Rational).  A float raises TypeError: its
     binary value is rarely the number meant.  Strings such as "1/2" parse
-    exactly."""
+    exactly.  A basis symbol, though an int (see Symbol), raises TypeError
+    too: it is a key, never a coefficient."""
     if type(c) is int:
         return c
     if not isinstance(c, _RATIONAL):
         if isinstance(c, float):
             raise TypeError(f"a coefficient must be exact, not the float {c!r}")
+        if isinstance(c, Symbol):
+            raise TypeError(f"a basis symbol is a key, not a coefficient: {c!r}")
         c = Rational(c)
     return int(c) if c.denominator == 1 else c
 
@@ -502,6 +506,60 @@ def accumulate(out, key, value):
 
 def _as_coeff(c):
     return _stored(c) if isinstance(c, LaurentPoly) else _rational(c)
+
+
+# A symbol's mode lies strictly between -MODE_BOUND and MODE_BOUND.
+MODE_BOUND = 2**31
+
+
+class Symbol(int):
+    """An interned basis symbol (hash-consing): a head and an integer mode,
+    with one instance per (head, mode), so that hashing and equality are
+    int's own and a word of symbols hashes at C speed.
+
+    A subclass declares the names of its head fields and its heads, tuples
+    of their values (`class S(Symbol, fields=..., heads=...)`).  Its
+    __new__ returns the interned symbol from cls._interned, keyed by its
+    constructor arguments, and on a miss validates them and calls _intern.
+    The value is (2 rank(head) + 1) MODE_BOUND + mode, where heads rank in
+    sorted order and each subclass takes the ranks after those of the
+    subclasses declared before it.  So symbols of one class sort as their
+    (head fields, mode) tuples do, symbols of different classes never
+    compare equal, and every value is positive, so a symbol is never
+    falsy.  Symbols are immutable, pickle by their constructor arguments
+    and unpickle to the interned instance; _rational refuses them as
+    coefficients.
+    """
+
+    _ranks_taken = 0
+
+    def __init_subclass__(cls, fields, heads, **kwargs):
+        super().__init_subclass__(**kwargs)
+        first = Symbol._ranks_taken
+        cls._fields = fields
+        cls._rank = {h: first + i for i, h in enumerate(sorted(heads))}
+        cls._interned = {}
+        Symbol._ranks_taken = first + len(cls._rank)
+
+    @classmethod
+    def _intern(cls, head, mode):
+        """A new symbol of head, a tuple of head field values, and mode."""
+        mode = operator.index(mode)
+        if not -MODE_BOUND < mode < MODE_BOUND:
+            raise ValueError(f"a mode must lie strictly between -2**31 and 2**31, not {mode}")
+        sym = int.__new__(cls, (2 * cls._rank[head] + 1) * MODE_BOUND + mode)
+        sym.__dict__.update(zip(cls._fields, head), mode=mode)
+        cls._interned[head + (mode,)] = sym
+        return sym
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields) + (self.mode,)
 
 
 class LinComb:

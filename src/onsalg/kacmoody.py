@@ -10,12 +10,16 @@ Brackets follow
 Elements carry exact coefficients: plain integers or rationals, and
 polynomials in parameter variables only where a coefficient involves one,
 so symbolic linear combinations stay exact.
+
+Basis symbols are interned ints, one instance per (type, mode), whose
+values order them by type (c, e, f, h) and then by mode; so LinComb keys
+hash and compare at C speed and print in the (type, mode) order.  The
+bracket of two basis symbols is memoised per pair (see _basis_bracket).
 """
 
 import time
-from dataclasses import dataclass
 
-from .exactalg import LinComb
+from .exactalg import LinComb, Symbol
 from .report import Residuals
 
 __all__ = [
@@ -36,25 +40,32 @@ __all__ = [
 _TYPES = ("E", "F", "H", "C")
 
 
-@dataclass(frozen=True, order=True)
-class BasisSymbol:
-    """One basis vector: type in 'E','F','H','C'; C ignores its mode."""
+class BasisSymbol(Symbol, fields=("type",), heads=[(t,) for t in _TYPES]):
+    """One basis vector: type in 'E','F','H','C'; C has mode 0.
 
-    type: str
-    mode: int = 0
+    Symbols are interned ints (see exactalg.Symbol): BasisSymbol("E", 3)
+    is E(3), and their values sort as the (type, mode) tuples do, types in
+    the order C, E, F, H.  No LinComb mixes symbol keys with plain int
+    keys, so a symbol equal to the plain int of its value never meets it.
+    """
 
-    def __post_init__(self):
-        if self.type not in _TYPES:
-            raise ValueError(
-                f"basis symbol type must be E, F, H or C, not {self.type!r}"
-            )
-        if self.type == "C" and self.mode != 0:
-            raise ValueError(f"the central element C has mode 0, not {self.mode!r}")
+    def __new__(cls, type, mode=0):
+        sym = cls._interned.get((type, mode))
+        if sym is not None:
+            return sym
+        if type not in _TYPES:
+            raise ValueError(f"basis symbol type must be E, F, H or C, not {type!r}")
+        if type == "C" and mode != 0:
+            raise ValueError(f"the central element C has mode 0, not {mode!r}")
+        return cls._intern((type,), mode)
 
     def __str__(self):
         if self.type == "C":
             return "c"
         return f"{self.type.lower()}[{self.mode}]"
+
+    def __repr__(self):
+        return f"BasisSymbol(type={self.type!r}, mode={self.mode!r})"
 
 
 def E(n):
@@ -75,8 +86,19 @@ C = BasisSymbol("C", 0)
 LieElt = LinComb
 
 
+_BRACKET_MEMO = {}
+
+
 def _basis_bracket(a, b):
-    """[a, b] for basis symbols, as a list of (symbol, int) pairs."""
+    """[a, b] for basis symbols, as a tuple of (symbol, int) pairs,
+    memoised per pair (the tuples are never changed, so they are shared)."""
+    out = _BRACKET_MEMO.get((a, b))
+    if out is None:
+        out = _BRACKET_MEMO[a, b] = _bracket_terms(a, b)
+    return out
+
+
+def _bracket_terms(a, b):
     ta, tb = a.type, b.type
     if ta == "C" or tb == "C":
         return ()

@@ -4,13 +4,17 @@ Each family is an abstract Lie algebra with countably many generators
 subject to index symmetries; `morphism_image` realizes its generators
 inside the mode algebra, and the checks confirm the defining relations,
 their finite consequences, and the generating-series form of the bracket.
+
+Generators are interned ints, one instance per (family, letter, mode),
+ordered as those tuples are (see OnsSymbol).  The bracket of two
+generators is not memoised: it reads the table _BRACKETS on every call, so
+a change to the table takes effect at once.
 """
 
 import random
 import time
-from dataclasses import dataclass
 
-from .exactalg import LaurentPoly, LinComb, rat, spectral
+from .exactalg import LaurentPoly, LinComb, Symbol, rat, spectral
 from .kacmoody import C, E as me, F as mf, H as mh, LieElt, apply_map, bracket
 from .currents import CurrentMat, SupportMeta, clear_and_compare, series_bracket
 from .report import Residuals
@@ -45,17 +49,28 @@ _LETTERS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class OnsSymbol:
-    family: str
-    letter: str
-    mode: int
+class OnsSymbol(
+    Symbol,
+    fields=("family", "letter"),
+    heads=[(f, l) for f, letters in _LETTERS.items() for l in letters],
+):
+    """One generator letter[mode] of a family.
 
-    def __post_init__(self):
-        if self.letter not in _LETTERS.get(self.family, ()):
+    Symbols are interned ints (see exactalg.Symbol): OnsSymbol("onsager",
+    "A", 3) is always the same object, and values sort as the (family,
+    letter, mode) tuples do, by family name, then letter name, then mode.
+    No OnsSymbol equals a kacmoody.BasisSymbol.
+    """
+
+    def __new__(cls, family, letter, mode):
+        sym = cls._interned.get((family, letter, mode))
+        if sym is not None:
+            return sym
+        if letter not in _LETTERS.get(family, ()):
             raise ValueError(
-                f"{self.letter!r} is not a generator letter of family {self.family!r}"
+                f"{letter!r} is not a generator letter of family {family!r}"
             )
+        return cls._intern((family, letter), mode)
 
     def __str__(self):
         return f"{self.letter}[{self.mode}]"
@@ -408,6 +423,8 @@ def build_current(family, letter, window, x=None):
             f"{letter!r} is not a current letter of family {family!r} "
             f"(choose from {', '.join(letters)})"
         )
+    if window < 0:
+        raise ValueError(f"window must be >= 0, not {window}")
     if x is None:
         x = spectral("x")
     gen, sign, first, halved = letters[letter]

@@ -204,10 +204,14 @@ def _short_series(monkeypatch):
         (lambda mp: build_B("onsager", 0), "window must be >= 1"),
         (lambda mp: build_T("0", 2), "sign must be '[+]' or '-', not '0'"),
         (lambda mp: build_T("+", -1), "window must be >= 0"),
+        (lambda mp: build_quadratic_charge("onsager", -1), "max-k must be >= 0, not -1"),
+        (lambda mp: check_quadratic_charges("augmented", -1), "max-k must be >= 0, not -1"),
+        (lambda mp: note_mixed_commutator("onsager", -1, 0), "max-k must be >= 0, not -1"),
     ],
     ids=["charge_window", "negative_k", "exact_window", "variant",
          "series_family", "formula_family", "quadratic_family", "linear_max_k", "B_window",
-         "T_sign", "T_window"],
+         "T_sign", "T_window", "quadratic_max_k", "quadratic_check_max_k",
+         "mixed_commutator_max_k"],
 )
 def test_guards_raise_value_error(monkeypatch, call, message):
     with pytest.raises(ValueError, match=message):

@@ -478,6 +478,22 @@ def test_guards_refuse_float_coefficients():
     assert LinComb.single("e", "-3/6") == LinComb.single("e", rat(-1, 2))
 
 
+def test_guards_refuse_a_basis_symbol_as_a_coefficient():
+    # an interned symbol is an int, whose value would pass for a huge
+    # integer coefficient
+    for call in (
+        lambda: LinComb.single(E(1), E(2)),
+        lambda: LinComb({E(1): H(0)}),
+        lambda: LinComb.single(E(1)).scale(C),
+        lambda: LinComb.single(E(1)) * OnsSymbol("onsager", "A", 1),
+        lambda: LaurentPoly.const(E(0)),
+        lambda: LaurentPoly.var(X) * F(1),
+        lambda: LaurentPoly.var(X) + F(1),
+    ):
+        with pytest.raises(TypeError, match="a basis symbol is a key, not a coefficient"):
+            call()
+
+
 # -- LinComb coefficients: a scalar unless it involves a variable ------------------
 
 # ints, proper and integral rationals, and one-variable polynomials, some

@@ -1,4 +1,7 @@
-"""The mode Lie algebra: bracket tables, named maps, consistency checks."""
+"""The mode Lie algebra: interned basis symbols, bracket tables, named
+maps, consistency checks."""
+
+import pickle
 
 import pytest
 from hypothesis import given
@@ -30,6 +33,51 @@ def lie_elts(draw):
         out = out + LieElt.single(draw(st.sampled_from(SYMS)),
                                   draw(st.integers(-5, 5)))
     return out
+
+
+# -- interned basis symbols -------------------------------------------------
+
+BOUND = 2**31
+modes = st.integers(-BOUND + 1, BOUND - 1)
+symbols = st.one_of(
+    st.just(C), st.builds(BasisSymbol, st.sampled_from("EFH"), modes)
+)
+
+
+def test_symbols_are_interned():
+    assert E(3) is BasisSymbol("E", 3)
+    assert BasisSymbol("C") is BasisSymbol("C", 0) is C
+    assert E(3) is not F(3) and E(3) != F(3) and E(3) != E(4)
+
+
+def test_symbols_are_immutable():
+    sym = H(2)
+    with pytest.raises(AttributeError, match="immutable"):
+        sym.mode = 3
+    with pytest.raises(AttributeError, match="immutable"):
+        sym.other = 1
+    with pytest.raises(AttributeError, match="immutable"):
+        del sym.type
+    assert sym.type == "H" and sym.mode == 2 and sym is H(2)
+
+
+@pytest.mark.parametrize("sym", [C, E(-3), F(0), H(BOUND - 1)], ids=str)
+def test_pickle_returns_the_interned_symbol(sym):
+    assert pickle.loads(pickle.dumps(sym)) is sym
+    assert pickle.loads(pickle.dumps(LieElt.single(sym, 2))) == LieElt.single(sym, 2)
+
+
+def test_symbol_strings():
+    assert [str(s) for s in (C, E(-1), F(0), H(12))] == ["c", "e[-1]", "f[0]", "h[12]"]
+    assert repr(E(3)) == "BasisSymbol(type='E', mode=3)"
+    assert f"{F(-2)}" == "f[-2]"
+
+
+@given(st.lists(symbols, max_size=12))
+def test_symbols_sort_as_their_type_mode_tuples(syms):
+    # the order the frozen dataclass had, which LinComb.__str__ prints in
+    assert sorted(syms) == sorted(syms, key=lambda s: (s.type, s.mode))
+    assert all(s for s in syms)
 
 
 # -- the structure constants ----------------------------------------------
@@ -157,9 +205,11 @@ def test_serre_chevalley():
         (lambda: apply_map("bogus", LieElt.single(C)), "unknown map 'bogus'"),
         (lambda: check_automorphism("theta1", -1), "window must be >= 0, not -1"),
         (lambda: check_serre_chevalley(-1), "window must be >= 0, not -1"),
+        (lambda: E(2**31), "a mode must lie strictly between -2[*][*]31 and 2[*][*]31"),
+        (lambda: H(-2**31), "a mode must lie strictly between -2[*][*]31 and 2[*][*]31"),
     ],
     ids=["type", "central_mode", "automorphism_map", "apply_map", "automorphism_window",
-         "serre_window"],
+         "serre_window", "mode_above", "mode_below"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them

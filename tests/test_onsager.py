@@ -1,10 +1,12 @@
 """The abstract subalgebra families, their realizations, and the checks."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from onsalg.kacmoody import C, E as me, F as mf, H as mh, LieElt
+from onsalg.kacmoody import BasisSymbol, C, E as me, F as mf, H as mh, LieElt
 from onsalg.onsager import (
     FAMILIES,
     MORPHISM_FAMILIES,
@@ -23,6 +25,43 @@ from onsalg.onsager import (
     morphism_image,
     ons,
 )
+
+
+# -- interned generators ------------------------------------------------------
+
+BOUND = 2**31
+modes = st.integers(-BOUND + 1, BOUND - 1)
+_HEADS = [("onsager", "A"), ("onsager", "G"), ("augmented", "K"), ("augmented", "Z+"),
+          ("augmented", "Z-"), ("invariant", "H"), ("invariant", "E"), ("invariant", "F")]
+generators = st.builds(lambda head, n: OnsSymbol(*head, n), st.sampled_from(_HEADS), modes)
+
+
+def test_generators_are_interned_and_immutable():
+    a = OnsSymbol("onsager", "A", 3)
+    assert a is OnsSymbol("onsager", "A", 3)
+    assert ons("augmented", "Z+", 0).terms.keys() == {OnsSymbol("augmented", "Z+", 1)}
+    with pytest.raises(AttributeError, match="immutable"):
+        a.mode = 4
+    with pytest.raises(AttributeError, match="immutable"):
+        a.letter = "G"
+    assert (a.family, a.letter, a.mode) == ("onsager", "A", 3)
+
+
+def test_pickle_returns_the_interned_generator():
+    for sym in (OnsSymbol("onsager", "G", 2), OnsSymbol("augmented", "Z-", -BOUND + 1)):
+        assert pickle.loads(pickle.dumps(sym)) is sym
+
+
+@given(st.lists(generators, max_size=12))
+def test_generators_sort_as_their_family_letter_mode_tuples(syms):
+    # the order the frozen dataclass had, which LinComb.__str__ prints in
+    assert sorted(syms) == sorted(syms, key=lambda s: (s.family, s.letter, s.mode))
+
+
+def test_no_generator_equals_a_basis_symbol():
+    # the classes take disjoint ranges of values, over every valid mode
+    lowest = min(OnsSymbol(*head, -BOUND + 1) for head in _HEADS)
+    assert max(BasisSymbol(t, BOUND - 1) for t in "EFH") < lowest
 
 
 # -- index symmetries --------------------------------------------------------
@@ -357,13 +396,19 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
         (lambda: check_jacobi("augmented", -1), "window must be >= 0, not -1"),
         (lambda: check_fixed_point("invariant", -1), "window must be >= 0, not -1"),
         (lambda: check_kappa_isomorphism(-1), "window must be >= 0, not -1"),
+        (lambda: build_current("onsager", "G", -1), "window must be >= 0, not -1"),
+        (lambda: OnsSymbol("onsager", "A", 2**31),
+         "a mode must lie strictly between -2[*][*]31 and 2[*][*]31"),
+        (lambda: ons("invariant", "H", -2**31),
+         "a mode must lie strictly between -2[*][*]31 and 2[*][*]31"),
     ],
     ids=["letter", "symbol_family", "morphism_family", "current_letter_onsager",
          "current_letter_augmented", "current_letter_invariant", "current_family",
          "canonicalize_family", "bracket_families", "image_family", "dolan_grady_family",
          "current_relations_family", "fixed_point_family", "jacobi_family",
          "jacobi_sampled_family", "symbols_family", "symbols_window",
-         "morphism_window", "jacobi_window", "fixed_point_window", "kappa_window"],
+         "morphism_window", "jacobi_window", "fixed_point_window", "kappa_window",
+         "current_window", "mode_above", "mode_below"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them
