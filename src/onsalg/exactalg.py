@@ -32,6 +32,12 @@ integer powers (even doubled exponents).
 Slots are process-local: polynomials pickle by variable name, and nothing
 visible depends on slot numbers.  Display, the leading term of a canonical
 factor and the order of factor multisets rank variables by name.
+
+_addmul is the one polynomial product loop: it adds sign * a * b into a
+term dict the caller owns (multiply-accumulate over packed keys, after
+Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  LaurentPoly.__mul__ is one call of
+it; tensormat accumulates whole matrix entries with it.
 """
 
 import operator
@@ -110,6 +116,38 @@ def _normalise(terms):
     for key, c in terms.items():
         if type(c) is not int and c.denominator == 1:
             terms[key] = int(c)
+
+
+def _addmul(out, a_terms, b_terms, sign=1):
+    """Add sign * a * b into out: the one polynomial product loop.
+
+    a_terms and b_terms map packed monomial keys to nonzero stored
+    coefficients, and out is a term dict the caller owns; a key whose sum
+    cancels is deleted, so out never holds a zero.  A product, a sum of
+    products (a matrix entry) or a sum (b_terms {0: 1}) accumulates in one
+    dict, with no intermediate polynomial.  The caller checks the bound of
+    the monomials it adds (_check_bound) before the first call, and
+    normalises out once when some coefficient it fed in was a Rational,
+    since a sum of non-integral Rationals may be integral.
+    """
+    if len(a_terms) > len(b_terms):
+        a_terms, b_terms = b_terms, a_terms
+    get = out.get
+    b_items = b_terms.items()
+    for ka, ca in a_terms.items():
+        if sign != 1:
+            ca = sign * ca
+        for kb, cb in b_items:
+            k = ka + kb
+            prev = get(k)
+            if prev is None:
+                out[k] = ca * cb
+            else:
+                s = prev + ca * cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
 
 
 @dataclass(frozen=True)
@@ -354,20 +392,8 @@ class LaurentPoly:
         bound = a._bound + b._bound
         _check_bound(bound)
         out = {}
-        bt = b.terms
-        for ka, ca in a.terms.items():
-            for kb, cb in bt.items():
-                k = ka + kb
-                prev = out.get(k)
-                if prev is None:
-                    out[k] = ca * cb
-                else:
-                    s = prev + ca * cb
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        if not (_integral(a.terms) and _integral(bt)):
+        _addmul(out, a.terms, b.terms)
+        if not (_integral(a.terms) and _integral(b.terms)):
             _normalise(out)
         return _poly(out, bound)
 

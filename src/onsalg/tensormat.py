@@ -6,7 +6,14 @@ common multiple of the factor multisets, products concatenate them, and
 no gcd is ever needed.  It is the only rational-function value: a trace
 is a numerator over the matrix's own factors.  Every clearing of
 denominators, here and in currents, goes through exactalg.complement.
-All identity checks in this module are exact symbolic computations.
+
+Matrix arithmetic runs on exactalg._addmul, the one product kernel: each
+entry of a product (the sum over k of a_ik b_kj), of a sum or difference
+(a pa +- b pb) and of a trace accumulates in one term dict, with no
+intermediate polynomial, and is normalised once.  commutator_sum adds
+several commutators over one denominator; the identity checks call it
+once each.  All identity checks in this module are exact symbolic
+computations.
 """
 
 import time
@@ -14,6 +21,11 @@ import time
 from .exactalg import (
     _SCALAR_TYPES,
     LaurentPoly,
+    _addmul,
+    _check_bound,
+    _integral,
+    _normalise,
+    _poly,
     Variable,
     complement,
     factor_canonical,
@@ -27,6 +39,7 @@ from .report import CheckReport, Residuals
 __all__ = [
     "TensorMat",
     "BoundaryMat",
+    "commutator_sum",
     "CheckReport",
     "build_r",
     "embed_indices",
@@ -55,6 +68,73 @@ def _sort_factors(factors):
     return tuple(sorted(factors, key=str))
 
 
+# -- the fused kernel: every entry accumulates in one term dict ------------------
+
+_UNIT = {0: 1}  # the terms of the constant 1; _addmul(out, t, _UNIT) adds t
+
+
+def _grid(dim):
+    return [[{} for _ in range(dim)] for _ in range(dim)]
+
+
+def _terms(m):
+    return [[n.terms for n in row] for row in m.nums]
+
+
+def _max_bound(m):
+    """The largest exponent bound over m's nonzero numerators."""
+    return max((n._bound for row in m.nums for n in row if n.terms), default=0)
+
+
+def _integral_rows(m):
+    return all(_integral(n.terms) for row in m.nums for n in row)
+
+
+def _add_product(acc, a, b, sign=1):
+    """Add sign * (a.nums @ b.nums) into acc, a grid of term dicts."""
+    bnums = b.nums
+    for arow, out_row in zip(a.nums, acc):
+        for x, brow in zip(arow, bnums):
+            xt = x.terms
+            if xt:
+                for out, y in zip(out_row, brow):
+                    if y.terms:
+                        _addmul(out, xt, y.terms, sign)
+
+
+def _add_scaled(acc, rows, p, sign=1):
+    """Add sign * n * p into acc for every term dict n of rows."""
+    for out_row, row in zip(acc, rows):
+        for out, n in zip(out_row, row):
+            if n:
+                _addmul(out, n, p, sign)
+
+
+def _finish(acc, bound, integral):
+    """LaurentPoly rows over a grid of accumulated term dicts, each
+    normalised once unless every input coefficient was an int."""
+    if not integral:
+        for row in acc:
+            for out in row:
+                _normalise(out)
+    return [[_poly(out, bound) for out in row] for row in acc]
+
+
+def _sum(polys):
+    """The sum of polys, accumulated in one term dict."""
+    out = {}
+    bound = 0
+    integral = True
+    for p in polys:
+        if p.terms:
+            _addmul(out, p.terms, _UNIT)
+            bound = max(bound, p._bound)
+            integral = integral and _integral(p.terms)
+    if not integral:
+        _normalise(out)
+    return _poly(out, bound)
+
+
 class TensorMat:
     """Square matrix on (C^2)^{legs} with rational-function entries.
 
@@ -70,6 +150,8 @@ class TensorMat:
     __slots__ = ("legs", "variables", "nums", "den_factors")
 
     def __init__(self, legs, entries=None, variables=()):
+        if type(legs) is not int or legs < 0:
+            raise ValueError(f"legs must be a non-negative int, not {legs!r}")
         dim = 2 ** legs
         self.legs = legs
         self.variables = tuple(variables)
@@ -119,57 +201,56 @@ class TensorMat:
 
     # -- ring operations --------------------------------------------------------
 
-    def __neg__(self):
-        return TensorMat._raw(
-            self.legs,
-            self.variables,
-            [[-n for n in row] for row in self.nums],
-            self.den_factors,
-        )
-
     def _match_legs(self, other):
         if other.legs != self.legs:
             raise ValueError(f"leg mismatch: {self.legs} and {other.legs} legs")
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other: each entry a * pa + sign * b * pb in one
+        dict, where pa and pb complete each denominator to their lcm."""
         if not isinstance(other, TensorMat):
             return NotImplemented
         self._match_legs(other)
         den = factor_lcm(self.den_factors, other.den_factors)
         pa = complement(self.den_factors, den)
         pb = complement(other.den_factors, den)
-        nums = [
-            [a * pa + b * pb for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.nums, other.nums)
-        ]
+        bound = max(_max_bound(self) + pa._bound, _max_bound(other) + pb._bound)
+        _check_bound(bound)
+        acc = _grid(self.dim)
+        _add_scaled(acc, _terms(self), pa.terms)
+        _add_scaled(acc, _terms(other), pb.terms, sign)
+        integral = (
+            _integral_rows(self) and _integral_rows(other)
+            and _integral(pa.terms) and _integral(pb.terms)
+        )
         return TensorMat._raw(
-            self.legs, _merge_vars(self.variables, other.variables), nums, den
+            self.legs,
+            _merge_vars(self.variables, other.variables),
+            _finish(acc, bound, integral),
+            den,
         )
 
+    def __add__(self, other):
+        return self._combine(other, 1)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __matmul__(self, other):
+        """Each entry's sum over k of a_ik * b_kj accumulates in one dict."""
         if not isinstance(other, TensorMat):
             return NotImplemented
         self._match_legs(other)
-        dim = self.dim
-        variables = _merge_vars(self.variables, other.variables)
-        nums = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
-        for i in range(dim):
-            arow = self.nums[i]
-            for k in range(dim):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = other.nums[k]
-                out = nums[i]
-                for j in range(dim):
-                    b = brow[j]
-                    if not b.is_zero():
-                        out[j] = out[j] + a * b
+        bound = _max_bound(self) + _max_bound(other)
+        _check_bound(bound)
+        acc = _grid(self.dim)
+        _add_product(acc, self, other)
+        integral = _integral_rows(self) and _integral_rows(other)
         return TensorMat._raw(
-            self.legs, variables, nums, self.den_factors + other.den_factors
+            self.legs,
+            _merge_vars(self.variables, other.variables),
+            _finish(acc, bound, integral),
+            self.den_factors + other.den_factors,
         )
 
     def scale(self, s):
@@ -183,7 +264,8 @@ class TensorMat:
         return TensorMat._raw(self.legs, variables, nums, self.den_factors)
 
     def commutator(self, other):
-        return self @ other - other @ self
+        """[self, other]; see commutator_sum."""
+        return commutator_sum([(self, other)])
 
     # -- index gymnastics ---------------------------------------------------------
 
@@ -223,10 +305,54 @@ class TensorMat:
 
     def trace(self):
         """The numerator of the trace; it lies over den_factors."""
-        t = LaurentPoly.zero()
-        for i in range(self.dim):
-            t = t + self.nums[i][i]
-        return t
+        return _sum(row[i] for i, row in enumerate(self.nums))
+
+
+def commutator_sum(pairs):
+    """The sum of [a, b] = a @ b - b @ a over the (a, b) in pairs.
+
+    The denominator is the lcm of every pair's a.den_factors +
+    b.den_factors, the multiset that the chain of pairwise commutators and
+    sums gives, so the numerators are the chain's too.  Pairs with one
+    multiset form a group: both products of each pair accumulate, and
+    cancel, in one dict per entry, and the group sum is multiplied by its
+    complement in the final denominator once.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("commutator_sum needs at least one pair")
+    first = pairs[0][0]
+    variables = ()
+    groups = {}
+    for a, b in pairs:
+        if not (isinstance(a, TensorMat) and isinstance(b, TensorMat)):
+            raise TypeError(f"commutator_sum takes pairs of TensorMat, not {a!r}, {b!r}")
+        first._match_legs(a)
+        first._match_legs(b)
+        variables = _merge_vars(variables, _merge_vars(a.variables, b.variables))
+        key = _sort_factors(a.den_factors + b.den_factors)
+        groups.setdefault(key, []).append((a, b))
+    den = factor_lcm(*groups)
+    comps = {key: complement(key, den) for key in groups}
+    bound = max(
+        max(_max_bound(a) + _max_bound(b) for a, b in members) + comps[key]._bound
+        for key, members in groups.items()
+    )
+    _check_bound(bound)
+    integral = all(_integral_rows(a) and _integral_rows(b) for a, b in pairs) and all(
+        _integral(c.terms) for c in comps.values()
+    )
+    acc = _grid(first.dim) if len(groups) > 1 else None
+    for key, members in groups.items():
+        group = _grid(first.dim)
+        for a, b in members:
+            _add_product(group, a, b)
+            _add_product(group, b, a, -1)
+        if acc is None:
+            acc = group  # the only group: its complement is 1
+        else:
+            _add_scaled(acc, group, comps[key].terms)
+    return TensorMat._raw(first.legs, variables, _finish(acc, bound, integral), den)
 
 
 def embed_indices(legs, sub_legs, total_legs):
@@ -313,13 +439,10 @@ def trace_leg(m, leg):
         hi = (idx >> shift) << (shift + 1)
         return hi | (bit << shift) | lo
 
-    nums = [[LaurentPoly.zero() for _ in range(dim_out)] for _ in range(dim_out)]
-    for i in range(dim_out):
-        for j in range(dim_out):
-            acc = LaurentPoly.zero()
-            for b in (0, 1):
-                acc = acc + m.nums[expand(i, b)][expand(j, b)]
-            nums[i][j] = acc
+    nums = [
+        [_sum(m.nums[expand(i, b)][expand(j, b)] for b in (0, 1)) for j in range(dim_out)]
+        for i in range(dim_out)
+    ]
     return TensorMat._raw(m.legs - 1, m.variables, nums, m.den_factors)
 
 
@@ -376,7 +499,7 @@ def check_cybe(r):
     r13 = at(1, 3, x1, x3)
     r23 = at(2, 3, x2, x3)
     r12 = at(1, 2, x1, x2)
-    delta = r13.commutator(r23) - (r13 + r23).commutator(r12)
+    delta = commutator_sum([(r13, r23), (r12, r13 + r23)])
     return _residual_report(
         "cybe", delta, "symbolic in x1,x2,x3 (exact)", started
     )
@@ -422,7 +545,7 @@ def check_r_symmetries(r):
     f13, f23 = at(f, 1, 3, x1, x3), at(f, 2, 3, x2, x3)
     r13, r23 = at(r, 1, 3, x1, x3), at(r, 2, 3, x2, x3)
     r12 = at(r, 1, 2, x1, x2)
-    delta = (f13 + f23).commutator(r12) - f13.commutator(r23) - r13.commutator(f23)
+    delta = commutator_sum([(f13 + f23, r12), (r23, f13), (f23, r13)])
     _add_entries(res, delta, "derivative identity ")
     return res.report("r_symmetries", "symbolic (exact)", started)
 
@@ -586,7 +709,7 @@ def check_reflection(b):
     )
     k1 = leg_embed(b.mat, (1,), 2)
     k2 = leg_embed(b.substitute({x: LaurentPoly.var(y)}), (2,), 2)
-    lhs = r_quot @ k1 @ k2 - k1 @ k2 @ r_quot
+    lhs = r_quot.commutator(k1 @ k2)
     rhs = k1 @ r_prod @ k2 - k2 @ r_prod @ k1
     return _residual_report(
         f"reflection[{b.family}]",
@@ -603,6 +726,8 @@ def build_rbar(b, x, y):
     """
     if b.x != x:
         raise ValueError("boundary matrix must be built in the first variable")
+    if not (isinstance(y, Variable) and y.kind == "spectral") or y == x:
+        raise ValueError(f"build_rbar needs y to be a spectral Variable other than x, not {y!r}")
     u = spectral("u")
     r = build_r(u)
     first = r.substitute({u: LaurentPoly.monomial((x, y), (2, -2), 1)})
@@ -639,7 +764,7 @@ def check_nscybe(rbar, label=None):
     rb23 = _rbar_at(rbar, x, y, x2, x3, (2, 3), 3)
     rb21 = _rbar_at(rbar, x, y, x2, x1, (2, 1), 3)
     rb12 = _rbar_at(rbar, x, y, x1, x2, (1, 2), 3)
-    delta = rb13.commutator(rb23) - rb21.commutator(rb13) - rb23.commutator(rb12)
+    delta = commutator_sum([(rb13, rb23), (rb13, rb21), (rb12, rb23)])
     name = "nscybe" if label is None else f"nscybe[{label}]"
     return _residual_report(
         name, delta, "symbolic in x1,x2,x3 (exact)", started

@@ -1,8 +1,18 @@
 """Tensor-leg matrices: the r-matrix, boundary matrices, and their checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
+from onsalg.exactalg import (
+    LaurentPoly,
+    complement,
+    factor_canonical,
+    factor_lcm,
+    parameter,
+    rat,
+    spectral,
+)
 from onsalg.tensormat import (
     BoundaryMat,
     TensorMat,
@@ -15,6 +25,7 @@ from onsalg.tensormat import (
     check_r_symmetries,
     check_reflection,
     check_U_conditions,
+    commutator_sum,
     leg_embed,
     partial_transpose,
     trace_leg,
@@ -323,3 +334,188 @@ def test_m_ons_fails_with_mismatched_rbar():
     rep = check_M_condition(build_boundary("M_ons", x=X), _rbar_for("augmented"))
     assert not rep.passed
     assert rep.witnesses
+
+
+# -- the fused kernel against the term-by-term definitions --------------------------
+
+# canonical factors, one of them (x - 1/2) with a non-integral coefficient
+_FACTORS = [
+    factor_canonical(p)[1][0]
+    for p in (_pv(X) - 1, _pv(X) + 1, _pv(X) - _pv(Y), _pv(X) * _pv(Y) - 1, 2 * _pv(X) - 1)
+]
+_COEFFS = st.one_of(st.integers(-3, 3), st.sampled_from([rat(1, 2), rat(-1, 2), rat(1, 3)]))
+_ENTRIES = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), _COEFFS, max_size=3
+).map(lambda terms: LaurentPoly((X, Y), terms))
+
+
+@st.composite
+def _mats(draw, legs):
+    dim = 2 ** legs
+    nums = [[draw(_ENTRIES) for _ in range(dim)] for _ in range(dim)]
+    den = draw(st.lists(st.sampled_from(_FACTORS), max_size=3))
+    return TensorMat._raw(legs, (X, Y), nums, den)
+
+
+def _mat_pairs(count):
+    return st.sampled_from([1, 2]).flatmap(
+        lambda legs: st.lists(st.tuples(_mats(legs), _mats(legs)), min_size=1, max_size=count)
+    )
+
+
+def _ref_matmul(a, b):
+    dim = a.dim
+    nums = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                nums[i][j] = nums[i][j] + a.nums[i][k] * b.nums[k][j]
+    return nums, a.den_factors + b.den_factors
+
+
+def _ref_combine(a, b, sign):
+    den = factor_lcm(a.den_factors, b.den_factors)
+    pa, pb = complement(a.den_factors, den), complement(b.den_factors, den)
+    nums = [
+        [x * pa + (y * pb) * sign for x, y in zip(ra, rb)]
+        for ra, rb in zip(a.nums, b.nums)
+    ]
+    return nums, den
+
+
+def _ref(nums, den):
+    return TensorMat._raw(len(nums).bit_length() - 1, (X, Y), nums, den)
+
+
+def _ref_commutator_sum(pairs):
+    total = None
+    for a, b in pairs:
+        c = _ref(*_ref_combine(_ref(*_ref_matmul(a, b)), _ref(*_ref_matmul(b, a)), -1))
+        total = c if total is None else _ref(*_ref_combine(total, c, 1))
+    return total.nums, total.den_factors
+
+
+_RATIONAL = type(rat(1, 2))
+
+
+def _same(fused, reference):
+    """fused equals reference term by term, with every coefficient stored
+    as an int or a non-integral Rational (by type, not by ==)."""
+    nums, den = reference
+    assert [f.terms for f in fused.den_factors] == [
+        f.terms for f in sorted(den, key=str)
+    ]
+    assert [[n.terms for n in row] for row in fused.nums] == [
+        [n.terms for n in row] for row in nums
+    ]
+    for row in fused.nums:
+        for n in row:
+            for c in n.terms.values():
+                assert type(c) is int or (type(c) is _RATIONAL and c.denominator != 1), c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mat_pairs(1))
+def test_guards_fused_matmul_add_sub_match_the_definitions(pairs):
+    ((a, b),) = pairs
+    _same(a @ b, _ref_matmul(a, b))
+    _same(a + b, _ref_combine(a, b, 1))
+    _same(a - b, _ref_combine(a, b, -1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mat_pairs(3))
+def test_guards_commutator_sum_matches_the_pairwise_chain(pairs):
+    _same(commutator_sum(pairs), _ref_commutator_sum(pairs))
+    a, b = pairs[0]
+    _same(a.commutator(b), _ref_commutator_sum(pairs[:1]))
+
+
+def _over(rows, den):
+    return TensorMat._raw(1, (X, Y), TensorMat(1, rows).nums, den)
+
+
+def test_guards_commutator_sum_groups_pairs_by_denominator():
+    # [a, b] + [b, a] cancels within its group; a third pair over another
+    # multiset is scaled into the lcm
+    f, g = _FACTORS[0], _FACTORS[2]
+    a = _over([[_pv(X), 1], [0, _pv(Y)]], (f,))
+    b = _over([[1, _pv(Y)], [_pv(X), 0]], (g,))
+    c = _over([[0, 1], [rat(1, 2), 0]], (g, g))
+    assert commutator_sum([(a, b), (b, a)]).is_zero()
+    total = commutator_sum([(a, b), (b, a), (a, c)])
+    _same(total, _ref_commutator_sum([(a, b), (b, a), (a, c)]))
+    assert sorted(map(str, total.den_factors)) == sorted(map(str, (f, g, g)))
+
+
+def test_guards_int_inputs_over_a_rational_complement():
+    # int numerators completed by x - 1/2: 2 * (-1/2) is stored as an int
+    half = _FACTORS[4]
+    two = _over([[2, 0], [0, 2]], ())
+    zero = _over([[0, 0], [0, 0]], (half,))
+    p, q = _over([[0, 2], [0, 0]], ()), _over([[0, 0], [1, 0]], ())
+    for fused, reference in (
+        (two + zero, _ref_combine(two, zero, 1)),
+        (zero - two, _ref_combine(zero, two, -1)),
+        (commutator_sum([(p, q), (zero, q)]), _ref_commutator_sum([(p, q), (zero, q)])),
+    ):
+        assert fused.nums[0][0].terms[0] in (1, -1)
+        _same(fused, reference)
+
+
+def test_guards_trace_sums_to_ints():
+    # 1/2 + 1/2 is stored as the int 1
+    m = TensorMat(1, [[rat(1, 2), 0], [0, rat(1, 2)]])
+    assert type(m.trace().terms[0]) is int
+    assert type(trace_leg(leg_embed(m, (1,), 2), 1).nums[0][0].terms[0]) is int
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: TensorMat(-1), "legs must be a non-negative int, not -1"),
+        (lambda: TensorMat(1.0), "legs must be a non-negative int, not 1.0"),
+        (lambda: TensorMat("2"), "legs must be a non-negative int, not '2'"),
+        (lambda: build_rbar(build_boundary("U_diag", x=X), X, parameter("y")),
+         "build_rbar needs y to be a spectral Variable other than x"),
+        (lambda: build_rbar(build_boundary("U_diag", x=X), X, X),
+         "build_rbar needs y to be a spectral Variable other than x"),
+        (lambda: commutator_sum([]), "commutator_sum needs at least one pair"),
+        (lambda: commutator_sum([(TensorMat(1), TensorMat(2))]),
+         "leg mismatch: 1 and 2 legs"),
+    ],
+    ids=["legs-negative", "legs-float", "legs-str", "rbar-parameter-y", "rbar-y-is-x",
+         "commutator-sum-empty", "commutator-sum-legs"],
+)
+def test_guards_tensormat_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_guards_zero_legs_is_a_scalar():
+    assert TensorMat(0, [[3]]).trace() == 3
+
+
+def _wide(den=()):
+    # a doubled exponent of 20000: its square would spill a monomial field
+    big = LaurentPoly.monomial((X,), (20000,))
+    return TensorMat._raw(1, (X,), TensorMat(1, [[big, 0], [0, big]]).nums, den)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _wide() @ _wide(),
+        # x^10000 - 1 completes the first denominator
+        lambda: _wide() + _wide(factor_canonical(
+            LaurentPoly.monomial((X,), (20000,)) - 1)[1]),
+        lambda: _wide() - _wide(factor_canonical(
+            LaurentPoly.monomial((X,), (20000,)) - 1)[1]),
+        lambda: commutator_sum([(_wide(), _wide())]),
+        lambda: _wide().commutator(_wide()),
+    ],
+    ids=["matmul", "add", "sub", "commutator-sum", "commutator"],
+)
+def test_guards_spilling_exponents_overflow(call):
+    with pytest.raises(OverflowError):
+        call()
