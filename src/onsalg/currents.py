@@ -10,13 +10,20 @@ abstract current relations of onsager) is checked the same way: both sides
 are multiplied by a clearing set of factors through exactalg.complement
 and TensorMat.cleared, and _compare adds each coefficient of their
 difference on its safe window to the caller's Residuals.
+
+A product (scale_poly, poly_commutator, series_bracket) builds each
+coefficient as one term dict through exactalg's LinComb kernels (_addlin,
+_addbilin), with no intermediate element, and wraps it as a LieElt once,
+at the end; a sum or difference merges each coefficient both operands
+hold with one kernel call.
 """
 
 import time
 from dataclasses import dataclass
+from operator import add
 
-from .exactalg import LaurentPoly, accumulate, complement, rat, spectral
-from .kacmoody import C, E, F, H, LieElt, bracket
+from .exactalg import LaurentPoly, _addbilin, _addlin, _stored, complement, rat, spectral
+from .kacmoody import C, E, F, H, LieElt, _basis_bracket, bracket
 from .report import Residuals
 from .tensormat import (
     build_boundary,
@@ -203,7 +210,9 @@ class CurrentMat:
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other: each coefficient both operands hold is
+        merged by one kernel call."""
         if not isinstance(other, CurrentMat):
             return NotImplemented
         if other.legs != self.legs or other.spectral_vars != self.spectral_vars:
@@ -215,21 +224,21 @@ class CurrentMat:
         for pos, coeffs in other.entries.items():
             tgt = out.setdefault(pos, {})
             for deg, lie in coeffs.items():
-                accumulate(tgt, deg, lie)
-            if not tgt:
-                del out[pos]
+                prev = tgt.get(deg)
+                if prev is None and sign == 1:
+                    tgt[deg] = lie
+                else:
+                    terms = {} if prev is None else dict(prev.terms)
+                    _addlin(terms, lie.terms, sign)
+                    tgt[deg] = LieElt.from_dict(terms)
         metas = tuple(a.added(b) for a, b in zip(self.metas, other.metas))
         return CurrentMat(self.legs, self.spectral_vars, out, metas)
 
-    def __neg__(self):
-        out = {
-            pos: {deg: -lie for deg, lie in coeffs.items()}
-            for pos, coeffs in self.entries.items()
-        }
-        return self.copy_with(entries=out)
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def transpose(self):
         out = {(j, i): coeffs for (i, j), coeffs in self.entries.items()}
@@ -281,7 +290,8 @@ class CurrentMat:
                 p = rows[i][j]
                 if p is None or p.is_zero():
                     continue
-                split[i][j] = self._split_poly(p)
+                # each monomial's coefficient in its stored form, once
+                split[i][j] = [(shift, _stored(mono)) for shift, mono in self._split_poly(p)]
                 spans.append([p.degree_range(v) or (0, 0) for v in self.spectral_vars])
         out = {}
         for (i, j), coeffs in self.entries.items():
@@ -293,9 +303,12 @@ class CurrentMat:
                 tgt = out.setdefault(pos, {})
                 for deg, lie in coeffs.items():
                     for shift, mono in parts:
-                        nd = tuple(d + s for d, s in zip(deg, shift))
-                        accumulate(tgt, nd, lie.scale(mono))
-        out = {pos: tgt for pos, tgt in out.items() if tgt}
+                        nd = tuple(map(add, deg, shift))
+                        terms = tgt.get(nd)
+                        if terms is None:
+                            terms = tgt[nd] = {}
+                        _addlin(terms, lie.terms, mono)
+        out = _wrap(out)
         span = [
             (min(lo for lo, _ in col), max(hi for _, hi in col)) for col in zip(*spans)
         ] or [(0, 0)] * len(self.spectral_vars)
@@ -365,25 +378,27 @@ class CurrentMat:
         )
         return CurrentMat(self.legs, self.spectral_vars, out, metas)
 
-    def trace(self):
-        """Sum of diagonal entries, as a plain degree -> LieElt dict."""
-        out = {}
-        for i in range(self.dim):
-            coeffs = self.entries.get((i, i))
-            if not coeffs:
-                continue
-            for deg, lie in coeffs.items():
-                accumulate(out, deg, lie)
-        return out
+
+def _wrap(out):
+    """{pos: {deg: term dict}} as CurrentMat entries: each nonzero term
+    dict becomes a LieElt, and a position left with none is dropped."""
+    wrapped = {}
+    for pos, coeffs in out.items():
+        lies = {deg: LieElt.from_dict(terms) for deg, terms in coeffs.items() if terms}
+        if lies:
+            wrapped[pos] = lies
+    return wrapped
 
 
-def series_bracket(a, b, bracket_fn=bracket):
+def series_bracket(a, b, product=_basis_bracket):
     """Entrywise bracket [a_1, b_2] of currents on independent legs.
 
     The result acts on a.legs + b.legs legs and its degree tuples
     concatenate the operands' (the spectral variables must be disjoint).
-    bracket_fn defaults to the mode-algebra bracket; the abstract families
-    pass their own.
+    product is the bracket of two basis keys, as (key, coefficient) pairs,
+    which every pair of coefficients extends bilinearly into one term dict
+    per entry and degree: the mode-algebra one by default, and the
+    abstract families pass onsager._pair_bracket.
     """
     if set(a.spectral_vars) & set(b.spectral_vars):
         raise ValueError("series_bracket needs disjoint spectral variables")
@@ -395,15 +410,15 @@ def series_bracket(a, b, bracket_fn=bracket):
             tgt = out.setdefault(pos, {})
             for da, la in ca.items():
                 for db, lb in cb.items():
-                    val = bracket_fn(la, lb)
-                    if val:
-                        accumulate(tgt, da + db, val)
-            if not tgt:
-                del out[pos]
+                    d = da + db
+                    terms = tgt.get(d)
+                    if terms is None:
+                        terms = tgt[d] = {}
+                    _addbilin(terms, la.terms, lb.terms, product)
     return CurrentMat(
         a.legs + b.legs,
         a.spectral_vars + b.spectral_vars,
-        out,
+        _wrap(out),
         a.metas + b.metas,
     )
 
@@ -659,7 +674,7 @@ def check_exchange(family, window, rbar_family=None):
     b1 = bx.embed((1,), 2).with_spectral_vars(vars2)
     b2 = by.embed((2,), 2).with_spectral_vars(vars2)
     lhs = series_bracket(bx, by).scale_poly(complement((), clearing))
-    rhs = (-b1.poly_commutator(r21_rows)) + b2.poly_commutator(r12_rows)
+    rhs = b2.poly_commutator(r12_rows) - b1.poly_commutator(r21_rows)
     res = Residuals()
     region = _compare(res, "", lhs, rhs)
     tag = f"exchange[{family}]"

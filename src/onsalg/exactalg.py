@@ -37,7 +37,12 @@ _addmul is the one polynomial product loop: it adds sign * a * b into a
 term dict the caller owns (multiply-accumulate over packed keys, after
 Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007).  LaurentPoly.__mul__ is one call of
-it; tensormat accumulates whole matrix entries with it.
+it; tensormat accumulates whole matrix entries with it.  _addlin and
+_addbilin are LinComb's counterparts: they add a scaled element, or a
+scaled bilinear extension, into a key -> coefficient dict the caller owns,
+every term through accumulate.  LinComb's sums, linear and bilinear are
+calls of them, and so are the series products of currents and the
+residuals of the mode-algebra checks.
 """
 
 import operator
@@ -82,8 +87,7 @@ def _rational(c):
 def _stored(c):
     """The stored form of a LinComb coefficient: the scalar of a constant
     LaurentPoly, the int of an integral Rational, else c itself (an int, a
-    non-integral Rational, a LaurentPoly that involves a variable, or a
-    LinComb, which CurrentMat accumulates)."""
+    non-integral Rational or a LaurentPoly that involves a variable)."""
     t = type(c)
     if t is LaurentPoly:
         terms = c.terms
@@ -148,6 +152,41 @@ def _addmul(out, a_terms, b_terms, sign=1):
                     out[k] = s
                 else:
                     del out[k]
+
+
+def _addlin(out, terms, s=1):
+    """Add s * terms into out: the linear accumulate kernel of LinComb.
+
+    terms maps keys to nonzero stored coefficients, s is a nonzero stored
+    coefficient and out is a dict the caller owns; every term goes through
+    accumulate, so a key whose sum cancels is deleted and what is stored is
+    in its simplest form.  When s is 1 no product is formed: with a
+    parametric s every product is a polynomial one.
+    """
+    if s == 1:
+        for key, c in terms.items():
+            accumulate(out, key, c)
+    else:
+        for key, c in terms.items():
+            accumulate(out, key, c * s)
+
+
+def _addbilin(out, a_terms, b_terms, product, s=1):
+    """Add s * (the bilinear extension of product over a_terms and b_terms)
+    into out, a dict the caller owns, as _addlin does.
+
+    product maps a pair of keys to (key, coefficient) pairs.
+    """
+    b_items = b_terms.items()
+    for ka, ca in a_terms.items():
+        if s != 1:
+            ca = ca * s
+        for kb, cb in b_items:
+            pairs = product(ka, kb)
+            if pairs:
+                c = ca * cb
+                for k, ck in pairs:
+                    accumulate(out, k, c * ck)
 
 
 @dataclass(frozen=True)
@@ -636,8 +675,7 @@ class LinComb:
         if not isinstance(other, LinComb):
             return NotImplemented
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(out, key, c)
+        _addlin(out, other.terms)
         return self.from_dict(out)
 
     def __neg__(self):
@@ -646,7 +684,9 @@ class LinComb:
     def __sub__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        _addlin(out, other.terms, -1)
+        return self.from_dict(out)
 
     def scale(self, s):
         if isinstance(s, LinComb):
@@ -665,21 +705,14 @@ class LinComb:
         """The linear extension of image, a map from a key to a LinComb."""
         out = {}
         for key, c in self.terms.items():
-            for k, ck in image(key).terms.items():
-                accumulate(out, k, ck * c)
+            _addlin(out, image(key).terms, c)
         return self.from_dict(out)
 
     def bilinear(self, other, product):
         """The bilinear extension of product, a map from a pair of keys to
         (key, coefficient) pairs."""
         out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                pairs = product(ka, kb)
-                if pairs:
-                    c = ca * cb
-                    for k, ck in pairs:
-                        accumulate(out, k, c * ck)
+        _addbilin(out, self.terms, other.terms, product)
         return self.from_dict(out)
 
     def __eq__(self, other):

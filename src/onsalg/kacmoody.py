@@ -19,7 +19,7 @@ bracket of two basis symbols is memoised per pair (see _basis_bracket).
 
 import time
 
-from .exactalg import LinComb, Symbol
+from .exactalg import LinComb, Symbol, _addbilin, _addlin
 from .report import Residuals
 
 __all__ = [
@@ -162,8 +162,9 @@ def _map_image(rule, sym):
     return LieElt.single((E if swap else F)(s * n - b))
 
 
-def apply_map(name, a, override=None):
-    """Apply a named linear map to a LieElt.
+def _map_fn(name, override=None):
+    """The named map on basis symbols, sym -> LieElt, memoised for the life
+    of the returned function.
 
     override, if given, is a callable BasisSymbol -> LieElt | None tried
     before the named map (used to verify that perturbed maps fail).
@@ -171,12 +172,23 @@ def apply_map(name, a, override=None):
     rule = _MAPS.get(name)
     if rule is None:
         raise ValueError(f"unknown map {name!r} (choose from {', '.join(MAP_NAMES)})")
+    memo = {}
 
     def image(sym):
-        img = override(sym) if override else None
-        return _map_image(rule, sym) if img is None else img
+        img = memo.get(sym)
+        if img is None:
+            img = override(sym) if override else None
+            if img is None:
+                img = _map_image(rule, sym)
+            memo[sym] = img
+        return img
 
-    return a.linear(image)
+    return image
+
+
+def apply_map(name, a, override=None):
+    """Apply a named linear map to a LieElt (override as in _map_fn)."""
+    return a.linear(_map_fn(name, override))
 
 
 def _basis_range(window):
@@ -193,21 +205,24 @@ def check_automorphism(name, window, override=None):
     with |mode| <= window (no symmetry is assumed), and squares to the
     identity when it should."""
     started = time.monotonic()
+    image = _map_fn(name, override)
     syms = _basis_range(window)
-    elts = {a: LieElt.single(a) for a in syms}
-    # each basis vector's image, computed once for all pairs
-    images = {a: apply_map(name, elts[a], override) for a in syms}
     res = Residuals()
     for a in syms:
-        ea, fa = elts[a], images[a]
+        fa = image(a).terms
         for b in syms:
-            lhs = apply_map(name, bracket(ea, elts[b]), override)
-            rhs = bracket(fa, images[b])
-            res.add(lhs - rhs, "[{}, {}]", a, b)
+            # image([a, b]) - [image(a), image(b)], accumulated in one dict
+            out = {}
+            for k, ck in _basis_bracket(a, b):
+                _addlin(out, image(k).terms, ck)
+            _addbilin(out, fa, image(b).terms, _basis_bracket, -1)
+            res.add(LieElt.from_dict(out), "[{}, {}]", a, b)
     if _MAPS[name][1] == -1:  # n -> b - n is its own inverse
         for a in syms:
-            diff = apply_map(name, images[a], override) - elts[a]
-            res.add(diff, "involution at {}", a)
+            out = {a: -1}
+            for k, ck in image(a).terms.items():
+                _addlin(out, image(k).terms, ck)
+            res.add(LieElt.from_dict(out), "involution at {}", a)
     return res.report(
         f"automorphism[{name}]", f"basis pairs with |mode| <= {window}", started
     )

@@ -14,8 +14,8 @@ a change to the table takes effect at once.
 import random
 import time
 
-from .exactalg import LaurentPoly, LinComb, Symbol, rat, spectral
-from .kacmoody import C, E as me, F as mf, H as mh, LieElt, apply_map, bracket
+from .exactalg import LaurentPoly, LinComb, Symbol, _addbilin, _addlin, rat, spectral
+from .kacmoody import C, E as me, F as mf, H as mh, LieElt, _basis_bracket, apply_map
 from .currents import CurrentMat, SupportMeta, clear_and_compare, series_bracket
 from .report import Residuals
 
@@ -243,11 +243,14 @@ def check_morphism(family, window, override=None):
     syms = canonical_symbols(_abstract_family(family), window)
     res = Residuals()
     for a in syms:
-        ia = img(a)
+        ia = img(a).terms
         for b in syms:
-            lhs = bracket(ia, img(b))
-            rhs = abstract_bracket(OnsElt.single(a), OnsElt.single(b)).linear(img)
-            res.add(lhs - rhs, "[{}, {}]", a, b)
+            # [img(a), img(b)] - img([a, b]), accumulated in one dict
+            out = {}
+            _addbilin(out, ia, img(b).terms, _basis_bracket)
+            for sym, k in _pair_bracket(a, b):
+                _addlin(out, img(sym).terms, -k)
+            res.add(LieElt.from_dict(out), "[{}, {}]", a, b)
     return res.report(
         f"morphism[{family}]" + ("[override]" if override else ""),
         f"generator pairs with |mode| <= {window}",
@@ -256,8 +259,11 @@ def check_morphism(family, window, override=None):
 
 
 def _jacobi(a, b, c):
-    br = abstract_bracket
-    return br(br(a, b), c) + br(br(b, c), a) + br(br(c, a), b)
+    """[[a, b], c] + [[b, c], a] + [[c, a], b], accumulated in one dict."""
+    out = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        _addbilin(out, abstract_bracket(x, y).terms, z.terms, _pair_bracket)
+    return OnsElt.from_dict(out)
 
 
 def check_jacobi(family, window):
@@ -277,9 +283,11 @@ def check_jacobi(family, window):
     n = len(syms)
     for i in range(n):
         for j in range(i, n):
-            a, b = elts[i], elts[j]
-            res.add(abstract_bracket(a, b) + abstract_bracket(b, a),
-                    "[{0}, {1}] + [{1}, {0}]", syms[i], syms[j])
+            a, b = elts[i].terms, elts[j].terms
+            out = {}
+            _addbilin(out, a, b, _pair_bracket)
+            _addbilin(out, b, a, _pair_bracket)
+            res.add(OnsElt.from_dict(out), "[{0}, {1}] + [{1}, {0}]", syms[i], syms[j])
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
@@ -526,7 +534,7 @@ def check_current_relations(family, window):
     res = Residuals()
     regions = []
     for (la, lb), parts in scalars(family).items():
-        lhs = series_bracket(cur_x[la], raw_y[lb], abstract_bracket)
+        lhs = series_bracket(cur_x[la], raw_y[lb], _pair_bracket)
         tag = f"[{la}(x),{lb}(y)]"
         regions.append(f"{tag}: {clear_and_compare(res, tag, lhs, parts, clearing)}")
     return res.report(f"current_relations[{family}]", "; ".join(regions), started)

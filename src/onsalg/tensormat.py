@@ -620,6 +620,8 @@ def build_boundary(family, params=None, x=None):
     params = dict(params or {})
     if x is None:
         x = spectral("x")
+    elif not (isinstance(x, Variable) and x.kind == "spectral"):
+        raise ValueError(f"build_boundary needs x to be a spectral Variable, not {x!r}")
 
     def coeff(name):
         val = params.get(name)

@@ -1,7 +1,10 @@
 """Truncated matrix series: the generating currents and their relations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from onsalg import onsager
 from onsalg.currents import (
     CurrentMat,
     SupportMeta,
@@ -13,8 +16,8 @@ from onsalg.currents import (
     extract_mode,
     series_bracket,
 )
-from onsalg.exactalg import LaurentPoly, spectral
-from onsalg.kacmoody import C, E, F, H, LieElt
+from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
+from onsalg.kacmoody import C, E, F, H, LieElt, bracket
 from onsalg.report import Residuals
 
 
@@ -333,3 +336,122 @@ def test_guards_raise_value_error(call, message):
 def test_guards_add_refuses_a_non_current():
     with pytest.raises(TypeError, match="unsupported operand"):
         build_T("+", 3, _X) + LieElt.single(C)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        build_T("+", 3, _X) - LieElt.single(C)
+
+
+# -- the fused series operations against coefficient-by-coefficient ones ------------
+
+_A = parameter("a")
+_COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.builds(rat, st.integers(-4, 4), st.integers(2, 3)),
+    st.builds(lambda c, c0: LaurentPoly((_A,), {(2,): c, (0,): c0}),
+              st.integers(-2, 2), st.integers(-2, 2)),
+)
+_BOUNDS = st.one_of(st.none(), st.integers(-6, 6))
+
+
+def _lies(keys):
+    return st.dictionaries(st.sampled_from(keys), _COEFFS, max_size=3).map(LieElt)
+
+
+@st.composite
+def _currents(draw, legs, spectral_vars, keys):
+    """A current whose entries, degrees, coefficients and metas are drawn;
+    degrees are few so that sums meet on common ones."""
+    dim = 2 ** legs
+    n = len(spectral_vars)
+    positions = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    degrees = st.tuples(*[st.integers(-2, 2)] * n)
+    entries = draw(st.dictionaries(
+        positions, st.dictionaries(degrees, _lies(keys), max_size=3), max_size=3
+    ))
+    metas = [SupportMeta(*draw(st.tuples(*[_BOUNDS] * 4))) for _ in range(n)]
+    return CurrentMat(legs, spectral_vars, entries, metas)
+
+
+_LIE_KEYS = [E(0), E(1), F(-1), F(0), H(0), H(1), C]
+
+
+def _summed(contributions):
+    """{pos: {deg: LieElt}} from (pos, deg, LieElt) triples, summed with +,
+    zeros dropped."""
+    out = {}
+    for pos, deg, lie in contributions:
+        tgt = out.setdefault(pos, {})
+        tgt[deg] = tgt.get(deg, LieElt.zero()) + lie
+    out = {pos: {d: c for d, c in tgt.items() if c} for pos, tgt in out.items()}
+    return {pos: tgt for pos, tgt in out.items() if tgt}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_currents(1, (_X,), _LIE_KEYS), _currents(1, (_X,), _LIE_KEYS))
+def test_sub_equals_adding_the_negation(a, b):
+    def negated(m):
+        return m.copy_with(
+            entries={pos: {d: -lie for d, lie in c.items()} for pos, c in m.entries.items()}
+        )
+
+    diff, want = a - b, a + negated(b)
+    assert diff.entries == want.entries
+    assert diff.metas == want.metas == tuple(x.added(y) for x, y in zip(a.metas, b.metas))
+    assert (b - a).entries == negated(diff).entries
+    assert (a - a).entries == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_currents(1, (_X, _Y), _LIE_KEYS), st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([0, 2])),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=4,
+))
+def test_scale_poly_equals_scaling_each_coefficient(m, terms):
+    # a polynomial in x, y and the parameter a, doubled exponents
+    p = LaurentPoly((_X, _Y, _A), {(2 * i, 2 * j, e): c for (i, j, e), c in terms.items()})
+    parts = p.split(m.spectral_vars).items()
+    want = _summed(
+        (pos, tuple(d + s for d, s in zip(deg, shift)), lie.scale(rest))
+        for pos, coeffs in m.entries.items()
+        for deg, lie in coeffs.items()
+        for shift, rest in parts
+    )
+    scaled = m.scale_poly(p)
+    assert scaled.entries == want
+    spans = [p.degree_range(v) or (0, 0) for v in m.spectral_vars]
+    assert scaled.metas == tuple(x.shifted(*span) for x, span in zip(m.metas, spans))
+
+
+def _bracket_reference(a, b, br):
+    dim_b = b.dim
+    return _summed(
+        ((ia * dim_b + ib, ja * dim_b + jb), da + db, br(la, lb))
+        for (ia, ja), ca in a.entries.items()
+        for (ib, jb), cb in b.entries.items()
+        for da, la in ca.items()
+        for db, lb in cb.items()
+    )
+
+
+_ONS_KEYS = onsager.canonical_symbols("onsager", 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_currents(1, (_X,), _ONS_KEYS), _currents(0, (_Y,), _ONS_KEYS),
+       _currents(1, (_X,), _LIE_KEYS), _currents(1, (_Y,), _LIE_KEYS))
+def test_series_bracket_equals_bracketing_each_coefficient_pair(a, b, c, d):
+    fused = series_bracket(a, b, onsager._pair_bracket)
+    assert fused.entries == _bracket_reference(a, b, onsager.abstract_bracket)
+    assert (fused.legs, fused.spectral_vars, fused.metas) == (1, (_X, _Y), a.metas + b.metas)
+    assert series_bracket(c, d).entries == _bracket_reference(c, d, bracket)
+
+
+@pytest.mark.parametrize("family", onsager.FAMILIES)
+def test_series_bracket_of_family_currents_equals_the_abstract_bracket(family):
+    # the family's own currents, one scaled by a parameter-times-x polynomial
+    letters = list(onsager._CURRENTS[family])
+    a = onsager.build_current(family, letters[0], 3, _X)
+    a = a.scale_poly(LaurentPoly.var(_A) * LaurentPoly.var(_X) + 1)
+    b = onsager.build_current(family, letters[1], 3, _Y)
+    fused = series_bracket(a, b, onsager._pair_bracket)
+    assert fused.entries
+    assert fused.entries == _bracket_reference(a, b, onsager.abstract_bracket)

@@ -25,7 +25,7 @@ from onsalg.exactalg import (
     rat,
     spectral,
 )
-from onsalg import tensormat
+from onsalg import exactalg, tensormat
 from onsalg.envelope import UeaElt, uea_commutator, uea_mul
 from onsalg.kacmoody import C, E, F, H, bracket
 from onsalg.onsager import OnsSymbol, abstract_bracket
@@ -597,3 +597,105 @@ def test_extensions_keep_the_element_type():
     u = UeaElt.single(("a",), 2)
     assert type(u.linear(lambda w: LinComb.single(w + w))) is UeaElt
     assert type(u.bilinear(u, lambda wa, wb: ((wa + wb, 1),))) is UeaElt
+
+
+# -- the LinComb kernels: _addlin and _addbilin --------------------------------------
+
+# the coefficients above, and parametric polynomials in a, whose products
+# with each other are polynomial products
+kernel_coeffs = st.one_of(
+    lin_coeffs,
+    st.builds(lambda c, c0: LaurentPoly((A,), {(2,): c, (0,): c0}), mixed_coeffs, mixed_coeffs),
+)
+
+
+def _kernel_elements(keys):
+    return st.dictionaries(st.sampled_from(keys), kernel_coeffs, max_size=4).map(LinComb)
+
+
+def _reference(*scaled):
+    """sum of s * terms over the (s, terms) pairs, coefficient by coefficient
+    with plain arithmetic, stored through the LinComb constructor."""
+    total = {}
+    for s, terms in scaled:
+        for key, c in terms.items():
+            total[key] = total.get(key, 0) + c * s
+    return LinComb(total)
+
+
+def _bilinear_terms(a, b, product):
+    """The bilinear extension of product, pair by pair, as a plain dict."""
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            for k, ck in product(ka, kb):
+                out[k] = out.get(k, 0) + ca * cb * ck
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_elements(_WORD_KEYS), _kernel_elements(_WORD_KEYS), kernel_coeffs.filter(bool))
+def test_addlin_equals_scale_and_sum(p, q, s):
+    out = dict(p.terms)
+    exactalg._addlin(out, q.terms, exactalg._as_coeff(s))
+    got = LinComb.from_dict(out)
+    assert got == p + q.scale(s) == _reference((1, p.terms), (s, q.terms))
+    _assert_lincomb_stored(got)
+    out = dict(p.terms)
+    exactalg._addlin(out, q.terms)
+    assert LinComb.from_dict(out) == p + q == _reference((1, p.terms), (1, q.terms))
+    # p - p cancels every key, and adding s q then -s q gives p back
+    out = dict(p.terms)
+    exactalg._addlin(out, p.terms, -1)
+    assert out == {}
+    assert (p - p).terms == {} and p - q == _reference((1, p.terms), (-1, q.terms))
+    out = dict(p.terms)
+    exactalg._addlin(out, q.terms, exactalg._as_coeff(s))
+    exactalg._addlin(out, q.terms, exactalg._as_coeff(-s))
+    assert LinComb.from_dict(out) == p
+    _assert_lincomb_stored(LinComb.from_dict(out))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_elements(_WORD_KEYS), _kernel_elements(_WORD_KEYS),
+       _kernel_elements(_WORD_KEYS), kernel_coeffs.filter(bool))
+def test_addbilin_equals_bilinear(p, q, r, s):
+    s = exactalg._as_coeff(s)
+    pq = _bilinear_terms(p, q, _product)
+    out = dict(r.terms)
+    exactalg._addbilin(out, p.terms, q.terms, _product, s)
+    got = LinComb.from_dict(out)
+    assert got == r + p.bilinear(q, _product).scale(s) == _reference((1, r.terms), (s, pq))
+    _assert_lincomb_stored(got)
+    assert p.bilinear(q, _product) == _reference((1, pq))
+    # adding the same extension with -s cancels it in full
+    exactalg._addbilin(out, p.terms, q.terms, _product, -s)
+    assert LinComb.from_dict(out) == r
+    out = {}
+    exactalg._addbilin(out, p.terms, q.terms, _product)
+    exactalg._addbilin(out, p.terms, q.terms, _product, -1)
+    assert out == {}
+
+
+def test_kernels_store_simplest_forms_on_cancellation():
+    a = LaurentPoly.var(A)
+    # (a + 1/2) - a is the non-integral scalar 1/2, and 1/2 + 1/2 the int 1
+    out = {"k": a + rat(1, 2)}
+    exactalg._addlin(out, {"k": a}, -1)
+    assert out == {"k": rat(1, 2)} and type(out["k"]) is _RATIONAL
+    exactalg._addlin(out, {"k": rat(1, 2)})
+    assert out == {"k": 1} and type(out["k"]) is int
+    # 1/2 scaled by 2a is the polynomial a, which the bilinear term cancels
+    out = {}
+    exactalg._addlin(out, {"k": rat(1, 2)}, 2 * a)
+    assert out == {"k": a} and isinstance(out["k"], LaurentPoly)
+    exactalg._addbilin(out, {"x": 1}, {"y": a}, lambda ka, kb: (("k", -1),))
+    assert out == {}
+
+
+def test_addlin_forms_no_product_for_a_unit_scale():
+    # with s = 1 each coefficient is stored as it is: no polynomial product
+    coeff = LaurentPoly.var(A) + 1
+    out = {}
+    exactalg._addlin(out, {"k": coeff})
+    assert out["k"] is coeff

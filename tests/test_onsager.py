@@ -350,9 +350,9 @@ def test_current_relations_region_names_every_pair(family):
 def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
     import onsalg.onsager as onsager
 
-    real = onsager.abstract_bracket
+    real = onsager._pair_bracket
     monkeypatch.setattr(
-        onsager, "abstract_bracket", lambda a, b: real(a, b).scale(2)
+        onsager, "_pair_bracket", lambda a, b: [(s, 2 * k) for s, k in real(a, b)]
     )
     rep = check_current_relations("onsager", 3)
     assert not rep.passed and rep.residual_term_count > 0

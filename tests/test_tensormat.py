@@ -480,11 +480,19 @@ def test_guards_trace_sums_to_ints():
          "build_rbar needs y to be a spectral Variable other than x"),
         (lambda: build_rbar(build_boundary("U_diag", x=X), X, X),
          "build_rbar needs y to be a spectral Variable other than x"),
+        # a parameter as x would stand at a negative power in k_general
+        (lambda: build_boundary("k_general", x=parameter("x")),
+         "build_boundary needs x to be a spectral Variable, not"),
+        (lambda: build_boundary("U_diag", x="x"),
+         "build_boundary needs x to be a spectral Variable, not 'x'"),
+        (lambda: build_boundary("U_offdiag", x=LaurentPoly.var(X)),
+         "build_boundary needs x to be a spectral Variable, not"),
         (lambda: commutator_sum([]), "commutator_sum needs at least one pair"),
         (lambda: commutator_sum([(TensorMat(1), TensorMat(2))]),
          "leg mismatch: 1 and 2 legs"),
     ],
     ids=["legs-negative", "legs-float", "legs-str", "rbar-parameter-y", "rbar-y-is-x",
+         "boundary-parameter-x", "boundary-str-x", "boundary-poly-x",
          "commutator-sum-empty", "commutator-sum-legs"],
 )
 def test_guards_tensormat_inputs(call, message):

@@ -265,8 +265,10 @@ CURRENT_RELATIONS_DOUBLED = {
 
 @pytest.mark.parametrize("family", list(CURRENT_RELATIONS_DOUBLED))
 def test_current_relations_failure_is_pinned(monkeypatch, family):
-    real = onsager.abstract_bracket
-    monkeypatch.setattr(onsager, "abstract_bracket", lambda a, b: real(a, b).scale(2))
+    real = onsager._pair_bracket
+    monkeypatch.setattr(
+        onsager, "_pair_bracket", lambda a, b: [(s, 2 * k) for s, k in real(a, b)]
+    )
     rep = onsager.check_current_relations(family, 3)
     count, witnesses = CURRENT_RELATIONS_DOUBLED[family]
     assert rep.name == f"current_relations[{family}]"
