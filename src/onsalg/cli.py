@@ -11,7 +11,6 @@ import platform
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import currents, envelope, exactalg, kacmoody, onsager, tensormat
@@ -186,6 +185,10 @@ def _run_one(job):
 
 def _execute(checks, parallel):
     if parallel and len(checks) > 1:
+        # imported here: concurrent.futures pulls in multiprocessing and
+        # logging, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
             futures = [pool.submit(_run_one, job) for job in checks]
             return [f.result() for f in futures]

@@ -175,11 +175,23 @@ class CurrentMat:
     __slots__ = ("legs", "spectral_vars", "entries", "metas")
 
     def __init__(self, legs, spectral_vars, entries=None, metas=None):
+        if type(legs) is not int or legs < 0:
+            raise ValueError(f"legs must be a non-negative int, not {legs!r}")
+        dim = 2 ** legs
         self.legs = legs
         self.spectral_vars = tuple(spectral_vars)
         self.entries = {}
         if entries:
             for pos, coeffs in entries.items():
+                if not (
+                    type(pos) is tuple
+                    and len(pos) == 2
+                    and all(type(i) is int and 0 <= i < dim for i in pos)
+                ):
+                    raise ValueError(
+                        f"a {legs}-leg matrix has no entry at {pos!r} "
+                        f"(positions are (row, column) in range({dim}))"
+                    )
                 cleaned = {deg: lie for deg, lie in coeffs.items() if lie}
                 if cleaned:
                     self.entries[pos] = cleaned

@@ -4,8 +4,10 @@ Quadratic charges are mode coefficients of tr(B(x)^2); linear charges are
 mode coefficients of the abstract series tr(M(x)B(x)) with symbolic weight
 parameters.  Products are normal-ordered against the basis order: c first,
 then modes ascending, with H before E before F at a tied mode.  Commutators
-use the Leibniz rule: each letter pair is bracketed once and only the
-shorter words are normal-ordered.
+use the Leibniz rule and bracket per letter pair, not per word pair: the
+words of the right operand are indexed by letter, each letter of a left
+word is bracketed once with each distinct letter on the right, and only
+the shorter words are normal-ordered.
 
 A word is a tuple of interned basis symbols (see kacmoody.BasisSymbol), so
 it hashes at C speed.  Each symbol's PBW place is one int, memoised by
@@ -100,27 +102,31 @@ def uea_mul(a, b):
     return a.bilinear(b, lambda wa, wb: _normal_word(wa + wb).terms.items())
 
 
-def _leibniz(wa, wb):
-    """[wa, wb] for words a1..am and b1..bn, before normal ordering: the
-    pair (ai, bj) contributes a1..a(i-1) b1..b(j-1) [ai, bj] b(j+1)..bn
-    a(i+1)..am."""
-    return [
-        (wa[:i] + wb[:j] + (sym,) + wb[j + 1 :] + wa[i + 1 :], k)
-        for i, x in enumerate(wa)
-        for j, y in enumerate(wb)
-        for sym, k in _basis_bracket(x, y)
-    ]
-
-
 def uea_commutator(a, b):
-    """[a, b] by the Leibniz rule (see _leibniz).
+    """[a, b] by the Leibniz rule, bracketing per letter pair.
 
-    Each letter pair is bracketed once and only words of length m+n-1 are
-    normal-ordered, instead of both degree m+n products.  The normal form
-    does not depend on the rewrite order (Bergman's diamond lemma), so this
-    equals uea_mul(a, b) - uea_mul(b, a).
+    [a1..am, b1..bn] is the sum over i, j of a1..a(i-1) b1..b(j-1) [ai, bj]
+    b(j+1)..bn a(i+1)..am.  The words of b are indexed by letter once, so
+    each letter x of a word of a is bracketed once with each distinct
+    letter y of b, and a zero bracket skips every word of b that holds y.
+    Only words of length m+n-1 are normal-ordered, instead of both degree
+    m+n products.  The normal form does not depend on the rewrite order
+    (Bergman's diamond lemma), so this equals uea_mul(a, b) - uea_mul(b, a).
     """
-    return a.bilinear(b, _leibniz).linear(_normal_word)
+    sites = {}
+    for wb, cb in b.terms.items():
+        for j, y in enumerate(wb):
+            sites.setdefault(y, []).append((wb[:j], wb[j + 1 :], cb))
+    out = {}
+    for wa, ca in a.terms.items():
+        for i, x in enumerate(wa):
+            head, tail = wa[:i], wa[i + 1 :]
+            for y, at_y in sites.items():
+                for sym, k in _basis_bracket(x, y):
+                    c = ca * k
+                    for prefix, suffix, cb in at_y:
+                        accumulate(out, head + prefix + (sym,) + suffix + tail, c * cb)
+    return UeaElt.from_dict(out).linear(_normal_word)
 
 
 def lie_to_uea(lie):
@@ -214,6 +220,20 @@ def _weight_series(family, window, x):
     )
 
 
+def _series_charges(family, max_k):
+    """The linear charges 0..max_k read off one weighted series: charge k
+    is its mode-2k coefficient."""
+    series = _weight_series(family, max_k + 2, spectral("x"))
+    lo, hi = series.metas[0].exact_window()
+    for mode in (0, 2 * max_k):
+        if (lo is not None and mode < lo) or (hi is not None and mode > hi):
+            raise ValueError(
+                f"mode {mode} lies outside the series' exact window ({lo}, {hi})"
+            )
+    coeffs = series.entry(0, 0)
+    return [coeffs.get((2 * k,), OnsElt.zero()) for k in range(max_k + 1)]
+
+
 def build_linear_charge(family, k, variant="series"):
     """The k-th linear charge as an abstract element with symbolic weights.
 
@@ -226,14 +246,7 @@ def build_linear_charge(family, k, variant="series"):
     if k < 0:
         raise ValueError(f"charge index must be >= 0, got {k}")
     if variant == "series":
-        x = spectral("x")
-        series = _weight_series(family, k + 2, x)
-        lo, hi = series.metas[0].exact_window()
-        if (lo is not None and 2 * k < lo) or (hi is not None and 2 * k > hi):
-            raise ValueError(
-                f"mode {2 * k} lies outside the series' exact window ({lo}, {hi})"
-            )
-        return series.entry(0, 0).get((2 * k,), OnsElt.zero())
+        return _series_charges(family, k)[k]
     if variant != "formula":
         raise ValueError(f"unknown variant {variant!r} (choose series or formula)")
     names = _weight_names(family)
@@ -276,7 +289,10 @@ def check_linear_charges(family, max_k, variant="series", mutate=False):
     started = time.monotonic()
     if max_k < 0:
         raise ValueError(f"max-k must be >= 0, not {max_k}")
-    charges = [build_linear_charge(family, k, variant) for k in range(max_k + 1)]
+    if variant == "series":
+        charges = _series_charges(family, max_k)
+    else:
+        charges = [build_linear_charge(family, k, variant) for k in range(max_k + 1)]
     if mutate and max_k >= 1:
         flip = {"onsager": "G", "augmented": "K", "invariant": "H"}[family]
         c1 = charges[1]

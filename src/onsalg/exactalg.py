@@ -547,8 +547,8 @@ class LaurentPoly:
 
 def _dense(p, variables):
     """p's terms keyed by doubled exponent tuples over variables, which
-    must hold every variable p uses."""
-    return {exps: rest.terms[0] for exps, rest in p.split(variables).items()}
+    must hold every variable p uses, read straight off the packed keys."""
+    return {tuple(_exponent(key, v) for v in variables): c for key, c in p.terms.items()}
 
 
 def accumulate(out, key, value):

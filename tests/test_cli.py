@@ -1,7 +1,10 @@
 """Exit codes, report formats, and configuration handling for `verify`."""
 
 import json
+import os
 import platform
+import subprocess
+import sys
 import time
 
 import pytest
@@ -232,6 +235,19 @@ def test_config_field_types_are_strict(tmp_path, capsys, field, value):
 
 
 # -- parallel execution -------------------------------------------------------
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures (and with it multiprocessing and logging) is
+    # imported only when --parallel runs
+    import onsalg
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(onsalg.__file__)))
+    child = "import sys, onsalg.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.split() == ["False"]
 
 
 def test_parallel_matches_serial(capsys):

@@ -323,9 +323,19 @@ _X, _Y = spectral("x"), spectral("y")
          r"unknown family 'bogus' \(choose from onsager, augmented, invariant, kappa_minus\)"),
         (lambda: build_B("bogus", 4),
          r"unknown family 'bogus' \(choose from onsager, augmented, invariant, kappa_minus\)"),
+        (lambda: CurrentMat(-1, (_X,)), "legs must be a non-negative int, not -1"),
+        (lambda: CurrentMat(1.0, (_X,)), "legs must be a non-negative int, not 1.0"),
+        (lambda: CurrentMat(True, (_X,)), "legs must be a non-negative int, not True"),
+        (lambda: CurrentMat(1, (_X,), {(5, 7): {(0,): LieElt.single(H(0))}}),
+         r"a 1-leg matrix has no entry at \(5, 7\) \(positions are \(row, column\) in range\(2\)\)"),
+        (lambda: CurrentMat(1, (_X,), {(0, -1): {(0,): LieElt.single(H(0))}}),
+         r"a 1-leg matrix has no entry at \(0, -1\)"),
+        (lambda: CurrentMat(1, (_X,), {0: {(0,): LieElt.single(H(0))}}),
+         "a 1-leg matrix has no entry at 0 "),
     ],
     ids=["metas", "add_variables", "add_legs", "rows", "disjoint", "exchange_rbar_family",
-         "B_family"],
+         "B_family", "negative_legs", "float_legs", "bool_legs", "position_outside_dim",
+         "negative_position", "position_not_a_pair"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them

@@ -17,7 +17,7 @@ from onsalg.envelope import (
     uea_commutator,
     uea_mul,
 )
-from onsalg.exactalg import LaurentPoly, parameter
+from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
 from onsalg.kacmoody import C, E, F, H, LieElt, bracket
 
 SYMS = [C] + [g(n) for g in (E, F, H) for n in range(-2, 3)]
@@ -65,11 +65,13 @@ def test_multiplication_associates(a, b, c):
 
 TAU = LaurentPoly.var(parameter("tau"))
 
-# sums of one- to three-letter words, with integer or parameter coefficients
+# sums of one- to four-letter words, with integer, half-integer or parameter
+# coefficients (products of halves must come back to their stored form)
 elements = st.dictionaries(
-    st.lists(st.sampled_from(SYMS), min_size=1, max_size=3).map(tuple),
+    st.lists(st.sampled_from(SYMS), min_size=1, max_size=4).map(tuple),
     st.one_of(
         st.integers(-3, 3).filter(bool),
+        st.integers(-3, 3).filter(bool).map(lambda n: rat(1, 2) * n),
         st.integers(-3, 3).filter(bool).map(lambda n: TAU * n),
     ),
     min_size=1,
@@ -142,6 +144,21 @@ def test_linear_charge_frozen():
 def test_linear_charges_commute(family):
     rep = check_linear_charges(family, 6)
     assert rep.passed, rep
+
+
+@pytest.mark.parametrize("max_k", [0, 3, 8])
+@pytest.mark.parametrize("family", ["onsager", "augmented", "invariant"])
+def test_one_series_gives_every_linear_charge(family, max_k):
+    # check_linear_charges reads every charge off one series of window
+    # max_k + 2; charge k must equal build_linear_charge(family, k) and the
+    # mode-2k coefficient of the series of window k + 2
+    charges = envelope._series_charges(family, max_k)
+    own = [
+        envelope._weight_series(family, k + 2, spectral("x")).entry(0, 0).get((2 * k,))
+        for k in range(max_k + 1)
+    ]
+    assert charges == own
+    assert charges == [build_linear_charge(family, k) for k in range(max_k + 1)]
 
 
 def test_linear_mutation_fails():

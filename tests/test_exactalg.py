@@ -424,6 +424,53 @@ def mixed_polys(draw):
     return LaurentPoly((X, Y), terms)
 
 
+@st.composite
+def display_polys(draw):
+    # spectral half powers, a parameter, and fractional coefficients
+    variables = (X, Y, A)
+    n = draw(st.integers(0, 6))
+    terms = {}
+    for _ in range(n):
+        terms[tuple(draw(_exp_strategy(v)) for v in variables)] = draw(mixed_coeffs)
+    return LaurentPoly(variables, terms)
+
+
+def _split_str(p):
+    """str(p) as written through split: each term's exponents come from
+    splitting off every variable p uses, and its coefficient is the
+    constant left over."""
+    if not p.terms:
+        return "0"
+    variables = p.variables
+    bits = []
+    for exps, rest in sorted(p.split(variables).items()):
+        assert list(rest.terms) == [0]
+        c = rest.terms[0]
+        factors = []
+        for v, e in zip(variables, exps):
+            if e == 2:
+                factors.append(v.name)
+            elif e and e % 2 == 0:
+                factors.append(f"{v.name}^{e // 2}")
+            elif e:
+                factors.append(f"{v.name}^({e}/2)")
+        if not factors:
+            bits.append(str(c))
+        elif c == 1:
+            bits.append("*".join(factors))
+        elif c == -1:
+            bits.append("-" + "*".join(factors))
+        else:
+            bits.append(f"{c}*" + "*".join(factors))
+    return " + ".join(bits).replace("+ -", "- ")
+
+
+@given(display_polys())
+@example(LaurentPoly((X, Y, A), {(-3, 2, 4): rat(-1, 2), (0, 0, 0): 7, (2, -4, 0): -1}))
+def test_str_matches_a_split_reference(p):
+    assert str(p) == _split_str(p)
+
+
 def _assert_stored(p):
     for c in p.terms.values():
         assert type(c) is int or (type(c) is _RATIONAL and c.denominator != 1), repr(c)
