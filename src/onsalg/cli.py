@@ -11,7 +11,7 @@ import platform
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from . import currents, envelope, exactalg, kacmoody, onsager, tensormat
 from .currents import B_FAMILIES, check_exchange, check_frt_relations
@@ -131,10 +131,8 @@ def suite_checks(cfg):
             (_check_nscybe, ("kappa_plus",)),
             (_check_nscybe, ("kappa_minus",)),
             (_check_nscybe, ("k_general",)),
-            (_check_m_condition, ("M_ons", "onsager")),
-            (_check_m_condition, ("M_aug", "augmented")),
-            (_check_m_condition, ("M_inv", "invariant")),
-        ],
+        ]
+        + [(_check_m_condition, (m, fam)) for fam, m in envelope.M_FAMILY.items()],
         "frt": [
             (kacmoody.check_serre_chevalley, (w,)),
             (check_frt_relations, (w,)),
@@ -197,14 +195,11 @@ def _execute(checks, parallel):
 
 # --- argument handling -------------------------------------------------
 
-# the exact JSON type of each config field; bool is not accepted as an int
-_CONFIG_TYPES = {
-    "suite": str,
-    "window": int,
-    "max_k": int,
-    "format": str,
-    "seed": int,
-    "parallel": bool,
+# the exact JSON type and the default of each config field; bool is not
+# accepted as an int, and suite has no default
+_CONFIG_TYPES = {f.name: f.type for f in fields(SuiteConfig)}
+_DEFAULTS = {
+    f.name: None if f.default is MISSING else f.default for f in fields(SuiteConfig)
 }
 
 
@@ -218,9 +213,13 @@ def _build_parser():
         nargs="?",
         help=f"one of: {', '.join(SUITE_ORDER + ('all',))}",
     )
-    p.add_argument("--window", type=int, help="series truncation window (default 6)")
     p.add_argument(
-        "--max-k", type=int, dest="max_k", help="quadratic charge depth (default 4)"
+        "--window", type=int,
+        help=f"series truncation window (default {_DEFAULTS['window']})",
+    )
+    p.add_argument(
+        "--max-k", type=int, dest="max_k",
+        help=f"quadratic charge depth (default {_DEFAULTS['max_k']})",
     )
     p.add_argument("--format", choices=("text", "json"), help="report format")
     p.add_argument("--seed", type=int, help="seed for randomized spot checks")
@@ -252,22 +251,13 @@ def _resolve_config(args):
                     f"config field {key!r} must be {want.__name__}, got {val!r}"
                 )
 
-    def pick(name, flag_val, default):
-        if flag_val is not None:
-            return flag_val
-        return file_vals.get(name, default)
-
-    suite = pick("suite", args.suite, None)
-    if suite is None:
+    vals = {}
+    for name, default in _DEFAULTS.items():
+        flag_val = getattr(args, name)
+        vals[name] = file_vals.get(name, default) if flag_val is None else flag_val
+    if vals["suite"] is None:
         raise ValueError("no suite given (pass one or set it in --config)")
-    cfg = SuiteConfig(
-        suite=suite,
-        window=pick("window", args.window, 6),
-        max_k=pick("max_k", args.max_k, 4),
-        format=pick("format", args.format, "text"),
-        seed=pick("seed", args.seed, 0),
-        parallel=pick("parallel", args.parallel, False),
-    )
+    cfg = SuiteConfig(**vals)
     cfg.validate()
     return cfg
 

@@ -1,13 +1,17 @@
 """PBW calculus in the enveloping algebra and the commuting charges.
 
-Quadratic charges are mode coefficients of tr(B(x)^2); linear charges are
-mode coefficients of the abstract series tr(M(x)B(x)) with symbolic weight
-parameters.  Products are normal-ordered against the basis order: c first,
-then modes ascending, with H before E before F at a tied mode.  Commutators
-use the Leibniz rule and bracket per letter pair, not per word pair: the
-words of the right operand are indexed by letter, each letter of a left
-word is bracketed once with each distinct letter on the right, and only
-the shorter words are normal-ordered.
+Quadratic charges are mode coefficients of tr(B(x)^2).  Linear charges are
+mode coefficients of the weighted series tr(M(x)B(x)): M(x) is the family's
+boundary matrix from tensormat.build_boundary (M_FAMILY), with symbolic
+weight parameters, and B(x) is the abstract matrix of the family's currents
+(_B_CURRENTS), so every weight is read off M once.
+
+Products are normal-ordered against the basis order: c first, then modes
+ascending, with H before E before F at a tied mode.  Commutators use the
+Leibniz rule and bracket per letter pair, not per word pair: the words of
+the right operand are indexed by letter, each letter of a left word is
+bracketed once with each distinct letter on the right, and only the
+shorter words are normal-ordered.
 
 A word is a tuple of interned basis symbols (see kacmoody.BasisSymbol), so
 it hashes at C speed.  Each symbol's PBW place is one int, memoised by
@@ -19,10 +23,13 @@ the same whichever product first asked for it.
 
 import time
 
-from .exactalg import MODE_BOUND, LaurentPoly, LinComb, accumulate, parameter, spectral
+from .exactalg import MODE_BOUND, LaurentPoly, LinComb, accumulate, spectral
 from .kacmoody import BasisSymbol, _basis_bracket
 from .currents import build_B
-from .onsager import OnsElt, abstract_bracket, build_current, morphism_image, ons
+from .onsager import (
+    _CURRENTS, OnsElt, abstract_bracket, build_current, morphism_image, ons
+)
+from .tensormat import build_boundary
 from .report import Residuals
 
 __all__ = [
@@ -168,62 +175,51 @@ def build_quadratic_charge(family, max_k):
 # -- linear charges ---------------------------------------------------------------
 
 
-_WEIGHTS = {
-    "onsager": ("kappa", "kappastar", "mu"),
-    "augmented": ("tau", "nu", "nustar"),
-    "invariant": ("mu0", "mu1", "mu2"),
+# each family's M matrix (see tensormat.build_boundary), whose entries and
+# parameters weight the linear charges
+M_FAMILY = {"onsager": "M_ons", "augmented": "M_aug", "invariant": "M_inv"}
+
+# Each family's abstract B(x): position -> (sign, current letter).  The
+# invariant family's realized B carries 2E and 2F off the diagonal; the
+# symbolic weights absorb the factor.
+_B_CURRENTS = {
+    "onsager": {(0, 0): (1, "G"), (1, 1): (-1, "G"), (1, 0): (1, "A+"), (0, 1): (1, "A-")},
+    "augmented": {(0, 0): (1, "K"), (1, 1): (-1, "K"), (1, 0): (1, "Z+"), (0, 1): (1, "Z-")},
+    "invariant": {(0, 0): (1, "H"), (1, 1): (-1, "H"), (1, 0): (1, "E"), (0, 1): (1, "F")},
 }
 
 
-def _weight_names(family):
-    names = _WEIGHTS.get(family)
-    if names is None:
+def _m_boundary(family, x=None):
+    """The family's M(x), with symbolic weight parameters."""
+    m_family = M_FAMILY.get(family)
+    if m_family is None:
         raise ValueError(
-            f"unknown charge family {family!r} (choose from {', '.join(_WEIGHTS)})"
+            f"unknown charge family {family!r} (choose from {', '.join(M_FAMILY)})"
         )
-    return names
+    return build_boundary(m_family, x=x)
 
 
 def _weight_series(family, window, x):
-    """The abstract weighted series whose mode coefficients are the linear
-    charges; weights stay symbolic."""
-    names = _weight_names(family)
-    pvar = {n: LaurentPoly.var(parameter(n)) for n in names}
-    xv = LaurentPoly.var(x)
-    xinv = LaurentPoly.var(x, half_steps=-2)
-    one = LaurentPoly.const(1)
-    if family == "onsager":
-        ap = build_current(family, "A+", window, x)
-        am = build_current(family, "A-", window, x)
-        g = build_current(family, "G", window, x)
-        return (
-            ap.scale_poly(pvar["kappa"] + pvar["kappastar"] * xinv)
-            + am.scale_poly(pvar["kappa"] + pvar["kappastar"] * xv)
-            + g.scale_poly(pvar["mu"] * (xinv - xv))
-        )
-    if family == "augmented":
-        kk = build_current(family, "K", window, x)
-        zp = build_current(family, "Z+", window, x)
-        zm = build_current(family, "Z-", window, x)
-        return (
-            kk.scale_poly(pvar["tau"])
-            + zp.scale_poly(pvar["nu"] * (one + xinv))
-            + zm.scale_poly(pvar["nustar"] * (xv + one))
-        )
-    hh = build_current(family, "H", window, x)
-    ee = build_current(family, "E", window, x)
-    ff = build_current(family, "F", window, x)
-    return (
-        hh.scale_poly(pvar["mu0"])
-        + ee.scale_poly(pvar["mu1"])
-        + ff.scale_poly(pvar["mu2"])
-    )
+    """tr(M(x)B(x)), the abstract weighted series whose mode coefficients
+    are the linear charges: the sum over positions (i, j) of M_ji(x) times
+    the current at B's (i, j).  Weights stay symbolic.  A position where M
+    is zero is skipped, so its current's metas cannot narrow the exact
+    window."""
+    m = _m_boundary(family, x).mat.cleared(())
+    total = None
+    for (i, j), (sign, letter) in _B_CURRENTS[family].items():
+        weight = m[j][i]
+        if weight.is_zero():
+            continue
+        term = build_current(family, letter, window, x).scale_poly(sign * weight)
+        total = term if total is None else total + term
+    return total
 
 
 def _series_charges(family, max_k):
     """The linear charges 0..max_k read off one weighted series: charge k
     is its mode-2k coefficient."""
-    series = _weight_series(family, max_k + 2, spectral("x"))
+    series = _weight_series(family, max_k + 1, spectral("x"))
     lo, hi = series.metas[0].exact_window()
     for mode in (0, 2 * max_k):
         if (lo is not None and mode < lo) or (hi is not None and mode > hi):
@@ -249,8 +245,7 @@ def build_linear_charge(family, k, variant="series"):
         return _series_charges(family, k)[k]
     if variant != "formula":
         raise ValueError(f"unknown variant {variant!r} (choose series or formula)")
-    names = _weight_names(family)
-    w = {n: LaurentPoly.var(parameter(n)) for n in names}
+    w = {n: LaurentPoly.var(v) for n, v in _m_boundary(family).params.items()}
     if family == "onsager":
         return (
             ons(family, "A", k, w["kappa"])
@@ -294,7 +289,8 @@ def check_linear_charges(family, max_k, variant="series", mutate=False):
     else:
         charges = [build_linear_charge(family, k, variant) for k in range(max_k + 1)]
     if mutate and max_k >= 1:
-        flip = {"onsager": "G", "augmented": "K", "invariant": "H"}[family]
+        # the generator of B's (0, 0) current
+        flip = _CURRENTS[family][_B_CURRENTS[family][0, 0][1]][0]
         c1 = charges[1]
         charges[1] = OnsElt(
             {s: (-c if s.letter == flip else c) for s, c in c1.terms.items()}

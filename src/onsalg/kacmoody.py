@@ -1,11 +1,13 @@
 """The affine sl2 Lie algebra in its mode basis, with exact brackets.
 
 Basis symbols are e[n], f[n], h[n] for integer n plus the central c.
-Brackets follow
+The loop bracket is
 
-    [e_n, e_m] = [f_n, f_m] = 0
-    [h_n, e_m] = 2 e_{n+m}          [h_n, f_m] = -2 f_{n+m}
-    [h_n, h_m] = 2 c n delta_{n+m}  [e_n, f_m] = h_{n+m} + c n delta_{n+m}
+    [x_n, y_m] = [x, y]_{n+m} + n (x, y) delta_{n+m,0} c
+
+for x, y in sl2, read off two tables: the sl2 bracket _SL2 ([h, e] = 2e,
+[h, f] = -2f, [e, f] = h) and the invariant form _FORM ((h, h) = 2,
+(e, f) = 1, every other pair 0).  c is central.
 
 Elements carry exact coefficients: plain integers or rationals, and
 polynomials in parameter variables only where a coefficient involves one,
@@ -86,6 +88,17 @@ C = BasisSymbol("C", 0)
 LieElt = LinComb
 
 
+# [x, y] in sl2 for each ordered pair of basis types that do not commute, as
+# (coefficient, type) terms; the reversed pair takes the opposite sign.
+_SL2 = {
+    ("H", "E"): ((2, "E"),),
+    ("H", "F"): ((-2, "F"),),
+    ("E", "F"): ((1, "H"),),
+}
+
+# the invariant form (x, y), once per unordered pair; every other pair is 0
+_FORM = {("H", "H"): 2, ("E", "F"): 1}
+
 _BRACKET_MEMO = {}
 
 
@@ -99,31 +112,17 @@ def _basis_bracket(a, b):
 
 
 def _bracket_terms(a, b):
-    ta, tb = a.type, b.type
-    if ta == "C" or tb == "C":
-        return ()
-    n, m = a.mode, b.mode
-    if ta == tb:
-        if ta == "H" and n + m == 0 and n != 0:
-            return ((C, 2 * n),)
-        return ()
-    if ta == "H":
-        if tb == "E":
-            return ((E(n + m), 2),)
-        return ((F(n + m), -2),)
-    if tb == "H":
-        if ta == "E":
-            return ((E(n + m), -2),)
-        return ((F(n + m), 2),)
-    if ta == "E":  # [e_n, f_m]
-        out = [(H(n + m), 1)]
-        if n + m == 0 and n != 0:
-            out.append((C, n))
-        return tuple(out)
-    # [f_n, e_m] = -[e_m, f_n]
-    out = [(H(n + m), -1)]
-    if n + m == 0 and m != 0:
-        out.append((C, -m))
+    """[x_n, y_m] = [x, y]_{n+m} + n (x, y) delta_{n+m,0} c, read off _SL2
+    and _FORM; c is in neither, so it brackets to zero."""
+    ta, tb, n, m = a.type, b.type, a.mode, b.mode
+    terms, sign = _SL2.get((ta, tb)), 1
+    if terms is None:
+        terms, sign = _SL2.get((tb, ta), ()), -1
+    out = [(BasisSymbol(t, n + m), sign * k) for k, t in terms]
+    if n + m == 0 and n:
+        form = _FORM.get((ta, tb)) or _FORM.get((tb, ta))
+        if form:
+            out.append((C, n * form))
     return tuple(out)
 
 
@@ -162,16 +161,14 @@ def _map_image(rule, sym):
     return LieElt.single((E if swap else F)(s * n - b))
 
 
-def _map_fn(name, override=None):
-    """The named map on basis symbols, sym -> LieElt, memoised for the life
-    of the returned function.
+def _memo_image(base, override=None):
+    """base, a map from a symbol (a basis symbol or a family generator) to
+    a LieElt, memoised for the life of the returned function.
 
-    override, if given, is a callable BasisSymbol -> LieElt | None tried
-    before the named map (used to verify that perturbed maps fail).
+    override, if given, is a callable symbol -> LieElt | None tried before
+    base; returning None falls through (used to verify that perturbed maps
+    fail).
     """
-    rule = _MAPS.get(name)
-    if rule is None:
-        raise ValueError(f"unknown map {name!r} (choose from {', '.join(MAP_NAMES)})")
     memo = {}
 
     def image(sym):
@@ -179,11 +176,20 @@ def _map_fn(name, override=None):
         if img is None:
             img = override(sym) if override else None
             if img is None:
-                img = _map_image(rule, sym)
+                img = base(sym)
             memo[sym] = img
         return img
 
     return image
+
+
+def _map_fn(name, override=None):
+    """The named map on basis symbols, sym -> LieElt, memoised for the life
+    of the returned function (override as in _memo_image)."""
+    rule = _MAPS.get(name)
+    if rule is None:
+        raise ValueError(f"unknown map {name!r} (choose from {', '.join(MAP_NAMES)})")
+    return _memo_image(lambda sym: _map_image(rule, sym), override)
 
 
 def apply_map(name, a, override=None):

@@ -5,6 +5,11 @@ subject to index symmetries; `morphism_image` realizes its generators
 inside the mode algebra, and the checks confirm the defining relations,
 their finite consequences, and the generating-series form of the bracket.
 
+The realizations are one table, _REALIZATIONS: a row per realization
+(the three families and kappa_minus), an entry per letter, each entry a
+list of terms (k, type, s, b) meaning k type[s n + b] and a coefficient z
+meaning z delta_{n,0} c.  Like the brackets, every entry is affine in n.
+
 Generators are interned ints, one instance per (family, letter, mode),
 ordered as those tuples are (see OnsSymbol).  The bracket of two
 generators is not memoised: it reads the table _BRACKETS on every call, so
@@ -14,8 +19,10 @@ a change to the table takes effect at once.
 import random
 import time
 
-from .exactalg import LaurentPoly, LinComb, Symbol, _addbilin, _addlin, rat, spectral
-from .kacmoody import C, E as me, F as mf, H as mh, LieElt, _basis_bracket, apply_map
+from .exactalg import (
+    LaurentPoly, LinComb, Symbol, _addbilin, _addlin, accumulate, rat, spectral
+)
+from .kacmoody import BasisSymbol, C, LieElt, _basis_bracket, _memo_image, apply_map
 from .currents import CurrentMat, SupportMeta, clear_and_compare, series_bracket
 from .report import Residuals
 
@@ -176,7 +183,33 @@ def canonical_symbols(family, window):
 
 # -- realization inside the mode algebra ------------------------------------------
 
-MORPHISM_FAMILIES = ("onsager", "augmented", "invariant", "kappa_minus")
+# Each realization inside the mode algebra, letter by letter: (terms, z)
+# sends generator[n] to the sum of k type[s n + b] over the terms
+# (k, type, s, b), plus z delta_{n,0} c.  kappa_minus is a second embedding
+# of the invariant family, shifted by the translation automorphism.
+_REALIZATIONS = {
+    "onsager": {
+        "A": (((2, "E", 1, 0), (2, "F", -1, 0)), 0),
+        "G": (((1, "H", 1, 0), (-1, "H", -1, 0)), 0),
+    },
+    "augmented": {
+        "K": (((1, "H", 1, 0), (1, "H", -1, 0)), 1),
+        "Z+": (((2, "E", 1, 0), (2, "E", -1, 1)), 0),
+        "Z-": (((2, "F", 1, 0), (2, "F", -1, -1)), 0),
+    },
+    "invariant": {
+        "H": (((1, "H", 1, 0), (1, "H", -1, 0)), 0),
+        "E": (((1, "E", 1, 0), (1, "E", -1, 0)), 0),
+        "F": (((1, "F", 1, 0), (1, "F", -1, 0)), 0),
+    },
+    "kappa_minus": {
+        "H": (((1, "H", 1, 0), (1, "H", -1, 0)), 2),
+        "E": (((1, "E", 1, 1), (1, "E", -1, 1)), 0),
+        "F": (((1, "F", 1, -1), (1, "F", -1, -1)), 0),
+    },
+}
+
+MORPHISM_FAMILIES = tuple(_REALIZATIONS)
 
 # which involution of the mode algebra fixes which realization pointwise
 FIXING_MAP = {
@@ -188,31 +221,19 @@ FIXING_MAP = {
 
 
 def morphism_image(family, sym):
-    """Image of a canonical generator in the mode algebra.
-
-    The kappa_minus realization is a second embedding of the invariant
-    family, shifted by the translation automorphism."""
-    n = sym.mode
-    if family == "onsager":
-        if sym.letter == "A":
-            return LieElt({me(n): 2, mf(-n): 2})
-        return LieElt.single(mh(n)) + LieElt.single(mh(-n), -1)
-    if family == "augmented":
-        if sym.letter == "Z+":
-            return LieElt.single(me(n), 2) + LieElt.single(me(1 - n), 2)
-        if sym.letter == "Z-":
-            return LieElt.single(mf(n), 2) + LieElt.single(mf(-n - 1), 2)
-        return LieElt.single(mh(n)) + LieElt({mh(-n): 1, C: 1 if n == 0 else 0})
-    if family == "invariant":
-        gen = {"E": me, "F": mf, "H": mh}[sym.letter]
-        return LieElt.single(gen(n)) + LieElt.single(gen(-n))
-    if family != "kappa_minus":
+    """Image of a canonical generator in the mode algebra (see
+    _REALIZATIONS)."""
+    letters = _REALIZATIONS.get(family)
+    if letters is None:
         raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
-    if sym.letter == "E":
-        return LieElt.single(me(n + 1)) + LieElt.single(me(1 - n))
-    if sym.letter == "F":
-        return LieElt.single(mf(n - 1)) + LieElt.single(mf(-n - 1))
-    return LieElt.single(mh(n)) + LieElt({mh(-n): 1, C: 2 if n == 0 else 0})
+    terms, z = letters[sym.letter]
+    n = sym.mode
+    out = {}
+    for k, t, s, b in terms:
+        accumulate(out, BasisSymbol(t, s * n + b), k)
+    if z and n == 0:
+        accumulate(out, C, z)
+    return LieElt.from_dict(out)
 
 
 def _abstract_family(family):
@@ -227,19 +248,7 @@ def check_morphism(family, window, override=None):
     started = time.monotonic()
     if family not in MORPHISM_FAMILIES:
         raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
-
-    images = {}
-
-    def img(sym):
-        # each generator's image is computed once for all pairs
-        out = images.get(sym)
-        if out is None:
-            out = override(sym) if override is not None else None
-            if out is None:
-                out = morphism_image(family, sym)
-            images[sym] = out
-        return out
-
+    img = _memo_image(lambda sym: morphism_image(family, sym), override)
     syms = canonical_symbols(_abstract_family(family), window)
     res = Residuals()
     for a in syms:

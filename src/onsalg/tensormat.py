@@ -563,17 +563,6 @@ BOUNDARY_FAMILIES = (
     "M_inv",
 )
 
-_FAMILY_PARAMS = {
-    "U_diag": ("k", "kstar"),
-    "U_offdiag": (),
-    "k_general": ("alpha", "beta", "gamma", "delta"),
-    "kappa_plus": (),
-    "kappa_minus": (),
-    "M_ons": ("kappa", "kappastar", "mu"),
-    "M_aug": ("tau", "nu", "nustar"),
-    "M_inv": ("mu0", "mu1", "mu2"),
-}
-
 
 class BoundaryMat:
     """A 2x2 boundary matrix from one of the named families.

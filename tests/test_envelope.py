@@ -150,8 +150,8 @@ def test_linear_charges_commute(family):
 @pytest.mark.parametrize("family", ["onsager", "augmented", "invariant"])
 def test_one_series_gives_every_linear_charge(family, max_k):
     # check_linear_charges reads every charge off one series of window
-    # max_k + 2; charge k must equal build_linear_charge(family, k) and the
-    # mode-2k coefficient of the series of window k + 2
+    # max_k + 1; charge k must equal build_linear_charge(family, k) and the
+    # mode-2k coefficient of the series of window k + 2, one mode wider
     charges = envelope._series_charges(family, max_k)
     own = [
         envelope._weight_series(family, k + 2, spectral("x")).entry(0, 0).get((2 * k,))
@@ -159,6 +159,27 @@ def test_one_series_gives_every_linear_charge(family, max_k):
     ]
     assert charges == own
     assert charges == [build_linear_charge(family, k) for k in range(max_k + 1)]
+
+
+@pytest.mark.parametrize("max_k", range(9))
+@pytest.mark.parametrize(
+    "family, extra", [("onsager", 0), ("augmented", 0), ("invariant", 2)]
+)
+def test_charge_series_window_reaches_the_last_charge(monkeypatch, family, extra, max_k):
+    # _series_charges builds one series of window max_k + 1, which is exact
+    # up to mode 2 max_k (one mode further for invariant): just wide enough
+    # for every charge up to max_k
+    built = []
+    series = envelope._weight_series
+
+    def spy(family, window, x):
+        out = series(family, window, x)
+        built.append((window, out.metas[0].exact_window()))
+        return out
+
+    monkeypatch.setattr(envelope, "_weight_series", spy)
+    envelope._series_charges(family, max_k)
+    assert built == [(max_k + 1, (0, 2 * max_k + extra))]
 
 
 def test_linear_mutation_fails():

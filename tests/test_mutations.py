@@ -1,10 +1,11 @@
-"""Checkers without a perturbation argument fail on a perturbed table.
+"""Checkers fail on a perturbed structure-constant table.
 
 serre_chevalley, jacobi, jacobi_sampled, dolan_grady and fixed_point take
-no override: the structure constants and the automorphisms they test are
-module data (onsager._BRACKETS, kacmoody._MAPS) or one basis-bracket
-function (kacmoody._basis_bracket).  Each test changes one entry for its
-duration and pins the residual count and first witness of the failure.
+no override: the structure constants, the realizations and the
+automorphisms they test are module data (kacmoody._SL2 and _FORM,
+onsager._BRACKETS and _REALIZATIONS, kacmoody._MAPS).  Each test changes
+one entry for its duration and pins the residual count and first witness
+of the failure.
 """
 
 import pytest
@@ -20,14 +21,19 @@ def _first(rep):
 
 
 def test_serre_chevalley_fails_without_the_central_term(monkeypatch):
-    # [e_n, f_m] = h_{n+m} + c n delta_{n+m}, with the c term dropped
-    real = kacmoody._basis_bracket
-
-    def no_central(a, b):
-        return tuple(p for p in real(a, b) if p[0] != kacmoody.C or "H" in (a.type, b.type))
-
-    monkeypatch.setattr(kacmoody, "_basis_bracket", no_central)
+    # [e_n, f_m] = h_{n+m} + c n delta_{n+m}, with the form's (e, f) = 1
+    # dropped; an empty memo makes the bracket read the changed table
+    monkeypatch.delitem(kacmoody._FORM, ("E", "F"))
+    monkeypatch.setattr(kacmoody, "_BRACKET_MEMO", {})
     assert _first(kacmoody.check_serre_chevalley(3)) == (1, "[x0+, x0-]", "c")
+
+
+def test_augmented_realization_fails_without_its_central_term(monkeypatch):
+    # K[n] goes to h[n] + h[-n] + delta_{n,0} c, with the c dropped
+    terms, _ = onsager._REALIZATIONS["augmented"]["K"]
+    monkeypatch.setitem(onsager._REALIZATIONS["augmented"], "K", (terms, 0))
+    assert _first(onsager.check_morphism("augmented", 3)) == (6, "[Z+[1], Z-[0]]", "4*c")
+    assert _first(onsager.check_fixed_point("augmented", 3)) == (1, "K[0]", "2*c")
 
 
 def test_jacobi_fails_on_a_bracket_that_is_not_antisymmetric(monkeypatch):
