@@ -177,8 +177,13 @@ def _cpu_seconds():
 
 
 def _run_one(job):
+    """Run one check and set its duration_ms: the whole call, building the
+    check's inputs included."""
     fn, args = job
-    return fn(*args)
+    started = time.perf_counter()
+    report = fn(*args)
+    report.duration_ms = (time.perf_counter() - started) * 1000.0
+    return report
 
 
 def _execute(checks, parallel):

@@ -18,7 +18,6 @@ at the end; a sum or difference merges each coefficient both operands
 hold with one kernel call.
 """
 
-import time
 from dataclasses import dataclass
 from operator import add
 
@@ -540,16 +539,22 @@ def build_B(family, window, x=None):
     xk_rows = (b.derivative() @ kinv).scale(LaurentPoly.var(x)).cleared(())
     total = tp + conj + _times_c(-1, xk_rows, (x,))
     nat_lo = _B_NATURAL_LO[family]
-    meta = total.metas[0]
+    hi = nat_lo + 2 * window
+    trunc_hi = total.metas[0].trunc_hi
     # Post-conditions of the construction above, which hold for every valid
     # input, so a failure is a bug here and not bad input: the margin keeps
     # the exact region past the window, and everything below the family's
     # lowest degree cancels (checked before truncate would drop it).
-    assert meta.trunc_hi is None or meta.trunc_hi >= nat_lo + 2 * window
+    call = f"build_B({family!r}, window={window})"
+    if trunc_hi is not None and trunc_hi < hi:
+        raise ValueError(f"{call} is exact only up to degree {trunc_hi}, not {hi}")
     for pos, coeffs in total.entries.items():
-        assert all(d[0] >= nat_lo for d in coeffs), (family, pos)
-    out = total.truncate(x, nat_lo, nat_lo + 2 * window)
-    metas = (SupportMeta(nat_lo, None, None, nat_lo + 2 * window),)
+        low = min((d[0] for d in coeffs), default=nat_lo)
+        if low < nat_lo:
+            raise ValueError(f"{call} has degree {low} at entry {pos}, "
+                             f"below the family's lowest degree {nat_lo}")
+    out = total.truncate(x, nat_lo, hi)
+    metas = (SupportMeta(nat_lo, None, None, hi),)
     return CurrentMat(1, (x,), out.entries, metas)
 
 
@@ -613,7 +618,6 @@ def check_frt_relations(window, omit_central=False):
     """The three defining exchange relations of the double current algebra,
     including the central extension term (set omit_central to confirm the
     check catches its absence)."""
-    started = time.monotonic()
     if window < MIN_WINDOW:
         raise ValueError(
             f"window must be >= {MIN_WINDOW}: the mixed relation compares degrees "
@@ -658,7 +662,6 @@ def check_frt_relations(window, omit_central=False):
     return res.report(
         "frt_relations" + ("[no central term]" if omit_central else ""),
         "; ".join(regions),
-        started,
     )
 
 
@@ -669,7 +672,6 @@ def check_exchange(family, window, rbar_family=None):
     rbar_family overrides which family's reflected r-matrix is used; any
     mismatch with the B family must make the check fail.
     """
-    started = time.monotonic()
     if window < MIN_WINDOW:
         raise ValueError(f"window must be >= {MIN_WINDOW} for a meaningful comparison")
     x, y = spectral("x"), spectral("y")
@@ -692,4 +694,4 @@ def check_exchange(family, window, rbar_family=None):
     tag = f"exchange[{family}]"
     if rbar_family and rbar_family != family:
         tag += f"[rbar from {rbar_family}]"
-    return res.report(tag, region, started)
+    return res.report(tag, region)

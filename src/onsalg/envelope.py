@@ -21,8 +21,6 @@ the normal form independent of the rewrite order, so a memoised form is
 the same whichever product first asked for it.
 """
 
-import time
-
 from .exactalg import MODE_BOUND, LaurentPoly, LinComb, accumulate, spectral
 from .kacmoody import BasisSymbol, _basis_bracket
 from .currents import build_B
@@ -281,7 +279,6 @@ def check_linear_charges(family, max_k, variant="series", mutate=False):
 
     mutate=True flips the sign of the diagonal-letter part of the second
     charge, which must break commutativity."""
-    started = time.monotonic()
     if max_k < 0:
         raise ValueError(f"max-k must be >= 0, not {max_k}")
     if variant == "series":
@@ -304,7 +301,6 @@ def check_linear_charges(family, max_k, variant="series", mutate=False):
         + (f"[{variant}]" if variant != "series" else "")
         + ("[mutated]" if mutate else ""),
         f"symbolic weights, 0 <= j < k <= {max_k}",
-        started,
     )
 
 
@@ -315,7 +311,6 @@ def check_quadratic_charges(family, max_k, mutate=False):
     (tests/test_envelope.py compares the two).
 
     mutate=True adds a stray degree-one term to t_1, which must fail."""
-    started = time.monotonic()
     ts = build_quadratic_charge(family, max_k)
     if mutate and max_k >= 1:
         ts[1] = ts[1] + UeaElt({(BasisSymbol("E", 1),): 1})
@@ -326,7 +321,6 @@ def check_quadratic_charges(family, max_k, mutate=False):
     return res.report(
         f"quadratic_charges[{family}]" + ("[mutated]" if mutate else ""),
         f"normal-ordered, 0 <= j < k <= {max_k}",
-        started,
     )
 
 

@@ -9,6 +9,12 @@ for x, y in sl2, read off two tables: the sl2 bracket _SL2 ([h, e] = 2e,
 [h, f] = -2f, [e, f] = h) and the invariant form _FORM ((h, h) = 2,
 (e, f) = 1, every other pair 0).  c is central.
 
+The named automorphisms and the realizations of the Onsager families
+(onsager._REALIZATIONS) are affine maps in one table format: per letter, a
+list of terms (k, type, s, b) meaning k type[s n + b] and a coefficient z
+meaning z delta_{n,0} c.  _affine_image is the one interpreter of both,
+and _homomorphism the one sweep that checks a map preserves brackets.
+
 Elements carry exact coefficients: plain integers or rationals, and
 polynomials in parameter variables only where a coefficient involves one,
 so symbolic linear combinations stay exact.
@@ -19,9 +25,7 @@ hash and compare at C speed and print in the (type, mode) order.  The
 bracket of two basis symbols is memoised per pair (see _basis_bracket).
 """
 
-import time
-
-from .exactalg import LinComb, Symbol, _addbilin, _addlin
+from .exactalg import LinComb, Symbol, _addbilin, _addlin, accumulate
 from .report import Residuals
 
 __all__ = [
@@ -131,34 +135,41 @@ def bracket(a, b):
     return a.bilinear(b, _basis_bracket)
 
 
-# -- the automorphism zoo -------------------------------------------------------
+# -- affine maps ------------------------------------------------------------------
 
-# name: (swap, s, b).  e_n goes to e_{s n + b} and f_n to f_{s n - b}, with e
-# and f exchanged when swap is set; h_n goes to h_{s n} + b delta_{n,0} c,
-# with h_{s n} negated when swap is set; c goes to s c.  The maps with s = -1 are
-# involutions; shift, the one-step loop rotation, conjugates the plus/minus
-# fixed subalgebras.
+
+def _affine_image(row, letter, n):
+    """The image of letter[n] under an affine map, as a LieElt: row[letter]
+    is (terms, z), sending letter[n] to the sum of k type[s n + b] over the
+    terms (k, type, s, b), plus z delta_{n,0} c."""
+    terms, z = row[letter]
+    out = {}
+    for k, t, s, b in terms:
+        accumulate(out, BasisSymbol(t, s * n + b), k)
+    if z and n == 0:
+        accumulate(out, C, z)
+    return LieElt.from_dict(out)
+
+
+# The named automorphisms, with the basis types as letters, so C (mode 0)
+# goes to z c.  A map whose every term has s = -1 sends mode n to b - n, so
+# it is its own inverse; check_automorphism then also checks that it
+# squares to the identity.  shift, the one-step loop rotation, conjugates
+# the plus/minus fixed subalgebras.
 _MAPS = {
-    "theta1": (True, -1, 0),
-    "theta2": (False, -1, 1),
-    "lusztig_plus": (False, -1, 0),
-    "lusztig_minus": (False, -1, 2),
-    "shift": (False, 1, 1),
+    "theta1": {"E": (((1, "F", -1, 0),), 0), "F": (((1, "E", -1, 0),), 0),
+               "H": (((-1, "H", -1, 0),), 0), "C": ((), -1)},
+    "theta2": {"E": (((1, "E", -1, 1),), 0), "F": (((1, "F", -1, -1),), 0),
+               "H": (((1, "H", -1, 0),), 1), "C": ((), -1)},
+    "lusztig_plus": {"E": (((1, "E", -1, 0),), 0), "F": (((1, "F", -1, 0),), 0),
+                     "H": (((1, "H", -1, 0),), 0), "C": ((), -1)},
+    "lusztig_minus": {"E": (((1, "E", -1, 2),), 0), "F": (((1, "F", -1, -2),), 0),
+                      "H": (((1, "H", -1, 0),), 2), "C": ((), -1)},
+    "shift": {"E": (((1, "E", 1, 1),), 0), "F": (((1, "F", 1, -1),), 0),
+              "H": (((1, "H", 1, 0),), 1), "C": ((), 1)},
 }
 
 MAP_NAMES = tuple(_MAPS)
-
-
-def _map_image(rule, sym):
-    swap, s, b = rule
-    t, n = sym.type, sym.mode
-    if t == "C":
-        return LieElt.single(C, s)
-    if t == "H":
-        return LieElt({H(s * n): -1 if swap else 1, C: b if n == 0 else 0})
-    if t == "E":
-        return LieElt.single((F if swap else E)(s * n + b))
-    return LieElt.single((E if swap else F)(s * n - b))
 
 
 def _memo_image(base, override=None):
@@ -186,10 +197,10 @@ def _memo_image(base, override=None):
 def _map_fn(name, override=None):
     """The named map on basis symbols, sym -> LieElt, memoised for the life
     of the returned function (override as in _memo_image)."""
-    rule = _MAPS.get(name)
-    if rule is None:
+    row = _MAPS.get(name)
+    if row is None:
         raise ValueError(f"unknown map {name!r} (choose from {', '.join(MAP_NAMES)})")
-    return _memo_image(lambda sym: _map_image(rule, sym), override)
+    return _memo_image(lambda sym: _affine_image(row, sym.type, sym.mode), override)
 
 
 def apply_map(name, a, override=None):
@@ -206,32 +217,37 @@ def _basis_range(window):
     return syms
 
 
+def _homomorphism(res, syms, image, product, sign):
+    """Add to res, for every ordered pair (a, b) of syms (no symmetry is
+    assumed), sign (image([a, b]) - [image(a), image(b)]) at position
+    [a, b]: product is the bracket of the domain, as (symbol, coefficient)
+    pairs, image maps a symbol to a LieElt, and the images are bracketed in
+    the mode algebra."""
+    for a in syms:
+        ia = image(a).terms
+        for b in syms:
+            out = {}
+            for k, ck in product(a, b):
+                _addlin(out, image(k).terms, sign * ck)
+            _addbilin(out, ia, image(b).terms, _basis_bracket, -sign)
+            res.add(LieElt.from_dict(out), "[{}, {}]", a, b)
+
+
 def check_automorphism(name, window, override=None):
     """Verify the named map preserves brackets on all ordered basis pairs
-    with |mode| <= window (no symmetry is assumed), and squares to the
-    identity when it should."""
-    started = time.monotonic()
+    with |mode| <= window, and squares to the identity when every term of
+    its row reverses the mode (s = -1)."""
     image = _map_fn(name, override)
     syms = _basis_range(window)
     res = Residuals()
-    for a in syms:
-        fa = image(a).terms
-        for b in syms:
-            # image([a, b]) - [image(a), image(b)], accumulated in one dict
-            out = {}
-            for k, ck in _basis_bracket(a, b):
-                _addlin(out, image(k).terms, ck)
-            _addbilin(out, fa, image(b).terms, _basis_bracket, -1)
-            res.add(LieElt.from_dict(out), "[{}, {}]", a, b)
-    if _MAPS[name][1] == -1:  # n -> b - n is its own inverse
+    _homomorphism(res, syms, image, _basis_bracket, 1)
+    if all(s == -1 for terms, _ in _MAPS[name].values() for _, _, s, _ in terms):
         for a in syms:
             out = {a: -1}
             for k, ck in image(a).terms.items():
                 _addlin(out, image(k).terms, ck)
             res.add(LieElt.from_dict(out), "involution at {}", a)
-    return res.report(
-        f"automorphism[{name}]", f"basis pairs with |mode| <= {window}", started
-    )
+    return res.report(f"automorphism[{name}]", f"basis pairs with |mode| <= {window}")
 
 
 def check_serre_chevalley(window):
@@ -241,7 +257,6 @@ def check_serre_chevalley(window):
     k0 -> -c - h0, x0+ -> f[-1], x0- -> e[1]; the Cartan matrix is
     [[2,-2],[-2,2]] and [xi+, xj-] = kj exactly when i = j.
     """
-    started = time.monotonic()
     k = {1: LieElt.single(H(0)), 0: LieElt.single(C, -1) + LieElt.single(H(0), -1)}
     xp = {1: LieElt.single(E(0)), 0: LieElt.single(F(-1))}
     xm = {1: LieElt.single(F(0)), 0: LieElt.single(E(1))}
@@ -270,5 +285,4 @@ def check_serre_chevalley(window):
     return res.report(
         "serre_chevalley",
         f"generator relations; centrality swept |mode| <= {window}",
-        started,
     )

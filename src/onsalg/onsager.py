@@ -6,9 +6,11 @@ inside the mode algebra, and the checks confirm the defining relations,
 their finite consequences, and the generating-series form of the bracket.
 
 The realizations are one table, _REALIZATIONS: a row per realization
-(the three families and kappa_minus), an entry per letter, each entry a
-list of terms (k, type, s, b) meaning k type[s n + b] and a coefficient z
-meaning z delta_{n,0} c.  Like the brackets, every entry is affine in n.
+(the three families and kappa_minus), each an affine map in the format of
+the automorphisms kacmoody._MAPS, with the generator letters as letters.
+kacmoody._affine_image reads both tables, and kacmoody._homomorphism is the
+pair sweep of check_morphism and check_automorphism alike.  Like the
+brackets, every entry is affine in n.
 
 Generators are interned ints, one instance per (family, letter, mode),
 ordered as those tuples are (see OnsSymbol).  The bracket of two
@@ -17,12 +19,9 @@ a change to the table takes effect at once.
 """
 
 import random
-import time
 
-from .exactalg import (
-    LaurentPoly, LinComb, Symbol, _addbilin, _addlin, accumulate, rat, spectral
-)
-from .kacmoody import BasisSymbol, C, LieElt, _basis_bracket, _memo_image, apply_map
+from .exactalg import LaurentPoly, LinComb, Symbol, _addbilin, rat, spectral
+from .kacmoody import LieElt, _affine_image, _homomorphism, _memo_image, apply_map
 from .currents import CurrentMat, SupportMeta, clear_and_compare, series_bracket
 from .report import Residuals
 
@@ -183,10 +182,9 @@ def canonical_symbols(family, window):
 
 # -- realization inside the mode algebra ------------------------------------------
 
-# Each realization inside the mode algebra, letter by letter: (terms, z)
-# sends generator[n] to the sum of k type[s n + b] over the terms
-# (k, type, s, b), plus z delta_{n,0} c.  kappa_minus is a second embedding
-# of the invariant family, shifted by the translation automorphism.
+# Each realization inside the mode algebra, as an affine map (see
+# kacmoody._affine_image) on the generator letters.  kappa_minus is a second
+# embedding of the invariant family, shifted by the translation automorphism.
 _REALIZATIONS = {
     "onsager": {
         "A": (((2, "E", 1, 0), (2, "F", -1, 0)), 0),
@@ -223,17 +221,15 @@ FIXING_MAP = {
 def morphism_image(family, sym):
     """Image of a canonical generator in the mode algebra (see
     _REALIZATIONS)."""
-    letters = _REALIZATIONS.get(family)
-    if letters is None:
+    row = _REALIZATIONS.get(family)
+    if row is None:
         raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
-    terms, z = letters[sym.letter]
-    n = sym.mode
-    out = {}
-    for k, t, s, b in terms:
-        accumulate(out, BasisSymbol(t, s * n + b), k)
-    if z and n == 0:
-        accumulate(out, C, z)
-    return LieElt.from_dict(out)
+    if sym.family != _abstract_family(family):
+        raise ValueError(
+            f"the {family!r} realization takes generators of family "
+            f"{_abstract_family(family)!r}, not of family {sym.family!r}"
+        )
+    return _affine_image(row, sym.letter, sym.mode)
 
 
 def _abstract_family(family):
@@ -245,25 +241,16 @@ def check_morphism(family, window, override=None):
     pairs with |mode| <= window (no symmetry is assumed).  `override(sym)`
     replaces single images (returning None falls through), which is how a
     perturbed realization is checked."""
-    started = time.monotonic()
     if family not in MORPHISM_FAMILIES:
         raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
     img = _memo_image(lambda sym: morphism_image(family, sym), override)
     syms = canonical_symbols(_abstract_family(family), window)
     res = Residuals()
-    for a in syms:
-        ia = img(a).terms
-        for b in syms:
-            # [img(a), img(b)] - img([a, b]), accumulated in one dict
-            out = {}
-            _addbilin(out, ia, img(b).terms, _basis_bracket)
-            for sym, k in _pair_bracket(a, b):
-                _addlin(out, img(sym).terms, -k)
-            res.add(LieElt.from_dict(out), "[{}, {}]", a, b)
+    # [img(a), img(b)] - img([a, b])
+    _homomorphism(res, syms, img, _pair_bracket, -1)
     return res.report(
         f"morphism[{family}]" + ("[override]" if override else ""),
         f"generator pairs with |mode| <= {window}",
-        started,
     )
 
 
@@ -285,7 +272,6 @@ def check_jacobi(family, window):
     the bracket is antisymmetric on the window's pairs, which the first
     sweep proves; so the sorted triples i <= j <= k cover every triple.
     """
-    started = time.monotonic()
     syms = canonical_symbols(family, window)
     elts = [OnsElt.single(s) for s in syms]
     res = Residuals()
@@ -306,32 +292,32 @@ def check_jacobi(family, window):
         f"jacobi[{family}]",
         f"antisymmetry on generator pairs and Jacobi on generator triples with "
         f"|mode| <= {window}",
-        started,
     )
 
 
-def check_jacobi_sampled(family, max_mode, seed, samples=40):
+# how many random triples check_jacobi_sampled draws
+_JACOBI_SAMPLES = 40
+
+
+def check_jacobi_sampled(family, max_mode, seed):
     """Jacobi identity on randomized generator triples with modes up to
     max_mode — a spot check beyond the exhaustive window."""
-    started = time.monotonic()
     rng = random.Random(seed)
     syms = canonical_symbols(family, max_mode)
     res = Residuals()
-    for _ in range(samples):
+    for _ in range(_JACOBI_SAMPLES):
         sa, sb, sc = (rng.choice(syms) for _ in range(3))
         jac = _jacobi(OnsElt.single(sa), OnsElt.single(sb), OnsElt.single(sc))
         res.add(jac, "({}, {}, {})", sa, sb, sc)
     return res.report(
         f"jacobi_sampled[{family}]",
-        f"{samples} random triples with |mode| <= {max_mode}, seed {seed}",
-        started,
+        f"{_JACOBI_SAMPLES} random triples with |mode| <= {max_mode}, seed {seed}",
     )
 
 
 def check_dolan_grady(family):
     """The finite presentations: nested-commutator relations among the
     lowest generators that characterize each family."""
-    started = time.monotonic()
     res = Residuals()
 
     def expect(tag, got, want):
@@ -373,12 +359,11 @@ def check_dolan_grady(family):
         expect("[E0,F1] = 2 H1", br(e0, f1), h1.scale(2))
         expect("[E1,F0] = 2 H1", br(e1, f0), h1.scale(2))
         expect("[H1,[E1,F1]] = 0", br(h1, br(e1, f1)), OnsElt())
-    return res.report(f"dolan_grady[{family}]", "lowest-mode relations", started)
+    return res.report(f"dolan_grady[{family}]", "lowest-mode relations")
 
 
 def check_fixed_point(family, max_mode):
     """The family's distinguished involution fixes its realization pointwise."""
-    started = time.monotonic()
     if family not in FIXING_MAP:
         raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
     name = FIXING_MAP[family]
@@ -389,7 +374,6 @@ def check_fixed_point(family, max_mode):
     return res.report(
         f"fixed_point[{family}, {name}]",
         f"generators with |mode| <= {max_mode}",
-        started,
     )
 
 
@@ -397,7 +381,6 @@ def check_kappa_isomorphism(window, correspondence_shift=0):
     """The translation automorphism carries the invariant realization onto
     the kappa_minus one generator by generator.  A nonzero
     correspondence_shift misaligns the modes and must fail."""
-    started = time.monotonic()
     res = Residuals()
     for sym in canonical_symbols("invariant", window):
         sign, target = canonicalize(
@@ -410,7 +393,6 @@ def check_kappa_isomorphism(window, correspondence_shift=0):
         "kappa_isomorphism"
         + (f"[shift {correspondence_shift:+d}]" if correspondence_shift else ""),
         f"invariant generators with mode <= {window}",
-        started,
     )
 
 
@@ -460,7 +442,6 @@ CURRENT_RELATIONS_MIN_WINDOW = 3
 def check_current_relations(family, window):
     """The full bracket table in generating-series form: every pairing of the
     family's currents equals its closed rational-coefficient combination."""
-    started = time.monotonic()
     if window < CURRENT_RELATIONS_MIN_WINDOW:
         raise ValueError(
             f"window must be >= {CURRENT_RELATIONS_MIN_WINDOW} "
@@ -546,4 +527,4 @@ def check_current_relations(family, window):
         lhs = series_bracket(cur_x[la], raw_y[lb], _pair_bracket)
         tag = f"[{la}(x),{lb}(y)]"
         regions.append(f"{tag}: {clear_and_compare(res, tag, lhs, parts, clearing)}")
-    return res.report(f"current_relations[{family}]", "; ".join(regions), started)
+    return res.report(f"current_relations[{family}]", "; ".join(regions))

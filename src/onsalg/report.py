@@ -1,6 +1,11 @@
-"""Uniform pass/fail reporting for identity checks."""
+"""Uniform pass/fail reporting for identity checks.
 
-import time
+A checker collects its nonzero residuals in a Residuals and returns
+Residuals.report(name, region).  Checks keep no clock: the runner (cli)
+times each whole call, building its inputs included, and sets the
+report's duration_ms.
+"""
+
 from dataclasses import dataclass, field
 
 MAX_WITNESSES = 8
@@ -49,25 +54,6 @@ class CheckReport:
         return s
 
 
-def finish_report(name, witnesses, term_count, region, started):
-    """Assemble a CheckReport from collected witnesses.
-
-    witnesses: list of (position, residual) pairs; term_count: total
-    number of nonzero residual terms; started: time.monotonic() stamp.
-    """
-    return CheckReport(
-        name=name,
-        status="pass" if term_count == 0 else "fail",
-        residual_term_count=term_count,
-        witnesses=[
-            {"position": str(p), "residual": str(r)}
-            for p, r in witnesses[:MAX_WITNESSES]
-        ],
-        region=region,
-        duration_ms=(time.monotonic() - started) * 1000.0,
-    )
-
-
 class Residuals:
     """The nonzero residuals of one check.
 
@@ -96,5 +82,13 @@ class Residuals:
                 s = s[:WITNESS_CHARS] + " ..."
             self.witnesses.append((position.format(*args) if args else position, s))
 
-    def report(self, name, region, started):
-        return finish_report(name, self.witnesses, self.count, region, started)
+    def report(self, name, region):
+        """The CheckReport of these residuals: a pass when there are none,
+        with region describing the domain that was compared."""
+        return CheckReport(
+            name=name,
+            status="fail" if self.count else "pass",
+            residual_term_count=self.count,
+            witnesses=[{"position": p, "residual": r} for p, r in self.witnesses],
+            region=region,
+        )

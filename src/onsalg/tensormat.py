@@ -16,8 +16,6 @@ once each.  All identity checks in this module are exact symbolic
 computations.
 """
 
-import time
-
 from .exactalg import (
     _SCALAR_TYPES,
     LaurentPoly,
@@ -480,15 +478,14 @@ def _add_entries(res, mat, tag):
             res.add(n, "{}entry ({},{})", tag, i, j)
 
 
-def _residual_report(name, mat, region, started):
+def _residual_report(name, mat, region):
     res = Residuals()
     _add_entries(res, mat, "")
-    return res.report(name, region, started)
+    return res.report(name, region)
 
 
 def check_cybe(r):
     """Verify [r13, r23] = [r13 + r23, r12] with arguments x1/x3, x2/x3, x1/x2."""
-    started = time.monotonic()
     u = _spectral_var(r)
     x1, x2, x3 = spectral("x1"), spectral("x2"), spectral("x3")
 
@@ -500,9 +497,7 @@ def check_cybe(r):
     r23 = at(2, 3, x2, x3)
     r12 = at(1, 2, x1, x2)
     delta = commutator_sum([(r13, r23), (r12, r13 + r23)])
-    return _residual_report(
-        "cybe", delta, "symbolic in x1,x2,x3 (exact)", started
-    )
+    return _residual_report("cybe", delta, "symbolic in x1,x2,x3 (exact)")
 
 
 def u_derivative(r):
@@ -518,7 +513,6 @@ def u_derivative(r):
 def check_r_symmetries(r):
     """Skew symmetry, transpose symmetry, tracelessness and the derivative
     identity [f13 + f23, r12] = [f13, r23] + [r13, f23] with f(u) = u r'(u)."""
-    started = time.monotonic()
     u = _spectral_var(r)
     inv_u = LaurentPoly.monomial((u,), (-2,), 1)
     res = Residuals()
@@ -547,7 +541,7 @@ def check_r_symmetries(r):
     r12 = at(r, 1, 2, x1, x2)
     delta = commutator_sum([(f13 + f23, r12), (r23, f13), (f23, r13)])
     _add_entries(res, delta, "derivative identity ")
-    return res.report("r_symmetries", "symbolic (exact)", started)
+    return res.report("r_symmetries", "symbolic (exact)")
 
 
 # -- boundary matrices ---------------------------------------------------------------
@@ -665,7 +659,6 @@ def build_boundary(family, params=None, x=None):
 
 def check_U_conditions(b, epsilon):
     """U(x)^t = epsilon U(1/x) and [U1(x) U2(y), r12(x/y)] = 0."""
-    started = time.monotonic()
     x = b.x
     y = spectral("y")
     res = Residuals()
@@ -683,13 +676,11 @@ def check_U_conditions(b, epsilon):
     return res.report(
         f"U_conditions[{b.family}, eps={epsilon:+d}]",
         "symbolic in x,y (exact)",
-        started,
     )
 
 
 def check_reflection(b):
     """r12(x/y) k1 k2 - k1 k2 r12(x/y) = k1 r12^{t2}(xy) k2 - k2 r12^{t2}(xy) k1."""
-    started = time.monotonic()
     x = b.x
     y = spectral("y")
     u = spectral("u")
@@ -706,7 +697,6 @@ def check_reflection(b):
         f"reflection[{b.family}]",
         lhs - rhs,
         "symbolic in x,y; parameters symbolic (exact)",
-        started,
     )
 
 
@@ -748,7 +738,6 @@ def _rbar_at(rbar, x, y, vi, vj, legs, total):
 
 def check_nscybe(rbar, label=None):
     """[rb13, rb23] = [rb21, rb13] + [rb23, rb12], arguments (x1,x3) etc."""
-    started = time.monotonic()
     x, y = _rbar_args(rbar)
     x1, x2, x3 = spectral("x1"), spectral("x2"), spectral("x3")
     rb13 = _rbar_at(rbar, x, y, x1, x3, (1, 3), 3)
@@ -757,14 +746,11 @@ def check_nscybe(rbar, label=None):
     rb12 = _rbar_at(rbar, x, y, x1, x2, (1, 2), 3)
     delta = commutator_sum([(rb13, rb23), (rb13, rb21), (rb12, rb23)])
     name = "nscybe" if label is None else f"nscybe[{label}]"
-    return _residual_report(
-        name, delta, "symbolic in x1,x2,x3 (exact)", started
-    )
+    return _residual_report(name, delta, "symbolic in x1,x2,x3 (exact)")
 
 
 def check_M_condition(m, rbar):
     """[tr_1(rbar_12(x,y) M_1(x)), M_2(y)] = 0."""
-    started = time.monotonic()
     x, y = _rbar_args(rbar)
     if m.x != x:
         raise ValueError("M must be built in rbar's first spectral variable")
@@ -776,5 +762,4 @@ def check_M_condition(m, rbar):
         f"M_condition[{m.family}]",
         delta,
         "symbolic in x,y; parameters symbolic (exact)",
-        started,
     )

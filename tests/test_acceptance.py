@@ -5,7 +5,9 @@ exact arithmetic blow up combinatorially fails loudly instead of
 quietly stretching CI.
 """
 
+import ast
 import time
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +205,18 @@ def test_every_documented_mutation_fails():
         bad(check_kappa_isomorphism(8, correspondence_shift=1))
         bad(check_linear_charges("onsager", 2, mutate=True))
         bad(check_quadratic_charges("onsager", 2, mutate=True))
+
+
+# -- python -O ------------------------------------------------------------------
+
+
+def test_guards_are_never_asserts():
+    # python -O strips assert statements, so no check of the library is one
+    src = Path(__file__).resolve().parent.parent / "src" / "onsalg"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

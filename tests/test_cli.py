@@ -5,12 +5,11 @@ import os
 import platform
 import subprocess
 import sys
-import time
 
 import pytest
 
 from onsalg import cli, exactalg
-from onsalg.report import CheckReport, finish_report
+from onsalg.report import CheckReport
 
 CHECK_KEYS = {"name", "status", "residual_terms", "region", "duration_ms", "witnesses"}
 
@@ -89,8 +88,9 @@ def test_passing_suite_exits_zero(capsys):
 
 def test_failing_check_exits_one(monkeypatch, capsys):
     def forced_failure():
-        return finish_report(
-            "forced", [("spot", "leftover")], 1, "synthetic", time.monotonic()
+        return CheckReport(
+            "forced", "fail", 1, [{"position": "spot", "residual": "leftover"}],
+            "synthetic",
         )
 
     monkeypatch.setattr(cli, "suite_checks", lambda cfg: [(forced_failure, ())])
@@ -101,16 +101,23 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     assert "summary: 0 passed, 1 failed" in out
 
 
-def test_summary_reports_wall_time_not_summed_durations(monkeypatch, capsys):
-    def claims_a_second():
-        return CheckReport("slow on paper", "pass", duration_ms=1000.0)
-
-    checks = [(claims_a_second, ()), (claims_a_second, ())]
-    monkeypatch.setattr(cli, "suite_checks", lambda cfg: checks)
-    assert cli.run(["rmatrix"]) == 0
+def test_summary_reports_wall_time_not_summed_durations(capsys):
+    # the runner sets duration_ms, so the summary is checked on planted
+    # reports: under --parallel the durations overlap
+    reports = [CheckReport("slow on paper", "pass", duration_ms=1000.0)] * 2
+    assert cli._emit(cli.SuiteConfig("rmatrix"), reports, [], 0.005, 0.0) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
-    assert summary.startswith("summary: 2 passed, 0 failed (")
-    assert "2000 ms" not in summary
+    assert summary == "summary: 2 passed, 0 failed (5 ms)"
+
+
+@pytest.mark.parametrize("flags", [[], ["--parallel"]], ids=["serial", "parallel"])
+def test_the_runner_times_every_check(capsys, flags):
+    _, doc = run_json(["all", "--window", "4", "--max-k", "2", *flags], capsys)
+    durations = [c["duration_ms"] for c in doc["checks"]]
+    assert len(durations) == 51 and all(d > 0 for d in durations)
+    if not flags:
+        # serial checks do not overlap; wall_s is rounded to the millisecond
+        assert sum(durations) <= 1e3 * doc["wall_s"] + 0.5
 
 
 def test_main_raises_systemexit():

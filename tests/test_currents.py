@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onsalg import onsager
+from onsalg import currents, onsager
 from onsalg.currents import (
     CurrentMat,
     SupportMeta,
@@ -341,6 +341,25 @@ def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "lowest, message",
+    [
+        # a lowest degree above the family's leaves terms below it, which
+        # truncating would silently drop
+        (2, r"build_B\('onsager', window=4\) has degree 0 at entry \(0, 1\), "
+            "below the family's lowest degree 2"),
+        # a window past the construction's margin
+        (40, r"build_B\('onsager', window=4\) is exact only up to degree 14, not 48"),
+    ],
+    ids=["degree_below_lowest", "window_past_margin"],
+)
+def test_guards_build_B_post_conditions(monkeypatch, lowest, message):
+    # explicit exceptions, so python -O keeps them
+    monkeypatch.setitem(currents._B_NATURAL_LO, "onsager", lowest)
+    with pytest.raises(ValueError, match=message):
+        build_B("onsager", 4)
 
 
 def test_guards_add_refuses_a_non_current():

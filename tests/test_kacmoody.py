@@ -166,6 +166,44 @@ def test_map_images():
             assert apply_map(name, LieElt.single(sym)) == want, (name, sym)
 
 
+# The named maps in an independent encoding, (swap, s, b): e_n goes to
+# e_{s n + b} and f_n to f_{s n - b}, with e and f exchanged when swap is
+# set; h_n goes to h_{s n} + b delta_{n,0} c, with h_{s n} negated when swap
+# is set; c goes to s c.
+_SWAP_RULES = {
+    "theta1": (True, -1, 0),
+    "theta2": (False, -1, 1),
+    "lusztig_plus": (False, -1, 0),
+    "lusztig_minus": (False, -1, 2),
+    "shift": (False, 1, 1),
+}
+
+
+def _swap_rule_image(rule, sym):
+    swap, s, b = rule
+    t, n = sym.type, sym.mode
+    if t == "C":
+        return LieElt.single(C, s)
+    if t == "H":
+        return LieElt({H(s * n): -1 if swap else 1, C: b if n == 0 else 0})
+    if t == "E":
+        return LieElt.single((F if swap else E)(s * n + b))
+    return LieElt.single((E if swap else F)(s * n - b))
+
+
+def test_the_map_table_names_the_swap_rules():
+    assert set(MAP_NAMES) == set(_SWAP_RULES)
+
+
+@pytest.mark.parametrize("name", sorted(_SWAP_RULES))
+def test_map_table_agrees_with_the_swap_rule(name):
+    rule = _SWAP_RULES[name]
+    syms = [C] + [g(n) for g in (E, F, H) for n in range(-6, 7)]
+    for sym in syms:
+        want = _swap_rule_image(rule, sym)
+        assert apply_map(name, LieElt.single(sym)) == want, (name, sym)
+
+
 @pytest.mark.parametrize("name", MAP_NAMES)
 def test_named_maps_are_automorphisms(name):
     rep = check_automorphism(name, 4)

@@ -12,6 +12,7 @@ import pytest
 
 import onsalg.kacmoody as kacmoody
 import onsalg.onsager as onsager
+from onsalg.exactalg import rat
 
 
 def _first(rep):
@@ -70,16 +71,34 @@ def test_dolan_grady_fails_on_a_halved_structure_constant(monkeypatch):
         2, "[A0,[A0,[A0,A1]]] = 16 [A0,A1]", "16*G[1]")
 
 
+# theta2 without its translation, and theta1 without its e/f swap, are
+# both lusztig_plus
+_LUSZTIG_PLUS = {
+    "E": (((1, "E", -1, 0),), 0),
+    "F": (((1, "F", -1, 0),), 0),
+    "H": (((1, "H", -1, 0),), 0),
+    "C": ((), -1),
+}
+
+
 @pytest.mark.parametrize(
     "family, name, rule, want",
     [
-        # theta2 without its translation is lusztig_plus
-        ("augmented", "theta2", (False, -1, 0), (25, "K[0]", "-2*c")),
-        # theta1 without its e/f swap
-        ("onsager", "theta1", (False, -1, 0),
+        ("augmented", "theta2", _LUSZTIG_PLUS, (25, "K[0]", "-2*c")),
+        ("onsager", "theta1", _LUSZTIG_PLUS,
          (30, "A[-3]", "-2*e[-3] + 2*e[3] + 2*f[-3] - 2*f[3]")),
     ],
 )
 def test_fixed_point_fails_on_a_changed_involution(monkeypatch, family, name, rule, want):
     monkeypatch.setitem(kacmoody._MAPS, name, rule)
     assert _first(onsager.check_fixed_point(family, 3)) == want
+
+
+def test_automorphism_fails_on_a_map_that_is_not_an_involution(monkeypatch):
+    # e[n] -> 2 e[-n] and f[n] -> f[-n]/2 preserve every bracket, but applied
+    # twice they give 4 e[n] and f[n]/4
+    row = dict(_LUSZTIG_PLUS, E=(((2, "E", -1, 0),), 0), F=(((rat(1, 2), "F", -1, 0),), 0))
+    monkeypatch.setitem(kacmoody._MAPS, "lusztig_plus", row)
+    rep = kacmoody.check_automorphism("lusztig_plus", 2)
+    assert _first(rep) == (10, "involution at e[-2]", "3*e[-2]")
+    assert all(w["position"].startswith("involution at ") for w in rep.witnesses)

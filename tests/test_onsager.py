@@ -383,6 +383,15 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
          "cannot bracket generators of families 'onsager' and 'invariant'"),
         (lambda: morphism_image("bogus", OnsSymbol("invariant", "H", 1)),
          "unknown family 'bogus'"),
+        (lambda: morphism_image("onsager", OnsSymbol("augmented", "K", 0)),
+         "the 'onsager' realization takes generators of family 'onsager', "
+         "not of family 'augmented'"),
+        (lambda: morphism_image("invariant", OnsSymbol("onsager", "A", 1)),
+         "the 'invariant' realization takes generators of family 'invariant', "
+         "not of family 'onsager'"),
+        (lambda: morphism_image("kappa_minus", OnsSymbol("onsager", "A", 1)),
+         "the 'kappa_minus' realization takes generators of family 'invariant', "
+         "not of family 'onsager'"),
         (lambda: check_dolan_grady("bogus"), "unknown family 'bogus'"),
         (lambda: check_current_relations("bogus", 3), "unknown family 'bogus'"),
         (lambda: check_fixed_point("bogus", 3),
@@ -404,7 +413,9 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
     ],
     ids=["letter", "symbol_family", "morphism_family", "current_letter_onsager",
          "current_letter_augmented", "current_letter_invariant", "current_family",
-         "canonicalize_family", "bracket_families", "image_family", "dolan_grady_family",
+         "canonicalize_family", "bracket_families", "image_family",
+         "image_of_augmented_in_onsager", "image_of_onsager_in_invariant",
+         "image_of_onsager_in_kappa_minus", "dolan_grady_family",
          "current_relations_family", "fixed_point_family", "jacobi_family",
          "jacobi_sampled_family", "symbols_family", "symbols_window",
          "morphism_window", "jacobi_window", "fixed_point_window", "kappa_window",
