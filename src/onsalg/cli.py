@@ -34,7 +34,7 @@ SUITE_ORDER = (
 # smallest any suite takes
 SUITE_MIN_WINDOW = {
     "frt": currents.MIN_WINDOW,
-    "currents": max(currents.MIN_WINDOW, onsager.CURRENT_RELATIONS_MIN_WINDOW),
+    "currents": currents.MIN_WINDOW,
 }
 
 

@@ -5,20 +5,22 @@ mode Lie algebra.  Each spectral variable carries a SupportMeta recording
 where the truncated data is exact, so every comparison happens only on a
 provably safe window; degrees are doubled like LaurentPoly exponents.
 
-Every series identity (the FRT relations, the exchange relations and the
-abstract current relations of onsager) is checked the same way: both sides
-are multiplied by a clearing set of factors through exactalg.complement
-and TensorMat.cleared, and _compare adds each coefficient of their
-difference on its safe window to the caller's Residuals.
+Every series identity (the FRT relations, and the exchange relation of
+B(x) for the realized B of build_B and for the abstract B of each onsager
+family) is checked by one routine, _exchange: it adds the cleared bracket
+[a1(x), b2(y)], minus each cleared commutator and any central term, into
+one residual current, which _compare reads on its safe window.  The
+denominators are cleared one way: exactalg.complement and TensorMat.cleared.
 
-A product (scale_poly, poly_commutator, series_bracket) builds each
-coefficient as one term dict through exactalg's LinComb kernels (_addlin,
-_addbilin), with no intermediate element, and wraps it as a LieElt once,
-at the end; a sum or difference merges each coefficient both operands
-hold with one kernel call.
+A product (_mixed_mul, series_bracket) builds each coefficient as one term
+dict through exactalg's LinComb kernels (_addlin, _addbilin), with no
+intermediate element, and wraps it as a LieElt once, at the end; a sum or
+difference merges each coefficient both operands hold with one kernel
+call.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import add
 
 from .exactalg import LaurentPoly, _addbilin, _addlin, _stored, complement, rat, spectral
@@ -39,7 +41,6 @@ __all__ = [
     "build_T",
     "build_B",
     "series_bracket",
-    "clear_and_compare",
     "check_frt_relations",
     "check_exchange",
     "extract_mode",
@@ -283,14 +284,21 @@ class CurrentMat:
         if not isinstance(p, LaurentPoly):
             p = LaurentPoly.const(p)
         dim = self.dim
-        return self._mixed_mul(
+        return self._times(
             [[p if i == j else None for j in range(dim)] for i in range(dim)], True
         )
 
-    def _mixed_mul(self, rows, current_on_left):
-        """Product with a dense scalar matrix (list of lists of LaurentPoly,
-        None for zero); the metas shift by the exact degree span of the
-        nonzero entries."""
+    def _times(self, rows, current_on_left):
+        """The product with a scalar matrix (see _mixed_mul), as a current."""
+        out = {}
+        metas = self._mixed_mul(rows, current_on_left, out)
+        return CurrentMat(self.legs, self.spectral_vars, _wrap(out), metas)
+
+    def _mixed_mul(self, rows, current_on_left, out, sign=1):
+        """Add sign times the product with a dense scalar matrix (list of
+        lists of LaurentPoly, None for zero) into out, a {pos: {deg: term
+        dict}} the caller owns, and return the product's metas: self's,
+        shifted by the exact degree span of the nonzero entries."""
         dim = self.dim
         if len(rows) != dim:
             raise ValueError(f"a {self.legs}-leg current needs {dim} rows, not {len(rows)}")
@@ -302,9 +310,10 @@ class CurrentMat:
                 if p is None or p.is_zero():
                     continue
                 # each monomial's coefficient in its stored form, once
-                split[i][j] = [(shift, _stored(mono)) for shift, mono in self._split_poly(p)]
+                split[i][j] = [
+                    (shift, _stored(mono * sign)) for shift, mono in self._split_poly(p)
+                ]
                 spans.append([p.degree_range(v) or (0, 0) for v in self.spectral_vars])
-        out = {}
         for (i, j), coeffs in self.entries.items():
             for k in range(dim):
                 parts = split[j][k] if current_on_left else split[k][i]
@@ -319,18 +328,10 @@ class CurrentMat:
                         if terms is None:
                             terms = tgt[nd] = {}
                         _addlin(terms, lie.terms, mono)
-        out = _wrap(out)
         span = [
             (min(lo for lo, _ in col), max(hi for _, hi in col)) for col in zip(*spans)
         ] or [(0, 0)] * len(self.spectral_vars)
-        metas = tuple(
-            m.shifted(lo, hi) for m, (lo, hi) in zip(self.metas, span)
-        )
-        return CurrentMat(self.legs, self.spectral_vars, out, metas)
-
-    def poly_commutator(self, rows):
-        """[self, rows] for a scalar polynomial matrix."""
-        return self._mixed_mul(rows, True) - self._mixed_mul(rows, False)
+        return tuple(m.shifted(lo, hi) for m, (lo, hi) in zip(self.metas, span))
 
     # -- reshaping -------------------------------------------------------------
 
@@ -487,17 +488,16 @@ def build_T(sign, window, x=None):
     return CurrentMat(1, (x,), ent, (meta,))
 
 
-def _times_c(scale, rows, spectral_vars):
-    """The current scale * c * rows for a square matrix of scalar
-    polynomials; its metas are the rows' exact degree span."""
+def _c_unit(scale, legs, spectral_vars):
+    """The current scale * c times the identity: constant in every
+    spectral variable."""
     zero = (0,) * len(spectral_vars)
-    unit = CurrentMat(
-        len(rows).bit_length() - 1,
+    return CurrentMat(
+        legs,
         spectral_vars,
-        {(i, i): {zero: LieElt.single(C, scale)} for i in range(len(rows))},
+        {(i, i): {zero: LieElt.single(C, scale)} for i in range(2 ** legs)},
         (SupportMeta(0, 0),) * len(spectral_vars),
     )
-    return unit._mixed_mul(rows, True)
 
 
 B_FAMILIES = {
@@ -523,21 +523,24 @@ def build_B(family, window, x=None):
     """B(x) = T+(x) + k(x) T-(1/x)^t k(x)^-1 - c x k'(x) k(x)^-1, truncated.
 
     Keeps window+1 exact coefficients starting at the family's lowest degree.
+    T+ and T- are built one degree past the window, the margin the first
+    post-condition below needs: built at the window itself, they fall
+    short for augmented and kappa_minus.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, not {window}")
     if x is None:
         x = spectral("x")
     b = boundary_for(family, x)
-    margin = window + 3
+    margin = window + 1
     tp = build_T("+", margin, x)
     tm = build_T("-", margin, x).invert_variable(x).transpose()
     # the boundary families and their inverses are polynomial
     kinv = b.inverse()
-    conj = tm._mixed_mul(b.mat.cleared(()), False)._mixed_mul(kinv.cleared(()), True)
+    conj = tm._times(b.mat.cleared(()), False)._times(kinv.cleared(()), True)
     # central term: -c x k'(x) k(x)^-1
     xk_rows = (b.derivative() @ kinv).scale(LaurentPoly.var(x)).cleared(())
-    total = tp + conj + _times_c(-1, xk_rows, (x,))
+    total = tp + conj + _c_unit(-1, 1, (x,))._times(xk_rows, True)
     nat_lo = _B_NATURAL_LO[family]
     hi = nat_lo + 2 * window
     trunc_hi = total.metas[0].trunc_hi
@@ -568,14 +571,14 @@ def _fmt_window(v, w):
     return f"{v.name} in [{lo}, {hi}]"
 
 
-def _compare(res, tag, lhs, rhs):
-    """Add every coefficient of lhs - rhs on its safe window to res, at
-    positions prefixed by tag, and return the window as a string.
+def _compare(res, tag, diff):
+    """Add every coefficient of the residual current diff on its safe
+    window to res, at positions prefixed by tag, and return the window as
+    a string.
 
-    The window is the exact window of the difference's metas per spectral
-    variable; raises ValueError if it is empty.
+    The window is the exact window of diff's metas per spectral variable;
+    raises ValueError if it is empty.
     """
-    diff = lhs - rhs
     windows = []
     for v, m in zip(diff.spectral_vars, diff.metas):
         m.require_nonvacuous(f"variable {v.name}")
@@ -593,22 +596,33 @@ def _compare(res, tag, lhs, rhs):
     return ", ".join(_fmt_window(v, w) for v, w in zip(diff.spectral_vars, windows))
 
 
-def clear_and_compare(res, tag, lhs, rhs_scalar_parts, clearing):
-    """Compare lhs with sum(scalar_i * current_i) after clearing denominators.
+def _exchange(res, tag, a, b, product, clearing, commutators, central=None):
+    """Add the residual of one exchange relation to res (see _compare) and
+    return the compared region.  For 1-leg currents a(x) and b(y) and
+    commutators ((s1, rows1), (s2, rows2)), the residual
 
-    Each scalar is a (numerator, factors) pair meaning numerator /
-    prod(factors); clearing and factors are multisets of canonical
-    factors, as in TensorMat.den_factors.  Both sides are multiplied by
-    prod(clearing) through exactalg.complement, which raises ValueError if
-    clearing lacks a factor of some scalar.  The residuals go to res as in
-    _compare, whose region string is returned.
+        prod(clearing) * [a1, b2] - s1 [a1, rows1] - s2 [b2, rows2] - central
+
+    is built in one {pos: {deg: term dict}} through _mixed_mul.  [a1, b2]
+    is series_bracket(a, b, product), the rows are scalar matrices cleared
+    by clearing, and central, if given, is a pair (current, rows) meaning
+    their product.
     """
-    cleared = lhs.scale_poly(complement((), clearing))
-    # zero on cleared's metas, which leaves the compared window as it is
-    rhs = cleared.copy_with(entries={})
-    for (num, factors), cm in rhs_scalar_parts:
-        rhs = rhs + cm.scale_poly(num * complement(factors, clearing))
-    return _compare(res, tag, cleared, rhs)
+    vars2 = a.spectral_vars + b.spectral_vars
+    out = {}
+    clear = complement((), clearing)
+    scalar = [[clear if i == j else None for j in range(4)] for i in range(4)]
+    metas = [series_bracket(a, b, product)._mixed_mul(scalar, True, out)]
+    a1 = a.embed((1,), 2).with_spectral_vars(vars2)
+    b2 = b.embed((2,), 2).with_spectral_vars(vars2)
+    for cur, (sign, rows) in zip((a1, b2), commutators):
+        metas.append(cur._mixed_mul(rows, True, out, -sign))
+        metas.append(cur._mixed_mul(rows, False, out, sign))
+    if central is not None:
+        cur, rows = central
+        metas.append(cur._mixed_mul(rows, True, out, -1))
+    metas = tuple(reduce(SupportMeta.added, col) for col in zip(*metas))
+    return _compare(res, tag, CurrentMat(2, vars2, _wrap(out), metas))
 
 
 # -- the defining relations ----------------------------------------------------------
@@ -636,19 +650,16 @@ def check_frt_relations(window, omit_central=False):
     regions = []
 
     def one_relation(tag, ta, tb, clearing, central):
-        lhs = series_bracket(ta, tb).scale_poly(complement((), clearing))
-        t_sum = ta.embed((1,), 2).with_spectral_vars(vars2) + tb.embed(
-            (2,), 2
-        ).with_spectral_vars(vars2)
-        rhs = t_sum.poly_commutator(r_xy.cleared(clearing))
-        if central is not None:
-            rhs = rhs + central
-        regions.append(f"{tag}: {_compare(res, tag, lhs, rhs)}")
+        # [ta1, tb2] = [ta1 + tb2, r12(x/y)] + central
+        rows = r_xy.cleared(clearing)
+        commutators = ((1, rows), (1, rows))
+        region = _exchange(res, tag, ta, tb, _basis_bracket, clearing, commutators, central)
+        regions.append(f"{tag}: {region}")
 
     # the mixed relation's central correction -2c (x/y) r'(x/y) has a
     # double pole at x = y
     mixed = [xy, xy]
-    central = _times_c(-2, u_derivative(r).substitute(at).cleared(mixed), vars2)
+    central = (_c_unit(-2, 2, vars2), u_derivative(r).substitute(at).cleared(mixed))
     one_relation("[T+,T+]", tp_x, tp_y, [xy], None)
     one_relation("[T-,T-]", tm_x, tm_y, [xy], None)
     one_relation("[T+,T-]", tp_x, tm_y, mixed, None if omit_central else central)
@@ -665,32 +676,36 @@ def check_frt_relations(window, omit_central=False):
     )
 
 
+def _reflection(res, window, build, rbar_family, product):
+    """Check [B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)]
+    for B = build(x), with the reflected r-matrix of rbar_family's
+    boundary (B_FAMILIES), after clearing (x - y)(xy - 1); add the residual
+    to res and return the compared region.  product brackets the
+    coefficients of B."""
+    if window < MIN_WINDOW:
+        raise ValueError(f"window must be >= {MIN_WINDOW} for a meaningful comparison")
+    x, y = spectral("x"), spectral("y")
+    bx, by = build(x), build(y)
+    rbar = build_rbar(boundary_for(rbar_family, x), x, y)
+    xx, yy = LaurentPoly.var(x), LaurentPoly.var(y)
+    clearing = [xx - yy, xx * yy - 1]
+    rbar21 = leg_embed(rbar.substitute({x: yy, y: xx}), (2, 1), 2)
+    commutators = ((-1, rbar21.cleared(clearing)), (1, rbar.cleared(clearing)))
+    return _exchange(res, "", bx, by, product, clearing, commutators)
+
+
 def check_exchange(family, window, rbar_family=None):
-    """[B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)] on the
-    safe window, after clearing (x - y)(xy - 1).
+    """[B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)] for the
+    realized B of build_B on the safe window, after clearing (x - y)(xy - 1).
 
     rbar_family overrides which family's reflected r-matrix is used; any
     mismatch with the B family must make the check fail.
     """
-    if window < MIN_WINDOW:
-        raise ValueError(f"window must be >= {MIN_WINDOW} for a meaningful comparison")
-    x, y = spectral("x"), spectral("y")
-    bx = build_B(family, window, x)
-    by = build_B(family, window, y)
-    b = boundary_for(rbar_family or family, x)
-    rbar = build_rbar(b, x, y)
-    xx, yy = LaurentPoly.var(x), LaurentPoly.var(y)
-    clearing = [xx - yy, xx * yy - 1]
-    rbar21 = leg_embed(rbar.substitute({x: yy, y: xx}), (2, 1), 2)
-    r12_rows = rbar.cleared(clearing)
-    r21_rows = rbar21.cleared(clearing)
-    vars2 = (x, y)
-    b1 = bx.embed((1,), 2).with_spectral_vars(vars2)
-    b2 = by.embed((2,), 2).with_spectral_vars(vars2)
-    lhs = series_bracket(bx, by).scale_poly(complement((), clearing))
-    rhs = b2.poly_commutator(r12_rows) - b1.poly_commutator(r21_rows)
     res = Residuals()
-    region = _compare(res, "", lhs, rhs)
+    region = _reflection(
+        res, window, lambda v: build_B(family, window, v), rbar_family or family,
+        _basis_bracket,
+    )
     tag = f"exchange[{family}]"
     if rbar_family and rbar_family != family:
         tag += f"[rbar from {rbar_family}]"

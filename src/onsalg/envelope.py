@@ -3,8 +3,9 @@
 Quadratic charges are mode coefficients of tr(B(x)^2).  Linear charges are
 mode coefficients of the weighted series tr(M(x)B(x)): M(x) is the family's
 boundary matrix from tensormat.build_boundary (M_FAMILY), with symbolic
-weight parameters, and B(x) is the abstract matrix of the family's currents
-(_B_CURRENTS), so every weight is read off M once.
+weight parameters, and B(x) is the family's abstract matrix of currents,
+onsager._B_CURRENTS, coefficients included, so every weight is read off M
+once.
 
 Products are normal-ordered against the basis order: c first, then modes
 ascending, with H before E before F at a tied mode.  Commutators use the
@@ -25,7 +26,7 @@ from .exactalg import MODE_BOUND, LaurentPoly, LinComb, accumulate, spectral
 from .kacmoody import BasisSymbol, _basis_bracket
 from .currents import build_B
 from .onsager import (
-    _CURRENTS, OnsElt, abstract_bracket, build_current, morphism_image, ons
+    _B_CURRENTS, _CURRENTS, OnsElt, abstract_bracket, build_current, morphism_image, ons
 )
 from .tensormat import build_boundary
 from .report import Residuals
@@ -177,15 +178,6 @@ def build_quadratic_charge(family, max_k):
 # parameters weight the linear charges
 M_FAMILY = {"onsager": "M_ons", "augmented": "M_aug", "invariant": "M_inv"}
 
-# Each family's abstract B(x): position -> (sign, current letter).  The
-# invariant family's realized B carries 2E and 2F off the diagonal; the
-# symbolic weights absorb the factor.
-_B_CURRENTS = {
-    "onsager": {(0, 0): (1, "G"), (1, 1): (-1, "G"), (1, 0): (1, "A+"), (0, 1): (1, "A-")},
-    "augmented": {(0, 0): (1, "K"), (1, 1): (-1, "K"), (1, 0): (1, "Z+"), (0, 1): (1, "Z-")},
-    "invariant": {(0, 0): (1, "H"), (1, 1): (-1, "H"), (1, 0): (1, "E"), (0, 1): (1, "F")},
-}
-
 
 def _m_boundary(family, x=None):
     """The family's M(x), with symbolic weight parameters."""
@@ -200,16 +192,17 @@ def _m_boundary(family, x=None):
 def _weight_series(family, window, x):
     """tr(M(x)B(x)), the abstract weighted series whose mode coefficients
     are the linear charges: the sum over positions (i, j) of M_ji(x) times
-    the current at B's (i, j).  Weights stay symbolic.  A position where M
+    B's (i, j) entry, its coefficient times its current (see
+    onsager._B_CURRENTS).  Weights stay symbolic.  A position where M
     is zero is skipped, so its current's metas cannot narrow the exact
     window."""
     m = _m_boundary(family, x).mat.cleared(())
     total = None
-    for (i, j), (sign, letter) in _B_CURRENTS[family].items():
+    for (i, j), (k, letter) in _B_CURRENTS[family].items():
         weight = m[j][i]
         if weight.is_zero():
             continue
-        term = build_current(family, letter, window, x).scale_poly(sign * weight)
+        term = build_current(family, letter, window, x).scale_poly(k * weight)
         total = term if total is None else total + term
     return total
 

@@ -2,8 +2,11 @@
 
 Each family is an abstract Lie algebra with countably many generators
 subject to index symmetries; `morphism_image` realizes its generators
-inside the mode algebra, and the checks confirm the defining relations,
-their finite consequences, and the generating-series form of the bracket.
+inside the mode algebra, and the checks confirm the defining relations
+and their finite consequences.  Each family's abstract B(x), _B_CURRENTS,
+is a matrix of its generating series; check_current_relations proves the
+whole bracket table as its FRT exchange relation, by the routine that
+proves it for the realized B in currents.check_exchange.
 
 The realizations are one table, _REALIZATIONS: a row per realization
 (the three families and kappa_minus), each an affine map in the format of
@@ -19,10 +22,11 @@ a change to the table takes effect at once.
 """
 
 import random
+from functools import reduce
 
-from .exactalg import LaurentPoly, LinComb, Symbol, _addbilin, rat, spectral
+from .exactalg import LinComb, Symbol, _addbilin, rat, spectral
 from .kacmoody import LieElt, _affine_image, _homomorphism, _memo_image, apply_map
-from .currents import CurrentMat, SupportMeta, clear_and_compare, series_bracket
+from .currents import CurrentMat, SupportMeta, _reflection
 from .report import Residuals
 
 __all__ = [
@@ -35,6 +39,7 @@ __all__ = [
     "canonical_symbols",
     "morphism_image",
     "build_current",
+    "build_abstract_B",
     "check_morphism",
     "check_dolan_grady",
     "check_fixed_point",
@@ -435,96 +440,41 @@ def build_current(family, letter, window, x=None):
     return CurrentMat(0, (x,), {(0, 0): coeffs}, (meta,))
 
 
-# the smallest window check_current_relations accepts
-CURRENT_RELATIONS_MIN_WINDOW = 3
+# Each family's abstract B(x): position -> (coefficient, current letter).
+# Its morphism image is the family's realized B (currents.build_B), which
+# carries the invariant E and F with the coefficient 2.
+_B_CURRENTS = {
+    "onsager": {(0, 0): (1, "G"), (1, 1): (-1, "G"), (1, 0): (1, "A+"), (0, 1): (1, "A-")},
+    "augmented": {(0, 0): (1, "K"), (1, 1): (-1, "K"), (1, 0): (1, "Z+"), (0, 1): (1, "Z-")},
+    "invariant": {(0, 0): (1, "H"), (1, 1): (-1, "H"), (1, 0): (2, "E"), (0, 1): (2, "F")},
+}
+
+
+def build_abstract_B(family, window, x=None):
+    """The family's abstract B(x) (see _B_CURRENTS), each current truncated
+    at degree window."""
+    rows = _B_CURRENTS.get(family)
+    if rows is None:
+        raise ValueError(_unknown_family(family, FAMILIES))
+    if x is None:
+        x = spectral("x")
+    entries, metas = {}, []
+    for pos, (k, letter) in rows.items():
+        cur = build_current(family, letter, window, x)
+        entries[pos] = {deg: elt.scale(k) for deg, elt in cur.entry(0, 0).items()}
+        metas.append(cur.metas[0])
+    return CurrentMat(1, (x,), entries, (reduce(SupportMeta.added, metas),))
 
 
 def check_current_relations(family, window):
-    """The full bracket table in generating-series form: every pairing of the
-    family's currents equals its closed rational-coefficient combination."""
-    if window < CURRENT_RELATIONS_MIN_WINDOW:
-        raise ValueError(
-            f"window must be >= {CURRENT_RELATIONS_MIN_WINDOW} "
-            "to see past the index symmetries"
-        )
-    x, y = spectral("x"), spectral("y")
-    one = LaurentPoly.const(1)
-    xx = LaurentPoly.var(x)
-    yy = LaurentPoly.var(y)
-    xmy = xx - yy
-    xym1 = xx * yy - one
-    clearing = [xmy, xym1]
-    if family not in _CURRENTS:
+    """The whole bracket table in FRT form: the abstract B(x) satisfies
+    [B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)] under
+    _pair_bracket, with the rbar of the realized B (currents.B_FAMILIES).
+    Each entry of the relation pairs two of the family's currents."""
+    if family not in _B_CURRENTS:
         raise ValueError(_unknown_family(family, FAMILIES))
-    letters = _CURRENTS[family]
-    cur_x = {l: build_current(family, l, window, x) for l in letters}
-    raw_y = {l: build_current(family, l, window, y) for l in letters}
-    cur_y = {l: raw_y[l].with_spectral_vars((x, y)) for l in letters}
-    cx = {l: cur_x[l].with_spectral_vars((x, y)) for l in letters}
-
-    def scalars(fam):
-        if fam == "onsager":
-            g, ap, am = "G", "A+", "A-"
-            # G(x) - G(y), lifted to the shared variable pair
-            gdiff = cx[g] - cur_y[g]
-            return {
-                (g, g): [],
-                (g, ap): [
-                    ((2 * xx * (one - yy * yy), clearing), cur_y[ap]),
-                    ((2 * yy, [xmy]), cx[ap]),
-                    ((2 * xx * yy, [xym1]), cx[am]),
-                ],
-                (g, am): [
-                    ((2 * xx * (yy * yy - one), clearing), cur_y[am]),
-                    ((-2 * xx, [xmy]), cx[am]),
-                    ((-2 * one, [xym1]), cx[ap]),
-                ],
-                (ap, ap): [((-4 * xx * yy, [xym1]), gdiff)],
-                (ap, am): [((4 * xx, [xmy]), gdiff)],
-                (am, am): [((4 * one, [xym1]), gdiff)],
-            }
-        if fam == "augmented":
-            k, zp, zm = "K", "Z+", "Z-"
-            return {
-                (k, k): [],
-                (zp, zp): [],
-                (zm, zm): [],
-                (k, zp): [
-                    ((2 * yy * (xx + one) * (yy - one), clearing), cx[zp]),
-                    ((-2 * yy * (xx * xx - one), clearing), cur_y[zp]),
-                ],
-                (k, zm): [
-                    ((2 * yy * (xx * xx - one), clearing), cur_y[zm]),
-                    ((-2 * xx * (xx + one) * (yy - one), clearing), cx[zm]),
-                ],
-                (zp, zm): [
-                    ((4 * xx * (xx + one) * (yy - one), clearing), cx[k]),
-                    ((-4 * xx * (xx - one) * (yy + one), clearing), cur_y[k]),
-                ],
-            }
-        h, e, f = "H", "E", "F"
-        return {
-            (h, h): [],
-            (e, e): [],
-            (f, f): [],
-            (h, e): [
-                ((2 * xx * (yy * yy - one), clearing), cx[e]),
-                ((-2 * yy * (xx * xx - one), clearing), cur_y[e]),
-            ],
-            (h, f): [
-                ((-2 * xx * (yy * yy - one), clearing), cx[f]),
-                ((2 * yy * (xx * xx - one), clearing), cur_y[f]),
-            ],
-            (e, f): [
-                ((xx * (yy * yy - one), clearing), cx[h]),
-                ((-yy * (xx * xx - one), clearing), cur_y[h]),
-            ],
-        }
-
     res = Residuals()
-    regions = []
-    for (la, lb), parts in scalars(family).items():
-        lhs = series_bracket(cur_x[la], raw_y[lb], _pair_bracket)
-        tag = f"[{la}(x),{lb}(y)]"
-        regions.append(f"{tag}: {clear_and_compare(res, tag, lhs, parts, clearing)}")
-    return res.report(f"current_relations[{family}]", "; ".join(regions))
+    region = _reflection(
+        res, window, lambda v: build_abstract_B(family, window, v), family, _pair_bracket
+    )
+    return res.report(f"current_relations[{family}]", region)

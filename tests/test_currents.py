@@ -12,13 +12,13 @@ from onsalg.currents import (
     build_T,
     check_exchange,
     check_frt_relations,
-    clear_and_compare,
     extract_mode,
     series_bracket,
 )
 from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
-from onsalg.kacmoody import C, E, F, H, LieElt, bracket
+from onsalg.kacmoody import C, E, F, H, LieElt, _basis_bracket, bracket
 from onsalg.report import Residuals
+from onsalg.tensormat import build_r
 
 
 def lie(*pairs):
@@ -60,6 +60,16 @@ def test_meta_product_shifts_by_natural_edges():
     p = a.multiplied(b)
     assert p.natural_lo == 4
     assert p.trunc_hi == min(12 + 4, 20 + 0)
+
+
+def test_meta_product_is_symmetric():
+    # each factor's truncation bounds the product, whichever bound binds
+    a = SupportMeta(0, None, None, 12)
+    b = SupportMeta(4, None, None, 20)
+    c = SupportMeta(None, 0, -8, None)
+    d = SupportMeta(None, 2, -12, None)
+    assert a.multiplied(b) == b.multiplied(a) == SupportMeta(4, None, None, 16)
+    assert c.multiplied(d) == d.multiplied(c) == SupportMeta(None, 2, -6, None)
 
 
 def test_meta_product_rejects_unknown_tails():
@@ -272,34 +282,45 @@ def test_exchange_rejects_thin_window():
         check_exchange("onsager", 3)
 
 
-def test_clear_and_compare_rejects_a_scalar_outside_the_clearing_set():
+def test_compare_adds_tagged_residuals_to_the_callers_collector():
     x = spectral("x")
     tp = build_T("+", 4, x)
-    xx = LaurentPoly.var(x, (x,))
-    one = LaurentPoly.const(1, (x,))
-    # (x + 1)/(x + 1) * T+ = T+ passes; 1/(x - 1) is not cleared by x + 1
-    res = Residuals()
-    assert clear_and_compare(res, "", tp, [((xx + 1, [xx + 1]), tp)], [xx + 1]) == "x in [0, 4]"
-    assert res.count == 0
-    with pytest.raises(ValueError, match=r"not covered by the clearing set: -1 \+ x"):
-        clear_and_compare(res, "", tp, [((one, [xx - 1]), tp)], [xx + 1])
-
-
-def test_clear_and_compare_adds_tagged_residuals_to_the_callers_collector():
-    x = spectral("x")
-    tp = build_T("+", 4, x)
-    one = LaurentPoly.const(1, (x,))
     res = Residuals()
     res.add(LieElt.single(C), "earlier")
-    # 2 T+ against T+ leaves every stored coefficient of T+
-    region = clear_and_compare(res, "[T]", tp.scale_poly(2), [((one, []), tp)], [])
-    assert region == "x in [0, 4]"
+    # a residual current T+ leaves every stored coefficient of T+
+    assert currents._compare(res, "[T]", tp) == "x in [0, 4]"
     assert res.count == 1 + 19
     assert res.witnesses[:3] == [
         ("earlier", "c"),
         ("[T] entry (0, 0), degree (0,)", "(1/2)*h[0]"),
         ("[T] entry (0, 0), degree (1,)", "h[1]"),
     ]
+
+
+def test_exchange_residual_equals_the_unfused_difference():
+    # [T+(x), T-(y)] against [T+1, r12(x/y)] - 2 [T-2, r12(x/y)], which
+    # fails: _exchange adds every product into one dict, and must report
+    # what subtracting the products as currents reports
+    x, y, u = spectral("x"), spectral("y"), spectral("u")
+    vars2 = (x, y)
+    r_xy = build_r(u).substitute({u: LaurentPoly.monomial(vars2, (2, -2), 1)})
+    xy = LaurentPoly.var(x) - LaurentPoly.var(y)
+    clearing = [xy, xy]
+    rows = r_xy.cleared(clearing)
+    a, b = build_T("+", 4, x), build_T("-", 4, y)
+    fused = Residuals()
+    commutators = ((1, rows), (-2, rows))
+    region = currents._exchange(fused, "", a, b, _basis_bracket, clearing, commutators)
+    diff = series_bracket(a, b).scale_poly(xy * xy)
+    a1 = a.embed((1,), 2).with_spectral_vars(vars2)
+    b2 = b.embed((2,), 2).with_spectral_vars(vars2)
+    for sign, cur in ((1, a1), (-2, b2)):
+        commutator = cur._times(rows, True) - cur._times(rows, False)
+        diff = diff - commutator.scale_poly(sign)
+    plain = Residuals()
+    assert currents._compare(plain, "", diff) == region == "x in [0, 4], y in [-2, 2]"
+    assert fused.count == plain.count > 0
+    assert fused.witnesses == plain.witnesses
 
 
 # -- input guards -----------------------------------------------------------------
@@ -315,7 +336,7 @@ _X, _Y = spectral("x"), spectral("y")
          r"shape mismatch: 1 legs over \(x\) and 1 legs over \(y\)"),
         (lambda: build_T("+", 3, _X) + build_T("+", 3, _X).embed((1,), 2),
          r"shape mismatch: 1 legs over \(x\) and 2 legs over \(x\)"),
-        (lambda: build_T("+", 3, _X).poly_commutator([[LaurentPoly.const(1)]]),
+        (lambda: build_T("+", 3, _X)._times([[LaurentPoly.const(1)]], True),
          "a 1-leg current needs 2 rows, not 1"),
         (lambda: series_bracket(build_T("+", 3, _X), build_T("-", 3, _X)),
          "series_bracket needs disjoint spectral variables"),
@@ -351,7 +372,7 @@ def test_guards_raise_value_error(call, message):
         (2, r"build_B\('onsager', window=4\) has degree 0 at entry \(0, 1\), "
             "below the family's lowest degree 2"),
         # a window past the construction's margin
-        (40, r"build_B\('onsager', window=4\) is exact only up to degree 14, not 48"),
+        (40, r"build_B\('onsager', window=4\) is exact only up to degree 10, not 48"),
     ],
     ids=["degree_below_lowest", "window_past_margin"],
 )

@@ -136,7 +136,7 @@ def test_linear_charge_frozen():
         "(1/2*tau)*K[0] + nu*Z+[1] + nustar*Z-[0]"
     )
     assert str(build_linear_charge("invariant", 0)) == (
-        "(1/2*mu1)*E[0] + (1/2*mu2)*F[0] + (1/2*mu0)*H[0]"
+        "mu1*E[0] + mu2*F[0] + (1/2*mu0)*H[0]"
     )
 
 

@@ -1,9 +1,10 @@
 """Checkers fail on a perturbed structure-constant table.
 
-serre_chevalley, jacobi, jacobi_sampled, dolan_grady and fixed_point take
-no override: the structure constants, the realizations and the
-automorphisms they test are module data (kacmoody._SL2 and _FORM,
-onsager._BRACKETS and _REALIZATIONS, kacmoody._MAPS).  Each test changes
+serre_chevalley, jacobi, jacobi_sampled, dolan_grady, fixed_point and
+current_relations take no override: the structure constants, the
+realizations, the automorphisms and the abstract B(x) they test are module
+data (kacmoody._SL2 and _FORM, onsager._BRACKETS, _REALIZATIONS and
+_B_CURRENTS, kacmoody._MAPS).  Each test changes
 one entry for its duration and pins the residual count and first witness
 of the failure.
 """
@@ -69,6 +70,55 @@ def test_dolan_grady_fails_on_a_halved_structure_constant(monkeypatch):
     monkeypatch.setitem(onsager._BRACKETS, ("A", "A"), ((2, "G", 1, -1, 0),))
     assert _first(onsager.check_dolan_grady("onsager")) == (
         2, "[A0,[A0,[A0,A1]]] = 16 [A0,A1]", "16*G[1]")
+
+
+# every term of onsager._BRACKETS, doubled, against current_relations at
+# window 4: (pair, term index, (residual terms, first position, residual))
+_DOUBLED_TERMS = [
+    (("A", "A"), 0, (46, "entry (0, 3), degree (0, 2)", "4*G[1]")),
+    (("G", "A"), 0, (96, "entry (0, 1), degree (1, 1)", "2*A[1]")),
+    (("G", "A"), 1, (96, "entry (0, 1), degree (1, 1)", "-2*A[-1]")),
+    (("K", "Z+"), 0, (68, "entry (1, 0), degree (0, 2)", "Z+[1]")),
+    (("K", "Z+"), 1, (76, "entry (1, 0), degree (0, 2)", "Z+[1]")),
+    (("K", "Z-"), 0, (84, "entry (0, 1), degree (0, 1)", "-Z-[0]")),
+    (("K", "Z-"), 1, (92, "entry (0, 1), degree (0, 1)", "-Z-[0]")),
+    (("Z+", "Z-"), 0, (24, "entry (1, 2), degree (0, 2)", "-4*K[1]")),
+    (("Z+", "Z-"), 1, (24, "entry (1, 2), degree (0, 2)", "-4*K[0]")),
+    (("H", "E"), 0, (96, "entry (1, 0), degree (0, 1)", "E[0]")),
+    (("H", "E"), 1, (96, "entry (1, 0), degree (0, 1)", "E[0]")),
+    (("H", "F"), 0, (96, "entry (0, 1), degree (0, 1)", "-F[0]")),
+    (("H", "F"), 1, (96, "entry (0, 1), degree (0, 1)", "-F[0]")),
+    (("E", "F"), 0, (48, "entry (1, 2), degree (0, 1)", "-H[0]")),
+    (("E", "F"), 1, (48, "entry (1, 2), degree (0, 1)", "-H[0]")),
+]
+
+
+def test_every_bracket_term_is_doubled_once():
+    want = [(pair, i) for pair, terms in onsager._BRACKETS.items() for i in range(len(terms))]
+    assert [(pair, i) for pair, i, _ in _DOUBLED_TERMS] == want
+
+
+@pytest.mark.parametrize(
+    "pair, index, want", _DOUBLED_TERMS,
+    ids=[f"{x},{y}[{i}]" for (x, y), i, _ in _DOUBLED_TERMS],
+)
+def test_current_relations_fail_on_a_doubled_bracket_term(monkeypatch, pair, index, want):
+    terms = list(onsager._BRACKETS[pair])
+    k, *rest = terms[index]
+    terms[index] = (2 * k, *rest)
+    monkeypatch.setitem(onsager._BRACKETS, pair, tuple(terms))
+    family = next(f for f, letters in onsager._LETTERS.items() if pair[0] in letters)
+    rep = onsager.check_current_relations(family, 4)
+    assert rep.name == f"current_relations[{family}]"
+    assert _first(rep) == want
+
+
+def test_current_relations_fail_without_the_invariant_factor_two(monkeypatch):
+    # the realized invariant B carries 2E below the diagonal; E alone breaks
+    # the exchange relation
+    monkeypatch.setitem(onsager._B_CURRENTS["invariant"], (1, 0), (1, "E"))
+    assert _first(onsager.check_current_relations("invariant", 6)) == (
+        44, "entry (1, 2), degree (0, 1)", "H[0]")
 
 
 # theta2 without its translation, and theta1 without its e/f swap, are

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from onsalg.currents import build_B
 from onsalg.kacmoody import BasisSymbol, C, E as me, F as mf, H as mh, LieElt
 from onsalg.onsager import (
     FAMILIES,
     MORPHISM_FAMILIES,
     OnsSymbol,
     abstract_bracket,
+    build_abstract_B,
     build_current,
     canonical_symbols,
     canonicalize,
@@ -335,16 +337,29 @@ def test_current_relations_reject_thin_window():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_current_relations_region_names_every_pair(family):
-    rep = check_current_relations(family, 4)
-    parts = rep.region.split("; ")
-    assert len(parts) == 6
-    tags = [part.split(": ")[0] for part in parts]
-    assert len(set(tags)) == 6
-    assert all(tag.endswith("(y)]") for tag in tags)
-    if family == "onsager":
-        assert "[G(x),G(y)]: x in [1, 4], y in [1, 4]" in parts
-        assert "[A-(x),A-(y)]: x in [0, 4], y in [0, 4]" in parts
+def test_abstract_B_realizes_as_build_B(family):
+    # the morphism image of every coefficient of the abstract B(x) is the
+    # realized B(x)'s, and both have the same exact window
+    window = 5
+    abstract = build_abstract_B(family, window)
+    realized = build_B(family, window)
+    assert abstract.metas == realized.metas
+    assert sorted(abstract.entries) == sorted(realized.entries)
+    for pos, coeffs in abstract.entries.items():
+        image = {
+            deg: elt.linear(lambda sym: morphism_image(family, sym))
+            for deg, elt in coeffs.items()
+        }
+        assert image == realized.entry(*pos)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_current_relations_region(family):
+    # one exchange relation, compared on the abstract B's exact window in x
+    # and in y
+    for window in (4, 7):
+        rep = check_current_relations(family, window)
+        assert rep.region == f"x in [0, {window}], y in [0, {window}]"
 
 
 def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
@@ -354,10 +369,11 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
     monkeypatch.setattr(
         onsager, "_pair_bracket", lambda a, b: [(s, 2 * k) for s, k in real(a, b)]
     )
-    rep = check_current_relations("onsager", 3)
+    rep = check_current_relations("onsager", 4)
     assert not rep.passed and rep.residual_term_count > 0
+    # the entry of the 2-leg matrix names the pair of currents
     first = rep.witnesses[0]
-    assert first["position"].startswith("[G(x),A+(y)] entry (0, 0), degree (")
+    assert first["position"].startswith("entry (0, 1), degree (")
     assert "A[" in first["residual"]
 
 
@@ -394,6 +410,10 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
          "not of family 'onsager'"),
         (lambda: check_dolan_grady("bogus"), "unknown family 'bogus'"),
         (lambda: check_current_relations("bogus", 3), "unknown family 'bogus'"),
+        (lambda: check_current_relations("onsager", 3), "window must be >= 4"),
+        (lambda: build_abstract_B("kappa_minus", 3),
+         r"unknown family 'kappa_minus' \(choose from onsager, augmented, invariant\)"),
+        (lambda: build_abstract_B("onsager", -1), "window must be >= 0, not -1"),
         (lambda: check_fixed_point("bogus", 3),
          r"unknown family 'bogus' \(choose from onsager, augmented, invariant, kappa_minus\)"),
         (lambda: check_jacobi("bogus", 2),
@@ -416,7 +436,8 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
          "canonicalize_family", "bracket_families", "image_family",
          "image_of_augmented_in_onsager", "image_of_onsager_in_invariant",
          "image_of_onsager_in_kappa_minus", "dolan_grady_family",
-         "current_relations_family", "fixed_point_family", "jacobi_family",
+         "current_relations_family", "current_relations_window", "abstract_B_family",
+         "abstract_B_window", "fixed_point_family", "jacobi_family",
          "jacobi_sampled_family", "symbols_family", "symbols_window",
          "morphism_window", "jacobi_window", "fixed_point_window", "kappa_window",
          "current_window", "mode_above", "mode_below"],

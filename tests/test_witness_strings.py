@@ -218,46 +218,46 @@ def test_every_mutation_is_pinned():
     assert len(MUTATIONS) == len(EXPECTED)
 
 
-# check_current_relations at window 3 with every abstract bracket doubled:
+# check_current_relations at window 4 with every abstract bracket doubled:
 # family -> (residual_term_count, [(position, residual), ...])
 CURRENT_RELATIONS_DOUBLED = {
     "onsager": (
-        48,
+        198,
         [
-            ("[G(x),A+(y)] entry (0, 0), degree (1, 2)", "-2*A[0] + 2*A[2]"),
-            ("[G(x),A+(y)] entry (0, 0), degree (1, 3)", "-2*A[1] + 2*A[3]"),
-            ("[G(x),A+(y)] entry (0, 0), degree (2, 1)", "2*A[0] - 2*A[2]"),
-            ("[G(x),A+(y)] entry (0, 0), degree (2, 2)", "-2*A[-1] + 2*A[1]"),
-            ("[G(x),A+(y)] entry (0, 0), degree (3, 1)", "2*A[-1] - 2*A[3]"),
-            ("[G(x),A+(y)] entry (0, 0), degree (3, 2)", "-2*A[-2] + 2*A[2]"),
-            ("[G(x),A-(y)] entry (0, 0), degree (1, 1)", "-2*A[-1] + 2*A[1]"),
-            ("[G(x),A-(y)] entry (0, 0), degree (1, 2)", "-2*A[-2] + 2*A[0]"),
+            ("entry (0, 1), degree (1, 1)", "-2*A[-1] + 2*A[1]"),
+            ("entry (0, 1), degree (1, 2)", "-2*A[-2] + 2*A[0]"),
+            ("entry (0, 1), degree (1, 3)", "-2*A[-3] + 2*A[-1]"),
+            ("entry (0, 1), degree (1, 4)", "-2*A[-4] + 2*A[-2]"),
+            ("entry (0, 1), degree (2, 0)", "2*A[-1] - 2*A[1]"),
+            ("entry (0, 1), degree (2, 1)", "-2*A[0] + 2*A[2]"),
+            ("entry (0, 1), degree (3, 0)", "2*A[-2] - 2*A[2]"),
+            ("entry (0, 1), degree (3, 1)", "-2*A[-1] + 2*A[3]"),
         ],
     ),
     "augmented": (
-        42,
+        200,
         [
-            ("[K(x),Z+(y)] entry (0, 0), degree (0, 2)", "2*Z+[1]"),
-            ("[K(x),Z+(y)] entry (0, 0), degree (0, 3)", "2*Z+[2]"),
-            ("[K(x),Z+(y)] entry (0, 0), degree (1, 1)", "-2*Z+[1]"),
-            ("[K(x),Z+(y)] entry (0, 0), degree (1, 2)", "2*Z+[1]"),
-            ("[K(x),Z+(y)] entry (0, 0), degree (2, 1)", "-2*Z+[1] - 2*Z+[2]"),
-            ("[K(x),Z+(y)] entry (0, 0), degree (2, 2)", "2*Z+[2]"),
-            ("[K(x),Z+(y)] entry (0, 0), degree (2, 3)", "-2*Z+[2]"),
-            ("[K(x),Z+(y)] entry (0, 0), degree (3, 1)", "-2*Z+[2] - 2*Z+[3]"),
+            ("entry (0, 1), degree (0, 1)", "-2*Z-[0]"),
+            ("entry (0, 1), degree (0, 2)", "-2*Z-[1]"),
+            ("entry (0, 1), degree (0, 3)", "-2*Z-[2]"),
+            ("entry (0, 1), degree (0, 4)", "-2*Z-[3]"),
+            ("entry (0, 1), degree (1, 0)", "2*Z-[0]"),
+            ("entry (0, 1), degree (1, 1)", "-2*Z-[0]"),
+            ("entry (0, 1), degree (2, 0)", "2*Z-[0] + 2*Z-[1]"),
+            ("entry (0, 1), degree (2, 1)", "-2*Z-[1]"),
         ],
     ),
     "invariant": (
-        30,
+        140,
         [
-            ("[H(x),E(y)] entry (0, 0), degree (0, 1)", "E[0]"),
-            ("[H(x),E(y)] entry (0, 0), degree (0, 2)", "2*E[1]"),
-            ("[H(x),E(y)] entry (0, 0), degree (0, 3)", "2*E[2]"),
-            ("[H(x),E(y)] entry (0, 0), degree (1, 0)", "-E[0]"),
-            ("[H(x),E(y)] entry (0, 0), degree (1, 2)", "E[0]"),
-            ("[H(x),E(y)] entry (0, 0), degree (2, 0)", "-2*E[1]"),
-            ("[H(x),E(y)] entry (0, 0), degree (2, 1)", "-E[0]"),
-            ("[H(x),E(y)] entry (0, 0), degree (2, 3)", "-2*E[2]"),
+            ("entry (0, 1), degree (0, 1)", "-2*F[0]"),
+            ("entry (0, 1), degree (0, 2)", "-4*F[1]"),
+            ("entry (0, 1), degree (0, 3)", "-4*F[2]"),
+            ("entry (0, 1), degree (0, 4)", "-4*F[3]"),
+            ("entry (0, 1), degree (1, 0)", "2*F[0]"),
+            ("entry (0, 1), degree (1, 2)", "-2*F[0]"),
+            ("entry (0, 1), degree (2, 0)", "4*F[1]"),
+            ("entry (0, 1), degree (2, 1)", "2*F[0]"),
         ],
     ),
 }
@@ -269,7 +269,7 @@ def test_current_relations_failure_is_pinned(monkeypatch, family):
     monkeypatch.setattr(
         onsager, "_pair_bracket", lambda a, b: [(s, 2 * k) for s, k in real(a, b)]
     )
-    rep = onsager.check_current_relations(family, 3)
+    rep = onsager.check_current_relations(family, 4)
     count, witnesses = CURRENT_RELATIONS_DOUBLED[family]
     assert rep.name == f"current_relations[{family}]"
     assert rep.residual_term_count == count
