@@ -12,11 +12,14 @@ family) is checked by one routine, _exchange: it adds the cleared bracket
 one residual current, which _compare reads on its safe window.  The
 denominators are cleared one way: exactalg.complement and TensorMat.cleared.
 
+Every generating series is built from table rows by one builder,
+_series: T+(x) and T-(1/x) are the rows _T_ROWS, and each onsager
+family's currents and abstract B(x) are rows in the same format.
+
 A product (_mixed_mul, series_bracket) builds each coefficient as one term
 dict through exactalg's LinComb kernels (_addlin, _addbilin), with no
-intermediate element, and wraps it as a LieElt once, at the end; a sum or
-difference merges each coefficient both operands hold with one kernel
-call.
+intermediate element, and wraps it as a LieElt once, at the end; a sum
+merges each coefficient both operands hold with one kernel call.
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ from functools import reduce
 from operator import add
 
 from .exactalg import LaurentPoly, _addbilin, _addlin, _stored, complement, rat, spectral
-from .kacmoody import C, E, F, H, LieElt, _basis_bracket, bracket
+from .kacmoody import C, BasisSymbol, LieElt, _basis_bracket, bracket
 from .report import Residuals
 from .tensormat import (
     build_boundary,
@@ -43,7 +46,6 @@ __all__ = [
     "series_bracket",
     "check_frt_relations",
     "check_exchange",
-    "extract_mode",
     "B_FAMILIES",
 ]
 
@@ -212,19 +214,11 @@ class CurrentMat:
     def is_zero(self):
         return not self.entries
 
-    def copy_with(self, entries=None, metas=None):
-        return CurrentMat(
-            self.legs,
-            self.spectral_vars,
-            self.entries if entries is None else entries,
-            self.metas if metas is None else metas,
-        )
-
     # -- linear structure ----------------------------------------------------
 
-    def _combine(self, other, sign):
-        """self + sign * other: each coefficient both operands hold is
-        merged by one kernel call."""
+    def __add__(self, other):
+        """self + other: each coefficient both operands hold is merged by
+        one kernel call."""
         if not isinstance(other, CurrentMat):
             return NotImplemented
         if other.legs != self.legs or other.spectral_vars != self.spectral_vars:
@@ -237,24 +231,18 @@ class CurrentMat:
             tgt = out.setdefault(pos, {})
             for deg, lie in coeffs.items():
                 prev = tgt.get(deg)
-                if prev is None and sign == 1:
+                if prev is None:
                     tgt[deg] = lie
                 else:
-                    terms = {} if prev is None else dict(prev.terms)
-                    _addlin(terms, lie.terms, sign)
+                    terms = dict(prev.terms)
+                    _addlin(terms, lie.terms)
                     tgt[deg] = LieElt.from_dict(terms)
         metas = tuple(a.added(b) for a, b in zip(self.metas, other.metas))
         return CurrentMat(self.legs, self.spectral_vars, out, metas)
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
     def transpose(self):
         out = {(j, i): coeffs for (i, j), coeffs in self.entries.items()}
-        return self.copy_with(entries=out)
+        return CurrentMat(self.legs, self.spectral_vars, out, self.metas)
 
     def invert_variable(self, v):
         i = self.spectral_vars.index(v)
@@ -368,28 +356,6 @@ class CurrentMat:
                 out[pos] = dict(coeffs)
         return CurrentMat(total_legs, self.spectral_vars, out, self.metas)
 
-    def truncate(self, var, lo, hi):
-        """Keep degrees of var within [lo, hi] (doubled) and tighten the meta."""
-        i = self.spectral_vars.index(var)
-        m = self.metas[i]
-        if m.trunc_hi is not None and m.trunc_hi < hi:
-            raise ValueError("cannot truncate beyond the exact region")
-        if m.trunc_lo is not None and m.trunc_lo > lo:
-            raise ValueError("cannot truncate beyond the exact region")
-        out = {}
-        for pos, coeffs in self.entries.items():
-            tgt = {deg: lie for deg, lie in coeffs.items() if lo <= deg[i] <= hi}
-            if tgt:
-                out[pos] = tgt
-        metas = list(self.metas)
-        metas[i] = SupportMeta(
-            m.natural_lo if m.natural_lo is not None else None,
-            m.natural_hi,
-            None if (m.natural_lo is not None and lo <= m.natural_lo) else lo,
-            None if (m.natural_hi is not None and hi >= m.natural_hi) else hi,
-        )
-        return CurrentMat(self.legs, self.spectral_vars, out, metas)
-
 
 def _wrap(out):
     """{pos: {deg: term dict}} as CurrentMat entries: each nonzero term
@@ -435,57 +401,56 @@ def series_bracket(a, b, product=_basis_bracket):
     )
 
 
-def extract_mode(m, degrees):
-    """Coefficients at integer degree(s): dict (i, j) -> LieElt."""
-    if isinstance(degrees, int):
-        degrees = (degrees,)
-    key = tuple(2 * d for d in degrees)
-    out = {}
-    for pos, coeffs in m.entries.items():
-        lie = coeffs.get(key)
-        if lie:
-            out[pos] = lie
-    return out
-
-
 # -- concrete currents ----------------------------------------------------------
 
 
-def build_T(sign, window, x=None):
-    """The generating current T^+(x) or T^-(x), truncated at |degree| <= window."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', not {sign!r}")
+# A matrix of generating series as table rows: position -> (coefficient,
+# letter), and letter -> (generator, index sign, first n, zero mode
+# halved).  A letter's series is the sum over first <= n of
+# generator[index sign * n] x^n, its n = 0 coefficient halved if so
+# marked; onsager._CURRENTS and _B_CURRENTS give each family's currents and
+# abstract B(x) in this format.  Here are T+(x) and T-(1/x).
+_T_CURRENTS = {
+    "+": {"H": ("H", 1, 0, True), "E": ("E", 1, 1, False), "F": ("F", 1, 0, False)},
+    "-": {"H": ("H", -1, 0, True), "E": ("E", -1, 0, False), "F": ("F", -1, 1, False)},
+}
+_T_ROWS = {
+    "+": {(0, 0): (1, "H"), (0, 1): (2, "F"), (1, 0): (2, "E"), (1, 1): (-1, "H")},
+    "-": {(0, 0): (-1, "H"), (0, 1): (-2, "F"), (1, 0): (-2, "E"), (1, 1): (1, "H")},
+}
+
+
+def _series(rows, letters, element, legs, window, x):
+    """The matrix of generating series that rows and letters describe (see
+    _T_ROWS), each series truncated at degree window in x.  element(gen,
+    mode, coeff) builds one coefficient; legs is 1 for a matrix and 0 for a
+    single series at (0, 0)."""
     if window < 0:
         raise ValueError(f"window must be >= 0, not {window}")
     if x is None:
         x = spectral("x")
     half = rat(1, 2)
-    ent = {}
-    if sign == "+":
-        ent[(0, 0)] = {(0,): LieElt.single(H(0), half)}
-        ent[(0, 1)] = {(0,): LieElt.single(F(0), 2)}
-        ent[(1, 0)] = {}
-        ent[(1, 1)] = {(0,): LieElt.single(H(0), -half)}
-        for n in range(1, window + 1):
-            d = (2 * n,)
-            ent[(0, 0)][d] = LieElt.single(H(n))
-            ent[(0, 1)][d] = LieElt.single(F(n), 2)
-            ent[(1, 0)][d] = LieElt.single(E(n), 2)
-            ent[(1, 1)][d] = LieElt.single(H(n), -1)
-        meta = SupportMeta(0, None, None, 2 * window)
-    else:
-        ent[(0, 0)] = {(0,): LieElt.single(H(0), -half)}
-        ent[(0, 1)] = {}
-        ent[(1, 0)] = {(0,): LieElt.single(E(0), -2)}
-        ent[(1, 1)] = {(0,): LieElt.single(H(0), half)}
-        for n in range(1, window + 1):
-            d = (-2 * n,)
-            ent[(0, 0)][d] = LieElt.single(H(-n), -1)
-            ent[(0, 1)][d] = LieElt.single(F(-n), -2)
-            ent[(1, 0)][d] = LieElt.single(E(-n), -2)
-            ent[(1, 1)][d] = LieElt.single(H(-n))
-        meta = SupportMeta(None, 0, -2 * window, None)
-    return CurrentMat(1, (x,), ent, (meta,))
+    entries, metas = {}, []
+    for pos, (k, letter) in rows.items():
+        gen, sign, first, halved = letters[letter]
+        entries[pos] = {
+            (2 * n,): element(gen, sign * n, k * half if halved and n == 0 else k)
+            for n in range(first, window + 1)
+        }
+        metas.append(SupportMeta(2 * first, None, None, 2 * window))
+    return CurrentMat(legs, (x,), entries, (reduce(SupportMeta.added, metas),))
+
+
+def _mode_element(gen, mode, coeff):
+    return LieElt.single(BasisSymbol(gen, mode), coeff)
+
+
+def build_T(sign, window, x=None):
+    """The generating current T^+(x) or T^-(x), truncated at |degree| <= window."""
+    if sign not in _T_ROWS:
+        raise ValueError(f"sign must be '+' or '-', not {sign!r}")
+    t = _series(_T_ROWS[sign], _T_CURRENTS[sign], _mode_element, 1, window, x)
+    return t if sign == "+" else t.invert_variable(t.spectral_vars[0])
 
 
 def _c_unit(scale, legs, spectral_vars):
@@ -534,9 +499,10 @@ def build_B(family, window, x=None):
     b = boundary_for(family, x)
     margin = window + 1
     tp = build_T("+", margin, x)
-    tm = build_T("-", margin, x).invert_variable(x).transpose()
+    # T-(1/x)^t
+    tm = _series(_T_ROWS["-"], _T_CURRENTS["-"], _mode_element, 1, margin, x).transpose()
     # the boundary families and their inverses are polynomial
-    kinv = b.inverse()
+    kinv = b.mat.inverse_2x2()
     conj = tm._times(b.mat.cleared(()), False)._times(kinv.cleared(()), True)
     # central term: -c x k'(x) k(x)^-1
     xk_rows = (b.derivative() @ kinv).scale(LaurentPoly.var(x)).cleared(())
@@ -547,18 +513,18 @@ def build_B(family, window, x=None):
     # Post-conditions of the construction above, which hold for every valid
     # input, so a failure is a bug here and not bad input: the margin keeps
     # the exact region past the window, and everything below the family's
-    # lowest degree cancels (checked before truncate would drop it).
+    # lowest degree cancels (checked before the degrees past hi are dropped).
     call = f"build_B({family!r}, window={window})"
     if trunc_hi is not None and trunc_hi < hi:
         raise ValueError(f"{call} is exact only up to degree {trunc_hi}, not {hi}")
+    entries = {}
     for pos, coeffs in total.entries.items():
         low = min((d[0] for d in coeffs), default=nat_lo)
         if low < nat_lo:
             raise ValueError(f"{call} has degree {low} at entry {pos}, "
                              f"below the family's lowest degree {nat_lo}")
-    out = total.truncate(x, nat_lo, hi)
-    metas = (SupportMeta(nat_lo, None, None, hi),)
-    return CurrentMat(1, (x,), out.entries, metas)
+        entries[pos] = {d: lie for d, lie in coeffs.items() if d[0] <= hi}
+    return CurrentMat(1, (x,), entries, (SupportMeta(nat_lo, None, None, hi),))
 
 
 # -- clearing and comparison -------------------------------------------------------

@@ -263,7 +263,7 @@ def build_linear_charge(family, k, variant="series"):
     )
 
 
-def check_linear_charges(family, max_k, variant="series", mutate=False):
+def check_linear_charges(family, max_k, mutate=False):
     """All pairs of linear charges commute, with fully symbolic weights.
 
     j < k suffices: abstract_bracket is antisymmetric by construction (see
@@ -274,11 +274,11 @@ def check_linear_charges(family, max_k, variant="series", mutate=False):
     charge, which must break commutativity."""
     if max_k < 0:
         raise ValueError(f"max-k must be >= 0, not {max_k}")
-    if variant == "series":
-        charges = _series_charges(family, max_k)
-    else:
-        charges = [build_linear_charge(family, k, variant) for k in range(max_k + 1)]
-    if mutate and max_k >= 1:
+    if mutate and max_k == 0:
+        # the mutation perturbs charge 1, which max-k 0 leaves out
+        raise ValueError("mutate needs max-k >= 1, not 0")
+    charges = _series_charges(family, max_k)
+    if mutate:
         # the generator of B's (0, 0) current
         flip = _CURRENTS[family][_B_CURRENTS[family][0, 0][1]][0]
         c1 = charges[1]
@@ -290,9 +290,7 @@ def check_linear_charges(family, max_k, variant="series", mutate=False):
         for k in range(j + 1, len(charges)):
             res.add(abstract_bracket(charges[j], charges[k]), "[I_{}, I_{}]", j, k)
     return res.report(
-        f"linear_charges[{family}]"
-        + (f"[{variant}]" if variant != "series" else "")
-        + ("[mutated]" if mutate else ""),
+        f"linear_charges[{family}]" + ("[mutated]" if mutate else ""),
         f"symbolic weights, 0 <= j < k <= {max_k}",
     )
 
@@ -304,8 +302,11 @@ def check_quadratic_charges(family, max_k, mutate=False):
     (tests/test_envelope.py compares the two).
 
     mutate=True adds a stray degree-one term to t_1, which must fail."""
+    if mutate and max_k == 0:
+        # the mutation perturbs t_1, which max-k 0 leaves out
+        raise ValueError("mutate needs max-k >= 1, not 0")
     ts = build_quadratic_charge(family, max_k)
-    if mutate and max_k >= 1:
+    if mutate:
         ts[1] = ts[1] + UeaElt({(BasisSymbol("E", 1),): 1})
     res = Residuals()
     for j in range(max_k + 1):

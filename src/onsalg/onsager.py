@@ -3,10 +3,12 @@
 Each family is an abstract Lie algebra with countably many generators
 subject to index symmetries; `morphism_image` realizes its generators
 inside the mode algebra, and the checks confirm the defining relations
-and their finite consequences.  Each family's abstract B(x), _B_CURRENTS,
-is a matrix of its generating series; check_current_relations proves the
-whole bracket table as its FRT exchange relation, by the routine that
-proves it for the realized B in currents.check_exchange.
+and their finite consequences.  Each family's currents, _CURRENTS, and its
+abstract B(x), _B_CURRENTS, are table rows in the format of T+(x) and
+T-(1/x) in currents, built by the one series builder currents._series;
+check_current_relations proves the whole bracket table as the FRT
+exchange relation of B(x), by the routine that proves it for the realized
+B in currents.check_exchange.
 
 The realizations are one table, _REALIZATIONS: a row per realization
 (the three families and kappa_minus), each an affine map in the format of
@@ -22,11 +24,11 @@ a change to the table takes effect at once.
 """
 
 import random
-from functools import reduce
+from functools import partial
 
-from .exactalg import LinComb, Symbol, _addbilin, rat, spectral
+from .exactalg import LinComb, Symbol, _addbilin
 from .kacmoody import LieElt, _affine_image, _homomorphism, _memo_image, apply_map
-from .currents import CurrentMat, SupportMeta, _reflection
+from .currents import _reflection, _series
 from .report import Residuals
 
 __all__ = [
@@ -404,9 +406,9 @@ def check_kappa_isomorphism(window, correspondence_shift=0):
 # -- generating series -------------------------------------------------------------
 
 
-# Each family's current letters in order: letter -> (generator, index
-# sign, first n, zero mode halved).  The series is the sum over first <= n
-# of generator[index sign * n] x^n, its n = 0 coefficient halved if so marked.
+# Each family's current letters in order, in the table format of
+# currents._T_CURRENTS: letter -> (generator, index sign, first n, zero mode
+# halved).
 _CURRENTS = {
     "onsager": {"G": ("G", 1, 1, False), "A+": ("A", 1, 1, False),
                 "A-": ("A", -1, 0, False)},
@@ -427,22 +429,13 @@ def build_current(family, letter, window, x=None):
             f"{letter!r} is not a current letter of family {family!r} "
             f"(choose from {', '.join(letters)})"
         )
-    if window < 0:
-        raise ValueError(f"window must be >= 0, not {window}")
-    if x is None:
-        x = spectral("x")
-    gen, sign, first, halved = letters[letter]
-    coeffs = {
-        (2 * n,): ons(family, gen, sign * n, rat(1, 2) if halved and n == 0 else 1)
-        for n in range(first, window + 1)
-    }
-    meta = SupportMeta(2 * first, None, None, 2 * window)
-    return CurrentMat(0, (x,), {(0, 0): coeffs}, (meta,))
+    return _series({(0, 0): (1, letter)}, letters, partial(ons, family), 0, window, x)
 
 
-# Each family's abstract B(x): position -> (coefficient, current letter).
-# Its morphism image is the family's realized B (currents.build_B), which
-# carries the invariant E and F with the coefficient 2.
+# Each family's abstract B(x), rows in the format of currents._T_ROWS:
+# position -> (coefficient, current letter).  Its morphism image is the
+# family's realized B (currents.build_B), which carries the invariant E and
+# F with the coefficient 2.
 _B_CURRENTS = {
     "onsager": {(0, 0): (1, "G"), (1, 1): (-1, "G"), (1, 0): (1, "A+"), (0, 1): (1, "A-")},
     "augmented": {(0, 0): (1, "K"), (1, 1): (-1, "K"), (1, 0): (1, "Z+"), (0, 1): (1, "Z-")},
@@ -456,14 +449,7 @@ def build_abstract_B(family, window, x=None):
     rows = _B_CURRENTS.get(family)
     if rows is None:
         raise ValueError(_unknown_family(family, FAMILIES))
-    if x is None:
-        x = spectral("x")
-    entries, metas = {}, []
-    for pos, (k, letter) in rows.items():
-        cur = build_current(family, letter, window, x)
-        entries[pos] = {deg: elt.scale(k) for deg, elt in cur.entry(0, 0).items()}
-        metas.append(cur.metas[0])
-    return CurrentMat(1, (x,), entries, (reduce(SupportMeta.added, metas),))
+    return _series(rows, _CURRENTS[family], partial(ons, family), 1, window, x)
 
 
 def check_current_relations(family, window):

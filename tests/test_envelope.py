@@ -19,6 +19,7 @@ from onsalg.envelope import (
 )
 from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
 from onsalg.kacmoody import C, E, F, H, LieElt, bracket
+from onsalg.onsager import abstract_bracket
 
 SYMS = [C] + [g(n) for g in (E, F, H) for n in range(-2, 3)]
 
@@ -192,15 +193,16 @@ def test_closed_form_variant():
     # the summed closed form agrees with the series expansion for the
     # first family, and k >= 1 everywhere; only its k = 0 boundary value
     # differs for the augmented family, where it fails to commute
-    assert check_linear_charges("onsager", 2, variant="formula").passed
-    assert check_linear_charges("invariant", 2, variant="formula").passed
-    rep = check_linear_charges("augmented", 2, variant="formula")
-    assert not rep.passed
-    assert rep.witnesses[0] == {
-        "position": "[I_0, I_1]",
-        "residual": "(2*nu*tau)*Z+[1] + (2*nu*tau)*Z+[2] "
-                    "+ (-2*nustar*tau)*Z-[0] + (-2*nustar*tau)*Z-[1]",
-    }
+    def brackets(family):
+        charges = [build_linear_charge(family, k, "formula") for k in range(3)]
+        return [abstract_bracket(charges[j], charges[k])
+                for j in range(3) for k in range(j + 1, 3)]
+
+    assert not any(brackets("onsager"))
+    assert not any(brackets("invariant"))
+    i01 = brackets("augmented")[0]
+    assert str(i01) == ("(2*nu*tau)*Z+[1] + (2*nu*tau)*Z+[2] "
+                        "+ (-2*nustar*tau)*Z-[0] + (-2*nustar*tau)*Z-[1]")
 
 
 def test_mixed_commutator_is_reported_not_judged():
@@ -245,11 +247,15 @@ def _short_series(monkeypatch):
         (lambda mp: build_quadratic_charge("onsager", -1), "max-k must be >= 0, not -1"),
         (lambda mp: check_quadratic_charges("augmented", -1), "max-k must be >= 0, not -1"),
         (lambda mp: note_mixed_commutator("onsager", -1, 0), "max-k must be >= 0, not -1"),
+        (lambda mp: check_linear_charges("onsager", 0, mutate=True),
+         "mutate needs max-k >= 1, not 0"),
+        (lambda mp: check_quadratic_charges("onsager", 0, mutate=True),
+         "mutate needs max-k >= 1, not 0"),
     ],
     ids=["charge_window", "negative_k", "exact_window", "variant",
          "series_family", "formula_family", "quadratic_family", "linear_max_k", "B_window",
          "T_sign", "T_window", "quadratic_max_k", "quadratic_check_max_k",
-         "mixed_commutator_max_k"],
+         "mixed_commutator_max_k", "linear_mutate_max_k", "quadratic_mutate_max_k"],
 )
 def test_guards_raise_value_error(monkeypatch, call, message):
     with pytest.raises(ValueError, match=message):

@@ -197,7 +197,7 @@ def test_trace_leg_of_embedding():
 
 def test_inverse_2x2():
     b = build_boundary("k_general", x=X)
-    prod = b.mat @ b.inverse()
+    prod = b.mat @ b.mat.inverse_2x2()
     ident = TensorMat(1, [[1, 0], [0, 1]])
     assert (prod - ident).is_zero()
 

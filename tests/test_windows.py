@@ -12,9 +12,12 @@ same way.
 
 import pytest
 
-from onsalg import currents
-from onsalg.currents import B_FAMILIES, build_B, build_T, check_exchange, check_frt_relations
-from onsalg.onsager import _CURRENTS, FAMILIES, build_abstract_B, build_current
+from onsalg import currents, envelope
+from onsalg.currents import (
+    B_FAMILIES, build_B, build_T, check_exchange, check_frt_relations, series_bracket
+)
+from onsalg.exactalg import LaurentPoly, parameter, spectral
+from onsalg.onsager import _CURRENTS, FAMILIES, _pair_bracket, build_abstract_B, build_current
 
 WINDOWS = (4, 5, 6)
 WIDER = 3
@@ -82,6 +85,33 @@ def test_build_current_window(family, letter):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_abstract_B_window(family):
     _assert_sound_and_tight(lambda w: build_abstract_B(family, w))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_weight_series_window(family):
+    x = spectral("x")
+    _assert_sound_and_tight(lambda w: envelope._weight_series(family, w, x))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_series_bracket_window(family):
+    # the family's first two current letters, which do not commute, at
+    # unequal windows, so that each variable's window is its own
+    first, second = list(_CURRENTS[family])[:2]
+    x, y = spectral("x"), spectral("y")
+    _assert_sound_and_tight(lambda w: series_bracket(
+        build_current(family, first, w, x), build_current(family, second, w + 1, y),
+        _pair_bracket,
+    ))
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_scale_poly_window(sign):
+    # 1/x + a x^2 shifts the two ends of the support by different amounts
+    x = spectral("x")
+    xx = LaurentPoly.var(x)
+    p = LaurentPoly.monomial((x,), (-2,), 1) + LaurentPoly.var(parameter("a")) * xx * xx
+    _assert_sound_and_tight(lambda w: build_T(sign, w, x).scale_poly(p))
 
 
 def _residual(monkeypatch, check):
