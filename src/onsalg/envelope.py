@@ -1,32 +1,43 @@
-"""PBW calculus in the enveloping algebra and the commuting charges.
+"""PBW calculus in the enveloping algebras and the commuting charges.
 
-Quadratic charges are mode coefficients of tr(B(x)^2).  Linear charges are
-mode coefficients of the weighted series tr(M(x)B(x)): M(x) is the family's
-boundary matrix from tensormat.build_boundary (M_FAMILY), with symbolic
-weight parameters, and B(x) is the family's abstract matrix of currents,
-onsager._B_CURRENTS, coefficients included, so every weight is read off M
-once.
+Quadratic charges are mode coefficients of tr(B(x)^2), where B(x) is the
+family's abstract matrix of currents (onsager.build_abstract_B), so each
+t_k is a polynomial in the family's own generators and the charges commute
+in U(family), the enveloping algebra of the Onsager-type algebra itself.
+The realization is injective, and so is its extension to the enveloping
+algebras (Poincare-Birkhoff-Witt), so this holds exactly when the realized
+charges commute in U(affine sl2).  Linear charges are mode coefficients of
+the weighted series tr(M(x)B(x)): M(x) is the family's boundary matrix
+from tensormat.build_boundary (M_FAMILY), with symbolic weight parameters,
+and B(x) carries the coefficients of onsager._B_CURRENTS, so every weight
+is read off M once.
 
-Products are normal-ordered against the basis order: c first, then modes
-ascending, with H before E before F at a tied mode.  Commutators use the
-Leibniz rule and bracket per letter pair, not per word pair: the words of
-the right operand are indexed by letter, each letter of a left word is
-bracketed once with each distinct letter on the right, and only the
-shorter words are normal-ordered.
+One PBW routine serves U(affine sl2) and the three U(family).  Products
+are normal-ordered against the basis order: c first, then modes
+ascending; at a tied mode H before E before F in the mode algebra, and a
+family's letters in their onsager._LETTERS order in U(family).  The
+bracket of two letters is read once per pair from kacmoody._basis_bracket
+or onsager._pair_bracket, by symbol class, and memoised (_bracket).
+Commutators use the Leibniz rule and bracket per letter pair, not per word
+pair: the words of the right operand are indexed by letter, each letter of
+a left word is bracketed once with each distinct letter on the right, and
+only the shorter words are normal-ordered.
 
-A word is a tuple of interned basis symbols (see kacmoody.BasisSymbol), so
-it hashes at C speed.  Each symbol's PBW place is one int, memoised by
-symbol (_key), and each word's normal form is memoised in the module-level
-dict _NORMAL for the life of the process.  Bergman's diamond lemma makes
+A word is a tuple of interned symbols (see exactalg.Symbol), so it hashes
+at C speed.  Each symbol's PBW place is one int, memoised by symbol
+(_key), and each word's normal form is memoised in the module-level dict
+_NORMAL for the life of the process.  The one memo holds words of every
+algebra: symbols of different classes or families never compare equal, so
+words of different algebras never collide.  Bergman's diamond lemma makes
 the normal form independent of the rewrite order, so a memoised form is
 the same whichever product first asked for it.
 """
 
 from .exactalg import MODE_BOUND, LaurentPoly, LinComb, accumulate, spectral
-from .kacmoody import BasisSymbol, _basis_bracket
-from .currents import build_B
+from .kacmoody import _basis_bracket
 from .onsager import (
-    _B_CURRENTS, _CURRENTS, OnsElt, abstract_bracket, build_current, morphism_image, ons
+    _B_CURRENTS, _CURRENTS, _LETTERS, OnsElt, OnsSymbol, _pair_bracket, abstract_bracket,
+    build_abstract_B, build_current, ons
 )
 from .tensormat import build_boundary
 from .report import Residuals
@@ -45,12 +56,15 @@ __all__ = [
 
 
 class _PbwOrder(dict):
-    """Each basis symbol's place in PBW order as one int, memoised by
-    symbol: c is 0, and e, f, h of mode n sort after every symbol of lower
-    mode, H before E before F."""
+    """Each symbol's place in PBW order as one int, memoised by symbol: c is
+    0, and the letters of mode n sort after every symbol of lower mode, H
+    before E before F for a basis symbol, in onsager._LETTERS order for a
+    family generator."""
 
     def __missing__(self, sym):
-        if sym.type == "C":
+        if type(sym) is OnsSymbol:
+            key = 3 * (sym.mode + MODE_BOUND) + tuple(_LETTERS[sym.family]).index(sym.letter) + 1
+        elif sym.type == "C":
             key = 0
         else:
             key = 3 * (sym.mode + MODE_BOUND) + "HEF".index(sym.type) + 1
@@ -60,9 +74,22 @@ class _PbwOrder(dict):
 
 _key = _PbwOrder().__getitem__
 
+_BRACKET = {}
+
+
+def _bracket(a, b):
+    """[a, b] for two basis symbols or two generators of one family, as a
+    tuple of (symbol, coefficient) pairs, memoised per pair."""
+    out = _BRACKET.get((a, b))
+    if out is None:
+        pairs = _pair_bracket(a, b) if type(a) is OnsSymbol else _basis_bracket(a, b)
+        out = _BRACKET[a, b] = tuple(pairs)
+    return out
+
 
 class UeaElt(LinComb):
-    """Linear combination of normal-ordered words (tuples) of basis symbols."""
+    """Linear combination of normal-ordered words (tuples) of symbols, all
+    basis symbols of the mode algebra or all generators of one family."""
 
     __slots__ = ()
 
@@ -89,7 +116,7 @@ def _normal_word(word):
     for i in range(len(word) - 1):
         if _key(word[i]) > _key(word[i + 1]):
             out = _normal_word(word[:i] + (word[i + 1], word[i]) + word[i + 2 :])
-            pairs = _basis_bracket(word[i], word[i + 1])
+            pairs = _bracket(word[i], word[i + 1])
             if pairs:
                 terms = dict(out.terms)
                 for sym, k in pairs:
@@ -128,7 +155,7 @@ def uea_commutator(a, b):
         for i, x in enumerate(wa):
             head, tail = wa[:i], wa[i + 1 :]
             for y, at_y in sites.items():
-                for sym, k in _basis_bracket(x, y):
+                for sym, k in _bracket(x, y):
                     c = ca * k
                     for prefix, suffix, cb in at_y:
                         accumulate(out, head + prefix + (sym,) + suffix + tail, c * cb)
@@ -143,11 +170,13 @@ def lie_to_uea(lie):
 
 
 def build_quadratic_charge(family, max_k):
-    """Coefficients t_0..t_max_k of tr(B(x)^2), normal ordered."""
+    """Coefficients t_0..t_max_k of tr(B(x)^2) for the family's abstract
+    B(x), normal ordered in U(family).  Every entry of B(x) starts at
+    degree 0 or above, so B(x) at window max_k holds every factor of
+    t_max_k."""
     if max_k < 0:
         raise ValueError(f"max-k must be >= 0, not {max_k}")
-    window = max_k + 1
-    b = build_B(family, window)
+    b = build_abstract_B(family, max_k)
     meta = b.metas[0]
     prod = meta.multiplied(meta)
     if prod.trunc_hi is not None and prod.trunc_hi < 2 * max_k:
@@ -162,8 +191,9 @@ def build_quadratic_charge(family, max_k):
                 continue
             for da, la in ca.items():
                 for db, lb in cb.items():
+                    # doubled degrees: t_k sits at degree 2k
                     d = da[0] + db[0]
-                    if d < 0 or d % 2 or d // 2 > max_k:
+                    if d > 2 * max_k:
                         continue
                     pair = uea_mul(lie_to_uea(la), lie_to_uea(lb))
                     for w, c in pair.terms.items():
@@ -263,6 +293,12 @@ def build_linear_charge(family, k, variant="series"):
     )
 
 
+def _diagonal_generator(family):
+    """The generator of B's (0, 0) current: G, K or H.  The mutations of
+    both charge checks perturb it."""
+    return _CURRENTS[family][_B_CURRENTS[family][0, 0][1]][0]
+
+
 def check_linear_charges(family, max_k, mutate=False):
     """All pairs of linear charges commute, with fully symbolic weights.
 
@@ -279,8 +315,7 @@ def check_linear_charges(family, max_k, mutate=False):
         raise ValueError("mutate needs max-k >= 1, not 0")
     charges = _series_charges(family, max_k)
     if mutate:
-        # the generator of B's (0, 0) current
-        flip = _CURRENTS[family][_B_CURRENTS[family][0, 0][1]][0]
+        flip = _diagonal_generator(family)
         c1 = charges[1]
         charges[1] = OnsElt(
             {s: (-c if s.letter == flip else c) for s, c in c1.terms.items()}
@@ -296,33 +331,33 @@ def check_linear_charges(family, max_k, mutate=False):
 
 
 def check_quadratic_charges(family, max_k, mutate=False):
-    """All pairs of quadratic charges commute in the enveloping algebra.
+    """All pairs of quadratic charges commute in U(family).
 
     j < k suffices: uea_commutator equals ab - ba, which is antisymmetric
     (tests/test_envelope.py compares the two).
 
-    mutate=True adds a stray degree-one term to t_1, which must fail."""
+    mutate=True adds to t_1 the generator of B's (0, 0) current at mode 1,
+    a stray degree-one term, which must fail."""
     if mutate and max_k == 0:
         # the mutation perturbs t_1, which max-k 0 leaves out
         raise ValueError("mutate needs max-k >= 1, not 0")
     ts = build_quadratic_charge(family, max_k)
     if mutate:
-        ts[1] = ts[1] + UeaElt({(BasisSymbol("E", 1),): 1})
+        ts[1] = ts[1] + lie_to_uea(ons(family, _diagonal_generator(family), 1))
     res = Residuals()
     for j in range(max_k + 1):
         for k in range(j + 1, max_k + 1):
             res.add(uea_commutator(ts[j], ts[k]), "[t_{}, t_{}]", j, k)
     return res.report(
         f"quadratic_charges[{family}]" + ("[mutated]" if mutate else ""),
-        f"normal-ordered, 0 <= j < k <= {max_k}",
+        f"in U({family}), normal-ordered, 0 <= j < k <= {max_k}",
     )
 
 
 def note_mixed_commutator(family, j, k):
-    """[t_j, image(I_k)] is generically nonzero; report its size as a note."""
+    """[t_j, I_k] in U(family) is generically nonzero; report its size as a
+    note."""
     ts = build_quadratic_charge(family, j)
-    ik = build_linear_charge(family, k)
-    image = ik.linear(lambda sym: morphism_image(family, sym))
-    res = uea_commutator(ts[j], lie_to_uea(image))
+    res = uea_commutator(ts[j], lie_to_uea(build_linear_charge(family, k)))
     size = "0" if res.is_zero() else f"{len(res.terms)} normal-ordered terms"
-    return f"[t_{j}, b_{k}] for {family}: {size}"
+    return f"[t_{j}, I_{k}] for {family}: {size}"

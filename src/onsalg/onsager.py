@@ -19,8 +19,10 @@ brackets, every entry is affine in n.
 
 Generators are interned ints, one instance per (family, letter, mode),
 ordered as those tuples are (see OnsSymbol).  The bracket of two
-generators is not memoised: it reads the table _BRACKETS on every call, so
-a change to the table takes effect at once.
+generators is not memoised here: it reads the table _BRACKETS on every
+call, so a change to the table takes effect at once in every check of
+this module.  envelope._bracket memoises it for the enveloping algebras,
+as it memoises their normal forms.
 """
 
 import random

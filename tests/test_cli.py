@@ -170,7 +170,7 @@ def test_seed_reaches_the_sampled_check(capsys):
 
 def test_notes_only_for_charge_suites(capsys):
     _, doc = run_json(["charges", "--window", "3", "--max-k", "2"], capsys)
-    assert doc["notes"][0] == "[t_1, b_1] for onsager: 36 normal-ordered terms"
+    assert doc["notes"][0] == "[t_1, I_1] for onsager: 10 normal-ordered terms"
     assert len(doc["notes"]) == 3
     _, doc = run_json(["kappa", "--window", "3", "--max-k", "2"], capsys)
     assert "notes" not in doc

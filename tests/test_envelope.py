@@ -19,7 +19,7 @@ from onsalg.envelope import (
 )
 from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
 from onsalg.kacmoody import C, E, F, H, LieElt, bracket
-from onsalg.onsager import abstract_bracket
+from onsalg.onsager import FAMILIES, abstract_bracket, canonical_symbols, morphism_image
 
 SYMS = [C] + [g(n) for g in (E, F, H) for n in range(-2, 3)]
 
@@ -66,22 +66,41 @@ def test_multiplication_associates(a, b, c):
 
 TAU = LaurentPoly.var(parameter("tau"))
 
-# sums of one- to four-letter words, with integer, half-integer or parameter
-# coefficients (products of halves must come back to their stored form)
-elements = st.dictionaries(
-    st.lists(st.sampled_from(SYMS), min_size=1, max_size=4).map(tuple),
-    st.one_of(
-        st.integers(-3, 3).filter(bool),
-        st.integers(-3, 3).filter(bool).map(lambda n: rat(1, 2) * n),
-        st.integers(-3, 3).filter(bool).map(lambda n: TAU * n),
-    ),
-    min_size=1,
-    max_size=3,
-).map(UeaElt)
+
+def words_over(syms):
+    """Sums of one- to four-letter words in syms, with integer, half-integer
+    or parameter coefficients (products of halves must come back to their
+    stored form)."""
+    return st.dictionaries(
+        st.lists(st.sampled_from(syms), min_size=1, max_size=4).map(tuple),
+        st.one_of(
+            st.integers(-3, 3).filter(bool),
+            st.integers(-3, 3).filter(bool).map(lambda n: rat(1, 2) * n),
+            st.integers(-3, 3).filter(bool).map(lambda n: TAU * n),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(UeaElt)
+
+
+elements = words_over(SYMS)
 
 
 @given(elements, elements)
 def test_leibniz_commutator_matches_both_products(x, y):
+    assert uea_commutator(x, y) == uea_mul(x, y) - uea_mul(y, x)
+
+
+# two elements of one family's enveloping algebra, in its canonical
+# generators with |mode| <= 2
+family_pairs = st.sampled_from(FAMILIES).map(lambda f: canonical_symbols(f, 2)).flatmap(
+    lambda syms: st.tuples(words_over(syms), words_over(syms))
+)
+
+
+@given(family_pairs)
+def test_leibniz_commutator_matches_both_products_in_each_family(pair):
+    x, y = pair
     assert uea_commutator(x, y) == uea_mul(x, y) - uea_mul(y, x)
 
 
@@ -90,14 +109,66 @@ def test_leibniz_commutator_matches_both_products(x, y):
 
 def test_t0_frozen():
     assert str(build_quadratic_charge("onsager", 0)[0]) == "0"
-    assert (
-        str(build_quadratic_charge("augmented", 0)[0])
-        == "(1/2)*c*c + (2)*c*h[0] + (2)*h[0]*h[0]"
-    )
+    assert str(build_quadratic_charge("augmented", 0)[0]) == "(1/2)*K[0]*K[0]"
     assert (
         str(build_quadratic_charge("invariant", 0)[0])
-        == "(-4)*h[0] + (2)*h[0]*h[0] + (8)*e[0]*f[0]"
+        == "(-2)*H[0] + (1/2)*H[0]*H[0] + (2)*E[0]*F[0]"
     )
+
+
+def _realized_charges(family, max_k):
+    """t_0..t_max_k of tr(B(x)^2) for the realized B of build_B, normal
+    ordered in U(affine sl2): an independent construction of the images of
+    the abstract charges."""
+    b = build_B(family, max_k + 1)
+    out = [UeaElt.zero()] * (max_k + 1)
+    for i in range(b.dim):
+        for j in range(b.dim):
+            for (da,), la in b.entry(i, j).items():
+                for (db,), lb in b.entry(j, i).items():
+                    d = da + db
+                    if 0 <= d <= 2 * max_k and d % 2 == 0:
+                        out[d // 2] = out[d // 2] + uea_mul(lie_to_uea(la), lie_to_uea(lb))
+    return out
+
+
+def _realize(family, elt):
+    """The image of an element of U(family) in U(affine sl2): each word
+    goes to the product of its letters' morphism images."""
+    total = UeaElt.zero()
+    for word, c in elt.terms.items():
+        prod = UeaElt({(): c})
+        for sym in word:
+            prod = uea_mul(prod, lie_to_uea(morphism_image(family, sym)))
+        total = total + prod
+    return total
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_abstract_charges_realize_as_the_realized_charges(family):
+    # the realization maps each t_k of U(family) onto the t_k that
+    # tr(B(x)^2) gives for the realized B, so a pass in U(family) is the
+    # realized identity too
+    abstract = build_quadratic_charge(family, 4)
+    assert [_realize(family, abstract[k]) for k in range(5)] == _realized_charges(family, 4)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_realization_is_injective_on_the_charge_modes(family):
+    # [t_j, t_k] with j, k <= max_k holds generators with |mode| <= 2 max_k.
+    # Each of their images holds a basis symbol that no other canonical
+    # generator's image holds, so the images are linearly independent, and
+    # by PBW a failure in U(family) is a failure in U(affine sl2) too.  The
+    # realizations shift modes by at most 1, so a generator with |mode| >
+    # window + 2 holds only basis symbols beyond every image checked here.
+    window = 2 * 4
+    images = {s: morphism_image(family, s) for s in canonical_symbols(family, window + 2)}
+    holders = {}
+    for sym, image in images.items():
+        for basis in image.terms:
+            holders.setdefault(basis, []).append(sym)
+    for sym in canonical_symbols(family, window):
+        assert any(holders[basis] == [sym] for basis in images[sym].terms), sym
 
 
 @pytest.mark.parametrize("family", ["onsager", "augmented", "invariant"])
@@ -115,14 +186,12 @@ def test_quadratic_mutation_fails(family):
 
 def test_quadratic_mutation_frozen():
     rep = check_quadratic_charges("onsager", 4, mutate=True)
-    assert rep.residual_term_count == 48
+    assert rep.residual_term_count == 12
     assert len(rep.witnesses) == 3
     assert rep.witnesses[0] == {
         "position": "[t_1, t_2]",
-        "residual": "(8)*e[-1] + (8)*e[3] + (8)*c*e[-1] + (8)*c*f[1] "
-                    "+ (8)*f[-2]*h[1] + (8)*h[-1]*f[0] + (8)*h[-1]*e[2] "
-                    "+ (8)*e[-1]*h[0] + (8)*f[-1]*h[2] + (8)*h[0]*f[1] "
-                    "+ (8)*e[0]*h[1] + (8)*e[1]*h[2]",
+        "residual": "(-4)*A[-2]*A[1] + (-4)*A[-1]*A[0] + (4)*A[0]*A[3] "
+                    "+ (4)*A[1]*A[2]",
     }
 
 
@@ -207,7 +276,7 @@ def test_closed_form_variant():
 
 def test_mixed_commutator_is_reported_not_judged():
     note = note_mixed_commutator("onsager", 1, 1)
-    assert note == "[t_1, b_1] for onsager: 36 normal-ordered terms"
+    assert note == "[t_1, I_1] for onsager: 10 normal-ordered terms"
     assert "pass" not in note and "fail" not in note
 
 
@@ -215,7 +284,8 @@ def test_mixed_commutator_is_reported_not_judged():
 
 
 def _short_b(monkeypatch):
-    monkeypatch.setattr(envelope, "build_B", lambda family, window: build_B(family, 1))
+    short = envelope.build_abstract_B
+    monkeypatch.setattr(envelope, "build_abstract_B", lambda family, window: short(family, 1))
     build_quadratic_charge("onsager", 3)
 
 

@@ -198,9 +198,9 @@ EXPECTED = {
         ],
     ),
     "quadratic_charges[onsager][mutated]": (
-        12,
+        4,
         [
-            ("[t_1, t_2]", "(8)*e[-1] + (8)*e[3] + (8)*c*e[-1] + (8)*c*f[1] + (8)*f[-2]*h[1] + (8)*h[-1]*f[0] + (8)*h[-1]*e[2] + (8)*e[-1]*h[0] + (8)*f[-1]*h[2] + (8)*h[0]*f[1] + (8)*e[0]*h[1] + (8)*e[1]*h[2]"),
+            ("[t_1, t_2]", "(-4)*A[-2]*A[1] + (-4)*A[-1]*A[0] + (4)*A[0]*A[3] + (4)*A[1]*A[2]"),
         ],
     ),
 }
