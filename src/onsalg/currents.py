@@ -3,7 +3,9 @@
 A CurrentMat is a matrix of formal series whose coefficients live in the
 mode Lie algebra.  Each spectral variable carries a SupportMeta recording
 where the truncated data is exact, so every comparison happens only on a
-provably safe window; degrees are doubled like LaurentPoly exponents.
+provably safe window; degrees are doubled like LaurentPoly exponents.  A
+meta is shifted by a scalar factor and merged by a sum; no series is the
+product of two truncated series, so no meta is multiplied.
 
 Every series identity (the FRT relations, and the exchange relation of
 B(x) for the realized B of build_B and for the abstract B of each onsager
@@ -14,7 +16,10 @@ denominators are cleared one way: exactalg.complement and TensorMat.cleared.
 
 Every generating series is built from table rows by one builder,
 _series: T+(x) and T-(1/x) are the rows _T_ROWS, and each onsager
-family's currents and abstract B(x) are rows in the same format.
+family's currents and abstract B(x) are rows in the same format.  One
+rule, _coefficient, reads a coefficient off the rows; _series calls it
+for each degree, and envelope's charges call it for the finitely many
+coefficients each charge sums.
 
 A product (_mixed_mul, series_bracket) builds each coefficient as one term
 dict through exactalg's LinComb kernels (_addlin, _addbilin), with no
@@ -121,37 +126,6 @@ class SupportMeta:
             other.trunc_hi
             if self.trunc_hi is None
             else (self.trunc_hi if other.trunc_hi is None else min(self.trunc_hi, other.trunc_hi)),
-        )
-
-    def multiplied(self, other):
-        """Meta of a product of two series in the same variable."""
-        hi_bounds = []
-        if self.trunc_hi is not None:
-            if other.natural_lo is None:
-                raise ValueError("product with unbounded-below unknown tail")
-            hi_bounds.append(self.trunc_hi + other.natural_lo)
-        if other.trunc_hi is not None:
-            if self.natural_lo is None:
-                raise ValueError("product with unbounded-below unknown tail")
-            hi_bounds.append(other.trunc_hi + self.natural_lo)
-        lo_bounds = []
-        if self.trunc_lo is not None:
-            if other.natural_hi is None:
-                raise ValueError("product with unbounded-above unknown tail")
-            lo_bounds.append(self.trunc_lo + other.natural_hi)
-        if other.trunc_lo is not None:
-            if self.natural_hi is None:
-                raise ValueError("product with unbounded-above unknown tail")
-            lo_bounds.append(other.trunc_lo + self.natural_hi)
-        return SupportMeta(
-            None
-            if self.natural_lo is None or other.natural_lo is None
-            else self.natural_lo + other.natural_lo,
-            None
-            if self.natural_hi is None or other.natural_hi is None
-            else self.natural_hi + other.natural_hi,
-            max(lo_bounds) if lo_bounds else None,
-            min(hi_bounds) if hi_bounds else None,
         )
 
     def inverted(self):
@@ -265,16 +239,6 @@ class CurrentMat:
             if v.kind == "spectral" and v not in self.spectral_vars:
                 raise ValueError(f"scalar uses foreign spectral variable {v.name}")
         return list(p.split(self.spectral_vars).items())
-
-    def scale_poly(self, p):
-        """Multiply every entry by a scalar LaurentPoly (spectral degrees
-        shift the series; parameter content scales the coefficients)."""
-        if not isinstance(p, LaurentPoly):
-            p = LaurentPoly.const(p)
-        dim = self.dim
-        return self._times(
-            [[p if i == j else None for j in range(dim)] for i in range(dim)], True
-        )
 
     def _times(self, rows, current_on_left):
         """The product with a scalar matrix (see _mixed_mul), as a current."""
@@ -420,25 +384,36 @@ _T_ROWS = {
 }
 
 
-def _series(rows, letters, element, legs, window, x):
-    """The matrix of generating series that rows and letters describe (see
-    _T_ROWS), each series truncated at degree window in x.  element(gen,
-    mode, coeff) builds one coefficient; legs is 1 for a matrix and 0 for a
-    single series at (0, 0)."""
+def _coefficient(rows, letters, element, pos, n):
+    """The degree-n coefficient of the series at pos that rows and letters
+    describe (see _T_ROWS), built by element(gen, mode, coeff); None where
+    the series is zero, below its letter's first n.  The index is sign * n,
+    and the coefficient is halved at n = 0 where the letter says so."""
+    k, letter = rows[pos]
+    gen, sign, first, halved = letters[letter]
+    if n < first:
+        return None
+    return element(gen, sign * n, k * rat(1, 2) if halved and n == 0 else k)
+
+
+def _series(rows, letters, element, window, x):
+    """The 1-leg matrix of generating series that rows and letters describe
+    (see _T_ROWS), each series truncated at degree window in x, its
+    coefficients read by _coefficient; element(gen, mode, coeff) builds
+    one coefficient."""
     if window < 0:
         raise ValueError(f"window must be >= 0, not {window}")
     if x is None:
         x = spectral("x")
-    half = rat(1, 2)
     entries, metas = {}, []
-    for pos, (k, letter) in rows.items():
-        gen, sign, first, halved = letters[letter]
+    for pos, (_, letter) in rows.items():
+        first = letters[letter][2]
         entries[pos] = {
-            (2 * n,): element(gen, sign * n, k * half if halved and n == 0 else k)
+            (2 * n,): _coefficient(rows, letters, element, pos, n)
             for n in range(first, window + 1)
         }
         metas.append(SupportMeta(2 * first, None, None, 2 * window))
-    return CurrentMat(legs, (x,), entries, (reduce(SupportMeta.added, metas),))
+    return CurrentMat(1, (x,), entries, (reduce(SupportMeta.added, metas),))
 
 
 def _mode_element(gen, mode, coeff):
@@ -449,7 +424,7 @@ def build_T(sign, window, x=None):
     """The generating current T^+(x) or T^-(x), truncated at |degree| <= window."""
     if sign not in _T_ROWS:
         raise ValueError(f"sign must be '+' or '-', not {sign!r}")
-    t = _series(_T_ROWS[sign], _T_CURRENTS[sign], _mode_element, 1, window, x)
+    t = _series(_T_ROWS[sign], _T_CURRENTS[sign], _mode_element, window, x)
     return t if sign == "+" else t.invert_variable(t.spectral_vars[0])
 
 
@@ -500,7 +475,7 @@ def build_B(family, window, x=None):
     margin = window + 1
     tp = build_T("+", margin, x)
     # T-(1/x)^t
-    tm = _series(_T_ROWS["-"], _T_CURRENTS["-"], _mode_element, 1, margin, x).transpose()
+    tm = _series(_T_ROWS["-"], _T_CURRENTS["-"], _mode_element, margin, x).transpose()
     # the boundary families and their inverses are polynomial
     kinv = b.mat.inverse_2x2()
     conj = tm._times(b.mat.cleared(()), False)._times(kinv.cleared(()), True)

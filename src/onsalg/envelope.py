@@ -1,16 +1,17 @@
 """PBW calculus in the enveloping algebras and the commuting charges.
 
-Quadratic charges are mode coefficients of tr(B(x)^2), where B(x) is the
-family's abstract matrix of currents (onsager.build_abstract_B), so each
-t_k is a polynomial in the family's own generators and the charges commute
-in U(family), the enveloping algebra of the Onsager-type algebra itself.
-The realization is injective, and so is its extension to the enveloping
-algebras (Poincare-Birkhoff-Witt), so this holds exactly when the realized
-charges commute in U(affine sl2).  Linear charges are mode coefficients of
-the weighted series tr(M(x)B(x)): M(x) is the family's boundary matrix
-from tensormat.build_boundary (M_FAMILY), with symbolic weight parameters,
-and B(x) carries the coefficients of onsager._B_CURRENTS, so every weight
-is read off M once.
+Both kinds of charge are finite sums over the rows of the family's
+abstract B(x) (onsager._B_CURRENTS), each coefficient B_ij[n] read by
+currents._coefficient; no truncated series is built.  The quadratic
+charge t_k, the coefficient of x^k in tr(B(x)^2), is the sum of
+B_ij[n] B_ji[k - n] in U(family), the enveloping algebra of the
+Onsager-type algebra itself, where the charges commute.  The realization
+is injective, and so is its extension to the enveloping algebras
+(Poincare-Birkhoff-Witt), so this holds exactly when the realized charges
+commute in U(affine sl2).  The linear charge I_k, the coefficient of x^k
+in tr(M(x)B(x)), is the sum of w B_ij[k - e] over the monomials w x^e of
+M_ji(x): M(x) is the family's boundary matrix from tensormat.build_boundary
+(M_FAMILY), with symbolic weight parameters.
 
 One PBW routine serves U(affine sl2) and the three U(family).  Products
 are normal-ordered against the basis order: c first, then modes
@@ -33,11 +34,14 @@ the normal form independent of the rewrite order, so a memoised form is
 the same whichever product first asked for it.
 """
 
-from .exactalg import MODE_BOUND, LaurentPoly, LinComb, accumulate, spectral
+from functools import partial
+
+from .currents import _coefficient
+from .exactalg import MODE_BOUND, LaurentPoly, LinComb, _addlin, _stored, accumulate, spectral
 from .kacmoody import _basis_bracket
 from .onsager import (
-    _B_CURRENTS, _CURRENTS, _LETTERS, OnsElt, OnsSymbol, _pair_bracket, abstract_bracket,
-    build_abstract_B, build_current, ons
+    _B_CURRENTS, _CURRENTS, _LETTERS, FAMILIES, OnsElt, OnsSymbol, _pair_bracket,
+    _unknown_family, abstract_bracket, ons
 )
 from .tensormat import build_boundary
 from .report import Residuals
@@ -166,42 +170,46 @@ def lie_to_uea(lie):
     return UeaElt({(sym,): c for sym, c in lie.terms.items()})
 
 
-# -- quadratic charges --------------------------------------------------------------
+# -- the charges, read off B(x)'s rows ----------------------------------------------
+
+
+def _rows(family):
+    """The family's abstract B(x) as table rows (onsager._B_CURRENTS) and
+    its current letters (onsager._CURRENTS), read by both kinds of
+    charge; an unknown family is refused here, before any work."""
+    rows = _B_CURRENTS.get(family)
+    if rows is None:
+        raise ValueError(_unknown_family(family, FAMILIES))
+    return rows, _CURRENTS[family]
 
 
 def build_quadratic_charge(family, max_k):
     """Coefficients t_0..t_max_k of tr(B(x)^2) for the family's abstract
-    B(x), normal ordered in U(family).  Every entry of B(x) starts at
-    degree 0 or above, so B(x) at window max_k holds every factor of
-    t_max_k."""
+    B(x), normal ordered in U(family).
+
+    t_k is the sum over positions (i, j) of B_ij[n] B_ji[k - n] for n from
+    B_ij's first degree to k minus B_ji's, both read off the rows, so each
+    t_k is a finite sum whatever the tables hold."""
+    rows, letters = _rows(family)
     if max_k < 0:
         raise ValueError(f"max-k must be >= 0, not {max_k}")
-    b = build_abstract_B(family, max_k)
-    meta = b.metas[0]
-    prod = meta.multiplied(meta)
-    if prod.trunc_hi is not None and prod.trunc_hi < 2 * max_k:
-        raise ValueError("window too small for the requested charge")
-    out = {k: {} for k in range(max_k + 1)}
-    dim = b.dim
-    for i in range(dim):
-        for j in range(dim):
-            ca = b.entry(i, j)
-            cb = b.entry(j, i)
-            if not ca or not cb:
-                continue
-            for da, la in ca.items():
-                for db, lb in cb.items():
-                    # doubled degrees: t_k sits at degree 2k
-                    d = da[0] + db[0]
-                    if d > 2 * max_k:
-                        continue
-                    pair = uea_mul(lie_to_uea(la), lie_to_uea(lb))
-                    for w, c in pair.terms.items():
-                        accumulate(out[d // 2], w, c)
-    return {k: UeaElt.from_dict(terms) for k, terms in out.items()}
-
-
-# -- linear charges ---------------------------------------------------------------
+    first = {pos: letters[letter][2] for pos, (_, letter) in rows.items()}
+    element = partial(ons, family)
+    coeff = {
+        (pos, n): lie_to_uea(_coefficient(rows, letters, element, pos, n))
+        for pos in rows
+        for n in range(first[pos], max_k + 1)
+    }
+    out = {}
+    for k in range(max_k + 1):
+        terms = {}
+        for i, j in rows:
+            for n in range(first[i, j], k - first[j, i] + 1):
+                pair = uea_mul(coeff[(i, j), n], coeff[(j, i), k - n])
+                for w, c in pair.terms.items():
+                    accumulate(terms, w, c)
+        out[k] = UeaElt.from_dict(terms)
+    return out
 
 
 # each family's M matrix (see tensormat.build_boundary), whose entries and
@@ -209,64 +217,57 @@ def build_quadratic_charge(family, max_k):
 M_FAMILY = {"onsager": "M_ons", "augmented": "M_aug", "invariant": "M_inv"}
 
 
-def _m_boundary(family, x=None):
-    """The family's M(x), with symbolic weight parameters."""
-    m_family = M_FAMILY.get(family)
-    if m_family is None:
-        raise ValueError(
-            f"unknown charge family {family!r} (choose from {', '.join(M_FAMILY)})"
-        )
-    return build_boundary(m_family, x=x)
+def _linear_charges(family, max_k):
+    """The linear charges I_0..I_max_k, the coefficients of tr(M(x)B(x))
+    with M(x) the family's M matrix (M_FAMILY) and its weights symbolic.
 
-
-def _weight_series(family, window, x):
-    """tr(M(x)B(x)), the abstract weighted series whose mode coefficients
-    are the linear charges: the sum over positions (i, j) of M_ji(x) times
-    B's (i, j) entry, its coefficient times its current (see
-    onsager._B_CURRENTS).  Weights stay symbolic.  A position where M
-    is zero is skipped, so its current's metas cannot narrow the exact
-    window."""
-    m = _m_boundary(family, x).mat.cleared(())
-    total = None
-    for (i, j), (k, letter) in _B_CURRENTS[family].items():
-        weight = m[j][i]
-        if weight.is_zero():
-            continue
-        term = build_current(family, letter, window, x).scale_poly(k * weight)
-        total = term if total is None else total + term
-    return total
-
-
-def _series_charges(family, max_k):
-    """The linear charges 0..max_k read off one weighted series: charge k
-    is its mode-2k coefficient."""
-    series = _weight_series(family, max_k + 1, spectral("x"))
-    lo, hi = series.metas[0].exact_window()
-    for mode in (0, 2 * max_k):
-        if (lo is not None and mode < lo) or (hi is not None and mode > hi):
-            raise ValueError(
-                f"mode {mode} lies outside the series' exact window ({lo}, {hi})"
-            )
-    coeffs = series.entry(0, 0)
-    return [coeffs.get((2 * k,), OnsElt.zero()) for k in range(max_k + 1)]
+    M's entries are split into monomials w x^e once; I_k is the sum over
+    positions (i, j) and monomials w x^e of M_ji(x) of w B_ij[k - e], each
+    B_ij[n] read off the rows, so each I_k is a finite sum."""
+    rows, letters = _rows(family)
+    if max_k < 0:
+        raise ValueError(f"max-k must be >= 0, not {max_k}")
+    x = spectral("x")
+    m = build_boundary(M_FAMILY[family], x=x).mat.cleared(())
+    weights = [
+        ((i, j), e // 2, _stored(w))
+        for i, j in rows
+        for (e,), w in m[j][i].split((x,)).items()
+    ]
+    element = partial(ons, family)
+    charges = []
+    for k in range(max_k + 1):
+        terms = {}
+        for pos, e, w in weights:
+            c = _coefficient(rows, letters, element, pos, k - e)
+            if c is not None:
+                _addlin(terms, c.terms, w)
+        charges.append(OnsElt.from_dict(terms))
+    return charges
 
 
 def build_linear_charge(family, k, variant="series"):
     """The k-th linear charge as an abstract element with symbolic weights.
 
-    variant="series" reads the mode straight off the weighted series (the
-    form the commutativity suite uses).  variant="formula" is the closed
-    expression; at k=0 the augmented closed form drops the halving of the
-    zero mode and is NOT proportional to the series value, so it fails to
-    commute with the higher charges -- keep it out of suites.
+    variant="series" reads it off the rows (see _linear_charges), the form
+    the commutativity suite uses.  variant="formula" is the closed
+    expression, the hand-written reference: it equals the row sum for every
+    k >= 1 and differs at k = 0: there the onsager and invariant closed
+    forms are twice the row sum, and the augmented one, which does not
+    halve K[0], is NOT proportional to it and fails to commute with the
+    higher charges -- keep it out of suites.
     """
+    _rows(family)
     if k < 0:
         raise ValueError(f"charge index must be >= 0, got {k}")
     if variant == "series":
-        return _series_charges(family, k)[k]
+        return _linear_charges(family, k)[k]
     if variant != "formula":
         raise ValueError(f"unknown variant {variant!r} (choose series or formula)")
-    w = {n: LaurentPoly.var(v) for n, v in _m_boundary(family).params.items()}
+    w = {
+        n: LaurentPoly.var(v)
+        for n, v in build_boundary(M_FAMILY[family]).params.items()
+    }
     if family == "onsager":
         return (
             ons(family, "A", k, w["kappa"])
@@ -288,8 +289,8 @@ def build_linear_charge(family, k, variant="series"):
         )
     return (
         ons(family, "H", k, w["mu0"])
-        + ons(family, "E", k, w["mu1"])
-        + ons(family, "F", k, w["mu2"])
+        + ons(family, "E", k, 2 * w["mu1"])
+        + ons(family, "F", k, 2 * w["mu2"])
     )
 
 
@@ -308,12 +309,10 @@ def check_linear_charges(family, max_k, mutate=False):
 
     mutate=True flips the sign of the diagonal-letter part of the second
     charge, which must break commutativity."""
-    if max_k < 0:
-        raise ValueError(f"max-k must be >= 0, not {max_k}")
     if mutate and max_k == 0:
         # the mutation perturbs charge 1, which max-k 0 leaves out
         raise ValueError("mutate needs max-k >= 1, not 0")
-    charges = _series_charges(family, max_k)
+    charges = _linear_charges(family, max_k)
     if mutate:
         flip = _diagonal_generator(family)
         c1 = charges[1]

@@ -42,7 +42,6 @@ __all__ = [
     "abstract_bracket",
     "canonical_symbols",
     "morphism_image",
-    "build_current",
     "build_abstract_B",
     "check_morphism",
     "check_dolan_grady",
@@ -421,19 +420,6 @@ _CURRENTS = {
 }
 
 
-def build_current(family, letter, window, x=None):
-    """Generating series of one family letter, truncated at degree window."""
-    letters = _CURRENTS.get(family)
-    if letters is None:
-        raise ValueError(_unknown_family(family, FAMILIES))
-    if letter not in letters:
-        raise ValueError(
-            f"{letter!r} is not a current letter of family {family!r} "
-            f"(choose from {', '.join(letters)})"
-        )
-    return _series({(0, 0): (1, letter)}, letters, partial(ons, family), 0, window, x)
-
-
 # Each family's abstract B(x), rows in the format of currents._T_ROWS:
 # position -> (coefficient, current letter).  Its morphism image is the
 # family's realized B (currents.build_B), which carries the invariant E and
@@ -451,7 +437,7 @@ def build_abstract_B(family, window, x=None):
     rows = _B_CURRENTS.get(family)
     if rows is None:
         raise ValueError(_unknown_family(family, FAMILIES))
-    return _series(rows, _CURRENTS[family], partial(ons, family), 1, window, x)
+    return _series(rows, _CURRENTS[family], partial(ons, family), window, x)
 
 
 def check_current_relations(family, window):

@@ -484,18 +484,28 @@ def _residual_report(name, mat, region):
     return res.report(name, region)
 
 
+def _embed_at(m, assign, legs, total=3):
+    """m with the substitution assign, embedded on the given legs of total."""
+    return leg_embed(m.substitute(assign), legs, total)
+
+
+def _quotients_at(m, u, pairs=((1, 3), (2, 3), (1, 2))):
+    """m(xi/xj) embedded on legs (i, j) of three, for each (i, j) in pairs:
+    by default r13, r23 and r12 of the CYBE."""
+    return [
+        _embed_at(m, {u: LaurentPoly.monomial((_leg_var(i), _leg_var(j)), (2, -2), 1)},
+                  (i, j))
+        for i, j in pairs
+    ]
+
+
+def _leg_var(i):
+    return spectral(f"x{i}")
+
+
 def check_cybe(r):
     """Verify [r13, r23] = [r13 + r23, r12] with arguments x1/x3, x2/x3, x1/x2."""
-    u = _spectral_var(r)
-    x1, x2, x3 = spectral("x1"), spectral("x2"), spectral("x3")
-
-    def at(i, j, vi, vj):
-        quot = LaurentPoly.monomial((vi, vj), (2, -2), 1)
-        return leg_embed(r.substitute({u: quot}), (i, j), 3)
-
-    r13 = at(1, 3, x1, x3)
-    r23 = at(2, 3, x2, x3)
-    r12 = at(1, 2, x1, x2)
+    r13, r23, r12 = _quotients_at(r, _spectral_var(r))
     delta = commutator_sum([(r13, r23), (r12, r13 + r23)])
     return _residual_report("cybe", delta, "symbolic in x1,x2,x3 (exact)")
 
@@ -529,16 +539,8 @@ def check_r_symmetries(r):
     res.add(shown, "trace", terms=len(tr.terms))
 
     # derivative identity; f = u r'(u) shares the CYBE argument pattern
-    f = u_derivative(r)
-    x1, x2, x3 = spectral("x1"), spectral("x2"), spectral("x3")
-
-    def at(m, i, j, vi, vj):
-        quot = LaurentPoly.monomial((vi, vj), (2, -2), 1)
-        return leg_embed(m.substitute({u: quot}), (i, j), 3)
-
-    f13, f23 = at(f, 1, 3, x1, x3), at(f, 2, 3, x2, x3)
-    r13, r23 = at(r, 1, 3, x1, x3), at(r, 2, 3, x2, x3)
-    r12 = at(r, 1, 2, x1, x2)
+    f13, f23 = _quotients_at(u_derivative(r), u, ((1, 3), (2, 3)))
+    r13, r23, r12 = _quotients_at(r, u)
     delta = commutator_sum([(f13 + f23, r12), (r23, f13), (f23, r13)])
     _add_entries(res, delta, "derivative identity ")
     return res.report("r_symmetries", "symbolic (exact)")
@@ -718,19 +720,14 @@ def _rbar_args(rbar):
     return spect[0], spect[1]
 
 
-def _rbar_at(rbar, x, y, vi, vj, legs, total):
-    sub = {x: LaurentPoly.var(vi), y: LaurentPoly.var(vj)}
-    return leg_embed(rbar.substitute(sub), legs, total)
-
-
 def check_nscybe(rbar, label=None):
     """[rb13, rb23] = [rb21, rb13] + [rb23, rb12], arguments (x1,x3) etc."""
     x, y = _rbar_args(rbar)
-    x1, x2, x3 = spectral("x1"), spectral("x2"), spectral("x3")
-    rb13 = _rbar_at(rbar, x, y, x1, x3, (1, 3), 3)
-    rb23 = _rbar_at(rbar, x, y, x2, x3, (2, 3), 3)
-    rb21 = _rbar_at(rbar, x, y, x2, x1, (2, 1), 3)
-    rb12 = _rbar_at(rbar, x, y, x1, x2, (1, 2), 3)
+    rb13, rb23, rb21, rb12 = (
+        _embed_at(rbar, {x: LaurentPoly.var(_leg_var(i)), y: LaurentPoly.var(_leg_var(j))},
+                  (i, j))
+        for i, j in ((1, 3), (2, 3), (2, 1), (1, 2))
+    )
     delta = commutator_sum([(rb13, rb23), (rb13, rb21), (rb12, rb23)])
     name = "nscybe" if label is None else f"nscybe[{label}]"
     return _residual_report(name, delta, "symbolic in x1,x2,x3 (exact)")

@@ -62,31 +62,12 @@ def test_meta_addition_takes_worst_truncation():
     assert (s.trunc_lo, s.trunc_hi) == (None, 8)
 
 
-def test_meta_product_shifts_by_natural_edges():
-    # a tail unknown beyond trunc_hi is promoted by the other factor's
-    # lowest natural degree
-    a = SupportMeta(0, None, None, 12)
-    b = SupportMeta(4, None, None, 20)
-    p = a.multiplied(b)
-    assert p.natural_lo == 4
-    assert p.trunc_hi == min(12 + 4, 20 + 0)
-
-
-def test_meta_product_is_symmetric():
-    # each factor's truncation bounds the product, whichever bound binds
-    a = SupportMeta(0, None, None, 12)
-    b = SupportMeta(4, None, None, 20)
-    c = SupportMeta(None, 0, -8, None)
-    d = SupportMeta(None, 2, -12, None)
-    assert a.multiplied(b) == b.multiplied(a) == SupportMeta(4, None, None, 16)
-    assert c.multiplied(d) == d.multiplied(c) == SupportMeta(None, 2, -6, None)
-
-
-def test_meta_product_rejects_unknown_tails():
-    bounded = SupportMeta(0, None, None, 12)
-    unbounded_below = SupportMeta(None, 0, -12, None)
-    with pytest.raises(ValueError):
-        bounded.multiplied(unbounded_below)
+def _scale_poly(cur, p):
+    """cur times the scalar p, through CurrentMat._times with p on the
+    diagonal: spectral degrees shift the series, parameters scale the
+    coefficients."""
+    return cur._times([[p if i == j else None for j in range(cur.dim)] for i in range(cur.dim)],
+                      True)
 
 
 def test_scale_poly_shifts_metas_by_the_exact_span():
@@ -94,10 +75,10 @@ def test_scale_poly_shifts_metas_by_the_exact_span():
     x = spectral("x")
     xx = LaurentPoly.var(x)
     tp = build_T("+", 4, x)
-    assert tp.scale_poly(xx).metas[0].exact_window() == (2, 10)
-    assert tp.scale_poly(xx * xx).metas[0].exact_window() == (4, 12)
-    assert tp.scale_poly(xx + xx * xx).metas[0].exact_window() == (2, 10)
-    assert tp.scale_poly(xx * xx).entry(0, 1)[(4,)] == LieElt.single(F(0), 2)
+    assert _scale_poly(tp, xx).metas[0].exact_window() == (2, 10)
+    assert _scale_poly(tp, xx * xx).metas[0].exact_window() == (4, 12)
+    assert _scale_poly(tp, xx + xx * xx).metas[0].exact_window() == (2, 10)
+    assert _scale_poly(tp, xx * xx).entry(0, 1)[(4,)] == LieElt.single(F(0), 2)
 
 
 def test_meta_shift_and_invert():
@@ -321,12 +302,13 @@ def test_exchange_residual_equals_the_unfused_difference():
     fused = Residuals()
     commutators = ((1, rows), (-2, rows))
     region = currents._exchange(fused, "", a, b, _basis_bracket, clearing, commutators)
-    diff = series_bracket(a, b).scale_poly(xy * xy)
+    diff = _scale_poly(series_bracket(a, b), xy * xy)
     a1 = a.embed((1,), 2).with_spectral_vars(vars2)
     b2 = b.embed((2,), 2).with_spectral_vars(vars2)
     for sign, cur in ((1, a1), (-2, b2)):
-        commutator = cur._times(rows, True) + cur._times(rows, False).scale_poly(-1)
-        diff = diff + commutator.scale_poly(-sign)
+        minus = LaurentPoly.const(-1)
+        commutator = cur._times(rows, True) + _scale_poly(cur._times(rows, False), minus)
+        diff = diff + _scale_poly(commutator, LaurentPoly.const(-sign))
     plain = Residuals()
     assert currents._compare(plain, "", diff) == region == "x in [0, 4], y in [-2, 2]"
     assert fused.count == plain.count > 0
@@ -460,7 +442,7 @@ def test_scale_poly_equals_scaling_each_coefficient(m, terms):
         for deg, lie in coeffs.items()
         for shift, rest in parts
     )
-    scaled = m.scale_poly(p)
+    scaled = _scale_poly(m, p)
     assert scaled.entries == want
     spans = [p.degree_range(v) or (0, 0) for v in m.spectral_vars]
     assert scaled.metas == tuple(x.shifted(*span) for x, span in zip(m.metas, spans))
@@ -492,11 +474,10 @@ def test_series_bracket_equals_bracketing_each_coefficient_pair(a, b, c, d):
 
 @pytest.mark.parametrize("family", onsager.FAMILIES)
 def test_series_bracket_of_family_currents_equals_the_abstract_bracket(family):
-    # the family's own currents, one scaled by a parameter-times-x polynomial
-    letters = list(onsager._CURRENTS[family])
-    a = onsager.build_current(family, letters[0], 3, _X)
-    a = a.scale_poly(LaurentPoly.var(_A) * LaurentPoly.var(_X) + 1)
-    b = onsager.build_current(family, letters[1], 3, _Y)
+    # the family's abstract B, one scaled by a parameter-times-x polynomial
+    a = onsager.build_abstract_B(family, 3, _X)
+    a = _scale_poly(a, LaurentPoly.var(_A) * LaurentPoly.var(_X) + 1)
+    b = onsager.build_abstract_B(family, 3, _Y)
     fused = series_bracket(a, b, onsager._pair_bracket)
     assert fused.entries
     assert fused.entries == _bracket_reference(a, b, onsager.abstract_bracket)

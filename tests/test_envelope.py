@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from onsalg import envelope
-from onsalg.currents import build_B, build_T
+from onsalg.currents import CurrentMat, build_B, build_T
 from onsalg.envelope import (
     UeaElt,
     build_linear_charge,
@@ -19,7 +19,10 @@ from onsalg.envelope import (
 )
 from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
 from onsalg.kacmoody import C, E, F, H, LieElt, bracket
-from onsalg.onsager import FAMILIES, abstract_bracket, canonical_symbols, morphism_image
+from onsalg.onsager import (
+    FAMILIES, OnsElt, abstract_bracket, build_abstract_B, canonical_symbols, morphism_image
+)
+from onsalg.tensormat import build_boundary
 
 SYMS = [C] + [g(n) for g in (E, F, H) for n in range(-2, 3)]
 
@@ -216,40 +219,46 @@ def test_linear_charges_commute(family):
     assert rep.passed, rep
 
 
+def _weight_series(family, window, x):
+    """tr(M(x)B(x)) as one series: the family's abstract B(x) at window,
+    multiplied by its M matrix through CurrentMat._times, and traced.  The
+    linear charges are its mode coefficients; this builds them by series
+    arithmetic, independently of the row sums of envelope._linear_charges."""
+    m = build_boundary(envelope.M_FAMILY[family], x=x).mat.cleared(())
+    mb = build_abstract_B(family, window, x)._times(m, False)
+    trace = {}
+    for i in range(mb.dim):
+        for deg, elt in mb.entry(i, i).items():
+            trace[deg] = trace.get(deg, OnsElt.zero()) + elt
+    return CurrentMat(0, (x,), {(0, 0): trace}, mb.metas)
+
+
 @pytest.mark.parametrize("max_k", [0, 3, 8])
-@pytest.mark.parametrize("family", ["onsager", "augmented", "invariant"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_one_series_gives_every_linear_charge(family, max_k):
-    # check_linear_charges reads every charge off one series of window
-    # max_k + 1; charge k must equal build_linear_charge(family, k) and the
-    # mode-2k coefficient of the series of window k + 2, one mode wider
-    charges = envelope._series_charges(family, max_k)
-    own = [
-        envelope._weight_series(family, k + 2, spectral("x")).entry(0, 0).get((2 * k,))
-        for k in range(max_k + 1)
-    ]
-    assert charges == own
-    assert charges == [build_linear_charge(family, k) for k in range(max_k + 1)]
+    # the row sums are the coefficients of tr(M(x)B(x)) on its whole exact
+    # window, which reaches the last charge: nothing at an odd degree, and
+    # charge k at degree 2k
+    series = _weight_series(family, max_k + 1, spectral("x"))
+    lo, hi = series.metas[0].exact_window()
+    assert lo <= 0 and 2 * max_k <= hi
+    on_window = {deg: c for deg, c in series.entry(0, 0).items() if lo <= deg[0] <= hi}
+    charges = envelope._linear_charges(family, hi // 2)
+    assert on_window == {(2 * k,): c for k, c in enumerate(charges) if c}
+    assert charges[: max_k + 1] == [build_linear_charge(family, k) for k in range(max_k + 1)]
 
 
 @pytest.mark.parametrize("max_k", range(9))
 @pytest.mark.parametrize(
     "family, extra", [("onsager", 0), ("augmented", 0), ("invariant", 2)]
 )
-def test_charge_series_window_reaches_the_last_charge(monkeypatch, family, extra, max_k):
-    # _series_charges builds one series of window max_k + 1, which is exact
-    # up to mode 2 max_k (one mode further for invariant): just wide enough
-    # for every charge up to max_k
-    built = []
-    series = envelope._weight_series
-
-    def spy(family, window, x):
-        out = series(family, window, x)
-        built.append((window, out.metas[0].exact_window()))
-        return out
-
-    monkeypatch.setattr(envelope, "_weight_series", spy)
-    envelope._series_charges(family, max_k)
-    assert built == [(max_k + 1, (0, 2 * max_k + extra))]
+def test_charge_series_window_reaches_the_last_charge(family, extra, max_k):
+    # tr(M(x)B(x)) built at window max_k + 1 is exact from mode 0 or below
+    # up to mode 2 max_k (one mode further for invariant), just wide enough
+    # for every charge the oracle above compares
+    series = _weight_series(family, max_k + 1, spectral("x"))
+    lo, hi = series.metas[0].exact_window()
+    assert lo <= 0 and hi == 2 * max_k + extra
 
 
 def test_linear_mutation_fails():
@@ -259,19 +268,27 @@ def test_linear_mutation_fails():
 
 
 def test_closed_form_variant():
-    # the summed closed form agrees with the series expansion for the
-    # first family, and k >= 1 everywhere; only its k = 0 boundary value
-    # differs for the augmented family, where it fails to commute
-    def brackets(family):
-        charges = [build_linear_charge(family, k, "formula") for k in range(3)]
-        return [abstract_bracket(charges[j], charges[k])
-                for j in range(3) for k in range(j + 1, 3)]
-
-    assert not any(brackets("onsager"))
-    assert not any(brackets("invariant"))
-    i01 = brackets("augmented")[0]
-    assert str(i01) == ("(2*nu*tau)*Z+[1] + (2*nu*tau)*Z+[2] "
-                        "+ (-2*nustar*tau)*Z-[0] + (-2*nustar*tau)*Z-[1]")
+    # the closed form agrees with the row sums for k >= 1 in every family;
+    # at k = 0 the onsager and invariant closed forms are twice the row
+    # sum, and the augmented one does not halve K[0], so only the
+    # augmented k = 0 closed form fails to commute
+    for family in FAMILIES:
+        for k in range(1, 9):
+            assert build_linear_charge(family, k, "formula") == build_linear_charge(family, k)
+    assert str(build_linear_charge("onsager", 0, "formula")) == (
+        "(2*kappa)*A[0] + (2*kappastar)*A[1] + (2*mu)*G[1]"
+    )
+    assert str(build_linear_charge("augmented", 0, "formula")) == (
+        "tau*K[0] + nu*Z+[1] + nustar*Z-[0]"
+    )
+    assert str(build_linear_charge("invariant", 0, "formula")) == (
+        "(2*mu1)*E[0] + (2*mu2)*F[0] + mu0*H[0]"
+    )
+    i0, i1 = (build_linear_charge("augmented", k, "formula") for k in range(2))
+    assert str(abstract_bracket(i0, i1)) == (
+        "(2*nu*tau)*Z+[1] + (2*nu*tau)*Z+[2] "
+        "+ (-2*nustar*tau)*Z-[0] + (-2*nustar*tau)*Z-[1]"
+    )
 
 
 def test_mixed_commutator_is_reported_not_judged():
@@ -282,51 +299,38 @@ def test_mixed_commutator_is_reported_not_judged():
 
 # -- input guards -----------------------------------------------------------------
 
-
-def _short_b(monkeypatch):
-    short = envelope.build_abstract_B
-    monkeypatch.setattr(envelope, "build_abstract_B", lambda family, window: short(family, 1))
-    build_quadratic_charge("onsager", 3)
-
-
-def _short_series(monkeypatch):
-    series = envelope._weight_series
-    monkeypatch.setattr(
-        envelope, "_weight_series", lambda family, window, x: series(family, 1, x)
-    )
-    build_linear_charge("onsager", 1)
+# both kinds of charge refuse a family without rows with one message
+_UNKNOWN_BOGUS = r"unknown family 'bogus' \(choose from onsager, augmented, invariant\)"
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (_short_b, "window too small for the requested charge"),
-        (lambda mp: build_linear_charge("onsager", -1), "charge index must be >= 0"),
-        (_short_series, "outside the series' exact window"),
-        (lambda mp: build_linear_charge("onsager", 1, "closed"), "unknown variant"),
-        (lambda mp: build_linear_charge("bogus", 1), "unknown charge family 'bogus'"),
-        (
-            lambda mp: build_linear_charge("bogus", 1, "formula"),
-            "unknown charge family 'bogus'",
-        ),
-        (lambda mp: check_quadratic_charges("bogus", 2), "unknown family 'bogus'"),
-        (lambda mp: check_linear_charges("onsager", -1), "max-k must be >= 0, not -1"),
-        (lambda mp: build_B("onsager", 0), "window must be >= 1"),
-        (lambda mp: build_T("0", 2), "sign must be '[+]' or '-', not '0'"),
-        (lambda mp: build_T("+", -1), "window must be >= 0"),
-        (lambda mp: build_quadratic_charge("onsager", -1), "max-k must be >= 0, not -1"),
-        (lambda mp: check_quadratic_charges("augmented", -1), "max-k must be >= 0, not -1"),
-        (lambda mp: note_mixed_commutator("onsager", -1, 0), "max-k must be >= 0, not -1"),
-        (lambda mp: check_linear_charges("onsager", 0, mutate=True),
+        (lambda: build_linear_charge("onsager", -1), "charge index must be >= 0"),
+        (lambda: build_linear_charge("onsager", 1, "closed"), "unknown variant"),
+        (lambda: build_linear_charge("bogus", 1), _UNKNOWN_BOGUS),
+        (lambda: build_linear_charge("bogus", 1, "formula"), _UNKNOWN_BOGUS),
+        (lambda: check_quadratic_charges("bogus", 2), _UNKNOWN_BOGUS),
+        (lambda: check_linear_charges("kappa_minus", 2),
+         r"unknown family 'kappa_minus' \(choose from onsager, augmented, invariant\)"),
+        (lambda: note_mixed_commutator("bogus", 1, 1), _UNKNOWN_BOGUS),
+        (lambda: check_linear_charges("onsager", -1), "max-k must be >= 0, not -1"),
+        (lambda: build_B("onsager", 0), "window must be >= 1"),
+        (lambda: build_T("0", 2), "sign must be '[+]' or '-', not '0'"),
+        (lambda: build_T("+", -1), "window must be >= 0"),
+        (lambda: build_quadratic_charge("onsager", -1), "max-k must be >= 0, not -1"),
+        (lambda: check_quadratic_charges("augmented", -1), "max-k must be >= 0, not -1"),
+        (lambda: note_mixed_commutator("onsager", -1, 0), "max-k must be >= 0, not -1"),
+        (lambda: check_linear_charges("onsager", 0, mutate=True),
          "mutate needs max-k >= 1, not 0"),
-        (lambda mp: check_quadratic_charges("onsager", 0, mutate=True),
+        (lambda: check_quadratic_charges("onsager", 0, mutate=True),
          "mutate needs max-k >= 1, not 0"),
     ],
-    ids=["charge_window", "negative_k", "exact_window", "variant",
-         "series_family", "formula_family", "quadratic_family", "linear_max_k", "B_window",
+    ids=["negative_k", "variant", "series_family", "formula_family", "quadratic_family",
+         "linear_family", "mixed_commutator_family", "linear_max_k", "B_window",
          "T_sign", "T_window", "quadratic_max_k", "quadratic_check_max_k",
          "mixed_commutator_max_k", "linear_mutate_max_k", "quadratic_mutate_max_k"],
 )
-def test_guards_raise_value_error(monkeypatch, call, message):
+def test_guards_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
-        call(monkeypatch)
+        call()

@@ -10,14 +10,25 @@ residual current of two failing relations is checked for soundness the
 same way.
 """
 
+import os
+import sys
+
 import pytest
 
-from onsalg import currents, envelope
+from onsalg import currents
 from onsalg.currents import (
     B_FAMILIES, build_B, build_T, check_exchange, check_frt_relations, series_bracket
 )
 from onsalg.exactalg import LaurentPoly, parameter, spectral
-from onsalg.onsager import _CURRENTS, FAMILIES, _pair_bracket, build_abstract_B, build_current
+from onsalg.onsager import _CURRENTS, FAMILIES, _pair_bracket, build_abstract_B
+
+# the builders under test that live with their own module's tests, next to
+# this file; put its directory on the path so the imports work under every
+# pytest import mode
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_currents import _scale_poly  # noqa: E402
+from test_envelope import _weight_series  # noqa: E402
+from test_onsager import _letter_series  # noqa: E402
 
 WINDOWS = (4, 5, 6)
 WIDER = 3
@@ -79,7 +90,8 @@ def test_build_B_window(family):
     "family, letter", [(f, l) for f, letters in _CURRENTS.items() for l in letters]
 )
 def test_build_current_window(family, letter):
-    _assert_sound_and_tight(lambda w: build_current(family, letter, w))
+    # one current letter's series, as the rows of B(x) read it
+    _assert_sound_and_tight(lambda w: _letter_series(family, letter, w))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -89,8 +101,9 @@ def test_abstract_B_window(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_weight_series_window(family):
+    # tr(M(x)B(x)), the series the linear charges are checked against
     x = spectral("x")
-    _assert_sound_and_tight(lambda w: envelope._weight_series(family, w, x))
+    _assert_sound_and_tight(lambda w: _weight_series(family, w, x))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -100,7 +113,7 @@ def test_series_bracket_window(family):
     first, second = list(_CURRENTS[family])[:2]
     x, y = spectral("x"), spectral("y")
     _assert_sound_and_tight(lambda w: series_bracket(
-        build_current(family, first, w, x), build_current(family, second, w + 1, y),
+        _letter_series(family, first, w, x), _letter_series(family, second, w + 1, y),
         _pair_bracket,
     ))
 
@@ -111,7 +124,7 @@ def test_scale_poly_window(sign):
     x = spectral("x")
     xx = LaurentPoly.var(x)
     p = LaurentPoly.monomial((x,), (-2,), 1) + LaurentPoly.var(parameter("a")) * xx * xx
-    _assert_sound_and_tight(lambda w: build_T(sign, w, x).scale_poly(p))
+    _assert_sound_and_tight(lambda w: _scale_poly(build_T(sign, w, x), p))
 
 
 def _residual(monkeypatch, check):
