@@ -61,10 +61,6 @@ class SuiteConfig:
                 )
         if self.max_k < 0:
             raise ValueError(f"max-k must be >= 0, got {self.max_k}")
-        if self.max_k > self.window:
-            raise ValueError(
-                f"max-k ({self.max_k}) must not exceed window ({self.window})"
-            )
         if self.format not in ("text", "json"):
             raise ValueError(f"unknown format {self.format!r}")
 

@@ -185,9 +185,6 @@ class CurrentMat:
     def entry(self, i, j):
         return self.entries.get((i, j), {})
 
-    def is_zero(self):
-        return not self.entries
-
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):

@@ -8,9 +8,10 @@ A scalar is a Python int when it is integral, and an exact Rational
 (gmpy2.mpq when available, else fractions.Fraction) only when it is not:
 never an integral Rational, never a float (a float input raises
 TypeError).  int and Rational values that are equal compare, hash and
-print alike, so the split shows nowhere but in speed.  Sums and products
-normalise only where a Rational operand could make an integral result, and
-every coefficient division goes through _quotient.
+print alike, so the split shows nowhere but in speed.  A polynomial's
+term dict has one rule: it accumulates through _addmul and is normalised
+once by _normalise, which passes an all-int dict at C speed; every
+coefficient division goes through _quotient.
 
 A LinComb coefficient is such a scalar unless it involves a variable; only
 then is it a LaurentPoly (see _stored).  A constant LaurentPoly equals,
@@ -36,8 +37,9 @@ factor and the order of factor multisets rank variables by name.
 _addmul is the one polynomial product loop: it adds sign * a * b into a
 term dict the caller owns (multiply-accumulate over packed keys, after
 Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007).  LaurentPoly.__mul__ is one call of
-it; tensormat accumulates whole matrix entries with it.  _addlin and
+packed exponent vectors", CASC 2007).  LaurentPoly's product, sum and
+difference are one call of it each (a sum adds b times _UNIT, the constant
+1); tensormat accumulates whole matrix entries with it.  _addlin and
 _addbilin are LinComb's counterparts: they add a scaled element, or a
 scaled bilinear extension, into a key -> coefficient dict the caller owns,
 every term through accumulate.  LinComb's sums, linear and bilinear are
@@ -109,17 +111,18 @@ def _quotient(a, b):
     return _rational(a / b)
 
 
-def _integral(terms):
-    """Whether every coefficient in terms is an int, so that products of
-    them need no normalising."""
-    return {int}.issuperset(map(type, terms.values()))
-
-
 def _normalise(terms):
-    """Replace, in place, every integral Rational value of terms by its int."""
+    """Replace, in place, every integral Rational value of terms by its int:
+    what every polynomial term dict goes through once after it accumulates.
+    An all-int dict, the common case, passes at C speed."""
+    if {int}.issuperset(map(type, terms.values())):
+        return
     for key, c in terms.items():
         if type(c) is not int and c.denominator == 1:
             terms[key] = int(c)
+
+
+_UNIT = {0: 1}  # the terms of the constant 1; _addmul(out, t, _UNIT) adds t
 
 
 def _addmul(out, a_terms, b_terms, sign=1):
@@ -128,11 +131,11 @@ def _addmul(out, a_terms, b_terms, sign=1):
     a_terms and b_terms map packed monomial keys to nonzero stored
     coefficients, and out is a term dict the caller owns; a key whose sum
     cancels is deleted, so out never holds a zero.  A product, a sum of
-    products (a matrix entry) or a sum (b_terms {0: 1}) accumulates in one
+    products (a matrix entry) or a sum (b_terms _UNIT) accumulates in one
     dict, with no intermediate polynomial.  The caller checks the bound of
     the monomials it adds (_check_bound) before the first call, and
-    normalises out once when some coefficient it fed in was a Rational,
-    since a sum of non-integral Rationals may be integral.
+    normalises out (_normalise) once after the last, since a sum of
+    non-integral Rationals may be integral.
     """
     if len(a_terms) > len(b_terms):
         a_terms, b_terms = b_terms, a_terms
@@ -372,26 +375,19 @@ class LaurentPoly:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, accumulated in a copy of self's terms."""
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
             other = LaurentPoly.const(other)
-        a, b = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        if not b.terms:
-            return a
-        out = dict(a.terms)
-        for key, c in b.terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                s = prev + c
-                if s:
-                    out[key] = s if type(s) is int else _rational(s)
-                else:
-                    del out[key]
-        return _poly(out, max(a._bound, b._bound))
+        out = dict(self.terms)
+        _addmul(out, other.terms, _UNIT, sign)
+        _normalise(out)
+        return _poly(out, max(self._bound, other._bound))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -399,11 +395,7 @@ class LaurentPoly:
         return _poly({key: -c for key, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            if not isinstance(other, _SCALAR_TYPES):
-                return NotImplemented
-            other = LaurentPoly.const(other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -413,8 +405,7 @@ class LaurentPoly:
         if c == 1:
             return self
         out = {key: c * v for key, v in self.terms.items()}
-        if type(c) is not int or not _integral(self.terms):
-            _normalise(out)
+        _normalise(out)
         return _poly(out, self._bound)
 
     def __mul__(self, other):
@@ -432,8 +423,7 @@ class LaurentPoly:
         _check_bound(bound)
         out = {}
         _addmul(out, a.terms, b.terms)
-        if not (_integral(a.terms) and _integral(b.terms)):
-            _normalise(out)
+        _normalise(out)
         return _poly(out, bound)
 
     __rmul__ = __mul__

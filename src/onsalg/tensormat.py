@@ -8,11 +8,12 @@ is a numerator over the matrix's own factors.  Every clearing of
 denominators, here and in currents, goes through exactalg.complement.
 
 Matrix arithmetic runs on exactalg._addmul, the one product kernel: each
-entry of a product (the sum over k of a_ik b_kj), of a sum or difference
-(a pa +- b pb) and of a trace accumulates in one term dict, with no
-intermediate polynomial, and is normalised once.  commutator_sum adds
-several commutators over one denominator; the identity checks call it
-once each.  All identity checks in this module are exact symbolic
+entry of a product (the sum over k of a_ik b_kj) and of a sum or
+difference (a pa +- b pb) accumulates in one term dict, with no
+intermediate polynomial, and is normalised once by exactalg._normalise,
+as every polynomial term dict is.  Traces add entries with +.
+commutator_sum adds several commutators over one denominator; the
+identity checks call it once each.  All identity checks in this module are exact symbolic
 computations.
 """
 
@@ -21,7 +22,6 @@ from .exactalg import (
     LaurentPoly,
     _addmul,
     _check_bound,
-    _integral,
     _normalise,
     _poly,
     Variable,
@@ -68,8 +68,6 @@ def _sort_factors(factors):
 
 # -- the fused kernel: every entry accumulates in one term dict ------------------
 
-_UNIT = {0: 1}  # the terms of the constant 1; _addmul(out, t, _UNIT) adds t
-
 
 def _grid(dim):
     return [[{} for _ in range(dim)] for _ in range(dim)]
@@ -82,10 +80,6 @@ def _terms(m):
 def _max_bound(m):
     """The largest exponent bound over m's nonzero numerators."""
     return max((n._bound for row in m.nums for n in row if n.terms), default=0)
-
-
-def _integral_rows(m):
-    return all(_integral(n.terms) for row in m.nums for n in row)
 
 
 def _add_product(acc, a, b, sign=1):
@@ -108,29 +102,13 @@ def _add_scaled(acc, rows, p, sign=1):
                 _addmul(out, n, p, sign)
 
 
-def _finish(acc, bound, integral):
+def _finish(acc, bound):
     """LaurentPoly rows over a grid of accumulated term dicts, each
-    normalised once unless every input coefficient was an int."""
-    if not integral:
-        for row in acc:
-            for out in row:
-                _normalise(out)
+    normalised once."""
+    for row in acc:
+        for out in row:
+            _normalise(out)
     return [[_poly(out, bound) for out in row] for row in acc]
-
-
-def _sum(polys):
-    """The sum of polys, accumulated in one term dict."""
-    out = {}
-    bound = 0
-    integral = True
-    for p in polys:
-        if p.terms:
-            _addmul(out, p.terms, _UNIT)
-            bound = max(bound, p._bound)
-            integral = integral and _integral(p.terms)
-    if not integral:
-        _normalise(out)
-    return _poly(out, bound)
 
 
 class TensorMat:
@@ -217,14 +195,10 @@ class TensorMat:
         acc = _grid(self.dim)
         _add_scaled(acc, _terms(self), pa.terms)
         _add_scaled(acc, _terms(other), pb.terms, sign)
-        integral = (
-            _integral_rows(self) and _integral_rows(other)
-            and _integral(pa.terms) and _integral(pb.terms)
-        )
         return TensorMat._raw(
             self.legs,
             _merge_vars(self.variables, other.variables),
-            _finish(acc, bound, integral),
+            _finish(acc, bound),
             den,
         )
 
@@ -243,11 +217,10 @@ class TensorMat:
         _check_bound(bound)
         acc = _grid(self.dim)
         _add_product(acc, self, other)
-        integral = _integral_rows(self) and _integral_rows(other)
         return TensorMat._raw(
             self.legs,
             _merge_vars(self.variables, other.variables),
-            _finish(acc, bound, integral),
+            _finish(acc, bound),
             self.den_factors + other.den_factors,
         )
 
@@ -303,7 +276,7 @@ class TensorMat:
 
     def trace(self):
         """The numerator of the trace; it lies over den_factors."""
-        return _sum(row[i] for i, row in enumerate(self.nums))
+        return sum((row[i] for i, row in enumerate(self.nums)), LaurentPoly.zero())
 
 
 def commutator_sum(pairs):
@@ -337,9 +310,6 @@ def commutator_sum(pairs):
         for key, members in groups.items()
     )
     _check_bound(bound)
-    integral = all(_integral_rows(a) and _integral_rows(b) for a, b in pairs) and all(
-        _integral(c.terms) for c in comps.values()
-    )
     acc = _grid(first.dim) if len(groups) > 1 else None
     for key, members in groups.items():
         group = _grid(first.dim)
@@ -350,7 +320,7 @@ def commutator_sum(pairs):
             acc = group  # the only group: its complement is 1
         else:
             _add_scaled(acc, group, comps[key].terms)
-    return TensorMat._raw(first.legs, variables, _finish(acc, bound, integral), den)
+    return TensorMat._raw(first.legs, variables, _finish(acc, bound), den)
 
 
 def embed_indices(legs, sub_legs, total_legs):
@@ -438,7 +408,8 @@ def trace_leg(m, leg):
         return hi | (bit << shift) | lo
 
     nums = [
-        [_sum(m.nums[expand(i, b)][expand(j, b)] for b in (0, 1)) for j in range(dim_out)]
+        [m.nums[expand(i, 0)][expand(j, 0)] + m.nums[expand(i, 1)][expand(j, 1)]
+         for j in range(dim_out)]
         for i in range(dim_out)
     ]
     return TensorMat._raw(m.legs - 1, m.variables, nums, m.den_factors)

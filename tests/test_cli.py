@@ -47,9 +47,15 @@ def test_window_too_small(capsys):
     assert "window" in capsys.readouterr().err
 
 
-def test_max_k_cannot_exceed_window(capsys):
-    assert cli.run(["frt", "--window", "4", "--max-k", "9"]) == 2
-    assert "max-k" in capsys.readouterr().err
+def test_max_k_may_exceed_window(capsys):
+    # no window bounds the quadratic charges, and kappa takes no max-k
+    assert cli.run(["kappa", "--window", "2"]) == 0
+    capsys.readouterr()
+    code, doc = run_json(["charges", "--window", "2", "--max-k", "6"], capsys)
+    assert code == 0
+    regions = {c["region"] for c in doc["checks"] if c["name"].startswith("quadratic_charges")}
+    assert regions == {f"in U({f}), normal-ordered, 0 <= j < k <= 6"
+                       for f in ("onsager", "augmented", "invariant")}
 
 
 def test_check_level_window_error_is_config_error(capsys):

@@ -1,7 +1,7 @@
 """Normal-ordered products and the commuting charge hierarchies."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsalg import envelope
@@ -101,6 +101,7 @@ family_pairs = st.sampled_from(FAMILIES).map(lambda f: canonical_symbols(f, 2)).
 )
 
 
+@settings(deadline=None)
 @given(family_pairs)
 def test_leibniz_commutator_matches_both_products_in_each_family(pair):
     x, y = pair
