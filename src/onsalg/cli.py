@@ -59,8 +59,9 @@ class SuiteConfig:
                 raise ValueError(
                     f"suite {name!r} needs window >= {need}, got {self.window}"
                 )
-        if self.max_k < 0:
-            raise ValueError(f"max-k must be >= 0, got {self.max_k}")
+        if self.max_k < 1:
+            # the charge checks compare pairs j < k <= max-k
+            raise ValueError(f"max-k must be >= 1, got {self.max_k}")
         if self.format not in ("text", "json"):
             raise ValueError(f"unknown format {self.format!r}")
 

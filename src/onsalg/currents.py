@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .exactalg import LaurentPoly, _addbilin, _addlin, _stored, complement, rat, spectral
+from .exactalg import LaurentPoly, _addbilin, _addlin, complement, rat, spectral
 from .kacmoody import C, BasisSymbol, LieElt, _basis_bracket, bracket
 from .report import Residuals
 from .tensormat import (
@@ -231,7 +231,7 @@ class CurrentMat:
 
     def _split_poly(self, p):
         """Split p into (degree shift over spectral_vars, leftover parameter
-        polynomial) pairs."""
+        polynomial or, when constant, its scalar) pairs."""
         for v in p.variables:
             if v.kind == "spectral" and v not in self.spectral_vars:
                 raise ValueError(f"scalar uses foreign spectral variable {v.name}")
@@ -258,10 +258,7 @@ class CurrentMat:
                 p = rows[i][j]
                 if p is None or p.is_zero():
                     continue
-                # each monomial's coefficient in its stored form, once
-                split[i][j] = [
-                    (shift, _stored(mono * sign)) for shift, mono in self._split_poly(p)
-                ]
+                split[i][j] = [(shift, mono * sign) for shift, mono in self._split_poly(p)]
                 spans.append([p.degree_range(v) or (0, 0) for v in self.spectral_vars])
         for (i, j), coeffs in self.entries.items():
             for k in range(dim):

@@ -37,7 +37,7 @@ the same whichever product first asked for it.
 from functools import partial
 
 from .currents import _coefficient
-from .exactalg import MODE_BOUND, LaurentPoly, LinComb, _addlin, _stored, accumulate, spectral
+from .exactalg import MODE_BOUND, LaurentPoly, LinComb, _addlin, accumulate, spectral
 from .kacmoody import _basis_bracket
 from .onsager import (
     _B_CURRENTS, _CURRENTS, _LETTERS, FAMILIES, OnsElt, OnsSymbol, _pair_bracket,
@@ -230,7 +230,7 @@ def _linear_charges(family, max_k):
     x = spectral("x")
     m = build_boundary(M_FAMILY[family], x=x).mat.cleared(())
     weights = [
-        ((i, j), e // 2, _stored(w))
+        ((i, j), e // 2, w)
         for i, j in rows
         for (e,), w in m[j][i].split((x,)).items()
     ]
@@ -300,6 +300,15 @@ def _diagonal_generator(family):
     return _CURRENTS[family][_B_CURRENTS[family][0, 0][1]][0]
 
 
+def _check_pairs(max_k):
+    """A charge check compares the pairs j < k <= max_k, so it needs one:
+    max-k 0 would pass with nothing compared, and its mutation perturbs
+    charge 1."""
+    if max_k < 1:
+        raise ValueError(f"a charge check compares pairs j < k <= max-k, "
+                         f"so max-k must be >= 1, not {max_k}")
+
+
 def check_linear_charges(family, max_k, mutate=False):
     """All pairs of linear charges commute, with fully symbolic weights.
 
@@ -309,9 +318,7 @@ def check_linear_charges(family, max_k, mutate=False):
 
     mutate=True flips the sign of the diagonal-letter part of the second
     charge, which must break commutativity."""
-    if mutate and max_k == 0:
-        # the mutation perturbs charge 1, which max-k 0 leaves out
-        raise ValueError("mutate needs max-k >= 1, not 0")
+    _check_pairs(max_k)
     charges = _linear_charges(family, max_k)
     if mutate:
         flip = _diagonal_generator(family)
@@ -337,9 +344,7 @@ def check_quadratic_charges(family, max_k, mutate=False):
 
     mutate=True adds to t_1 the generator of B's (0, 0) current at mode 1,
     a stray degree-one term, which must fail."""
-    if mutate and max_k == 0:
-        # the mutation perturbs t_1, which max-k 0 leaves out
-        raise ValueError("mutate needs max-k >= 1, not 0")
+    _check_pairs(max_k)
     ts = build_quadratic_charge(family, max_k)
     if mutate:
         ts[1] = ts[1] + lie_to_uea(ons(family, _diagonal_generator(family), 1))

@@ -8,16 +8,21 @@ A scalar is a Python int when it is integral, and an exact Rational
 (gmpy2.mpq when available, else fractions.Fraction) only when it is not:
 never an integral Rational, never a float (a float input raises
 TypeError).  int and Rational values that are equal compare, hash and
-print alike, so the split shows nowhere but in speed.  A polynomial's
-term dict has one rule: it accumulates through _addmul and is normalised
-once by _normalise, which passes an all-int dict at C speed; every
-coefficient division goes through _quotient.
+print alike, so the split shows nowhere but in speed.  Every coefficient
+division goes through _quotient.
 
 A LinComb coefficient is such a scalar unless it involves a variable; only
-then is it a LaurentPoly (see _stored).  A constant LaurentPoly equals,
-hashes and prints as its scalar, so this split too shows only in speed:
-the mode algebras' structure constants are integers, and int arithmetic
-needs no polynomial around it.
+then is it a LaurentPoly.  A constant LaurentPoly equals, hashes and
+prints as its scalar, so this split too shows only in speed: the mode
+algebras' structure constants are integers, and int arithmetic needs no
+polynomial around it.
+
+Every term dict, polynomial and LinComb alike, has one rule: it
+accumulates (_addmul, _addlin, _addbilin, accumulate), which only adds and
+deletes what cancels, and is normalised once by _normalise where it
+becomes a value: in _poly or LinComb.from_dict, which every operation
+goes through, and in the two __init__s.  _normalise passes an all-int
+dict at C speed.
 
 A polynomial carries no variable context: its terms map one packed
 monomial key, a Python int, to a nonzero coefficient.  Each Variable owns
@@ -41,10 +46,9 @@ packed exponent vectors", CASC 2007).  LaurentPoly's product, sum and
 difference are one call of it each (a sum adds b times _UNIT, the constant
 1); tensormat accumulates whole matrix entries with it.  _addlin and
 _addbilin are LinComb's counterparts: they add a scaled element, or a
-scaled bilinear extension, into a key -> coefficient dict the caller owns,
-every term through accumulate.  LinComb's sums, linear and bilinear are
-calls of them, and so are the series products of currents and the
-residuals of the mode-algebra checks.
+scaled bilinear extension, into a key -> coefficient dict the caller owns.
+LinComb's sums, linear and bilinear are calls of them, and so are the
+series products of currents and the residuals of the mode-algebra checks.
 """
 
 import operator
@@ -86,22 +90,6 @@ def _rational(c):
     return int(c) if c.denominator == 1 else c
 
 
-def _stored(c):
-    """The stored form of a LinComb coefficient: the scalar of a constant
-    LaurentPoly, the int of an integral Rational, else c itself (an int, a
-    non-integral Rational or a LaurentPoly that involves a variable)."""
-    t = type(c)
-    if t is LaurentPoly:
-        terms = c.terms
-        if not terms:
-            return 0
-        if len(terms) == 1 and 0 in terms:
-            return terms[0]
-    elif t is _RATIONAL and c.denominator == 1:
-        return int(c)
-    return c
-
-
 def _quotient(a, b):
     """a / b exactly, as a stored coefficient: the one coefficient division
     (with int operands a bare / would give a float)."""
@@ -112,14 +100,20 @@ def _quotient(a, b):
 
 
 def _normalise(terms):
-    """Replace, in place, every integral Rational value of terms by its int:
-    what every polynomial term dict goes through once after it accumulates.
-    An all-int dict, the common case, passes at C speed."""
-    if {int}.issuperset(map(type, terms.values())):
-        return
-    for key, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[key] = int(c)
+    """Bring every value of terms, a dict of nonzero coefficients, to its
+    stored form in place, and return terms: an integral Rational becomes
+    its int and a constant LaurentPoly its scalar.  The one stored-form
+    rule, applied once where a term dict becomes a value; an all-int dict,
+    the common case, passes at C speed."""
+    if not {int}.issuperset(map(type, terms.values())):
+        for key, c in terms.items():
+            t = type(c)
+            if t is _RATIONAL:
+                if c.denominator == 1:
+                    terms[key] = int(c)
+            elif t is LaurentPoly and len(c.terms) == 1 and 0 in c.terms:
+                terms[key] = c.terms[0]
+    return terms
 
 
 _UNIT = {0: 1}  # the terms of the constant 1; _addmul(out, t, _UNIT) adds t
@@ -133,8 +127,8 @@ def _addmul(out, a_terms, b_terms, sign=1):
     cancels is deleted, so out never holds a zero.  A product, a sum of
     products (a matrix entry) or a sum (b_terms _UNIT) accumulates in one
     dict, with no intermediate polynomial.  The caller checks the bound of
-    the monomials it adds (_check_bound) before the first call, and
-    normalises out (_normalise) once after the last, since a sum of
+    the monomials it adds (_check_bound) before the first call, and wraps
+    out as a value (_poly) after the last, which normalises it: a sum of
     non-integral Rationals may be integral.
     """
     if len(a_terms) > len(b_terms):
@@ -160,11 +154,12 @@ def _addmul(out, a_terms, b_terms, sign=1):
 def _addlin(out, terms, s=1):
     """Add s * terms into out: the linear accumulate kernel of LinComb.
 
-    terms maps keys to nonzero stored coefficients, s is a nonzero stored
+    terms maps keys to nonzero stored coefficients, s is a nonzero
     coefficient and out is a dict the caller owns; every term goes through
-    accumulate, so a key whose sum cancels is deleted and what is stored is
-    in its simplest form.  When s is 1 no product is formed: with a
-    parametric s every product is a polynomial one.
+    accumulate, so a key whose sum cancels is deleted.  The caller wraps
+    out as a value (LinComb.from_dict), which brings it to stored form.
+    When s is 1 no product is formed: with a parametric s every product is
+    a polynomial one.
     """
     if s == 1:
         for key, c in terms.items():
@@ -280,11 +275,11 @@ def _pack(variables, exps):
 
 
 def _poly(terms, bound):
-    """A LaurentPoly that takes over terms, a dict of nonzero stored
-    coefficients (see _rational) whose keys have no field beyond bound in
-    absolute value."""
+    """A LaurentPoly that takes over terms, a dict of nonzero coefficients
+    whose keys have no field beyond bound in absolute value, and normalises
+    it (_normalise)."""
     p = LaurentPoly.__new__(LaurentPoly)
-    p.terms = terms
+    p.terms = _normalise(terms)
     p._bound = bound
     return p
 
@@ -317,7 +312,7 @@ class LaurentPoly:
                 key, b = _pack(variables, tuple(exps))
                 accumulate(clean, key, c)
                 bound = max(bound, b)
-        self.terms = clean
+        self.terms = _normalise(clean)
         self._bound = bound
 
     # -- construction helpers -------------------------------------------------
@@ -366,12 +361,13 @@ class LaurentPoly:
 
     def split(self, variables):
         """{doubled exponents of variables: rest}, where self is the sum of
-        monomial(variables, exps) * rest and no rest uses variables."""
+        monomial(variables, exps) * rest and no rest uses variables; a
+        constant rest is its scalar."""
         groups = {}
         for key, c in self.terms.items():
             exps = tuple(_exponent(key, v) for v in variables)
             groups.setdefault(exps, {})[key - _pack(variables, exps)[0]] = c
-        return {exps: _poly(rest, self._bound) for exps, rest in groups.items()}
+        return _normalise({exps: _poly(rest, self._bound) for exps, rest in groups.items()})
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -383,7 +379,6 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         out = dict(self.terms)
         _addmul(out, other.terms, _UNIT, sign)
-        _normalise(out)
         return _poly(out, max(self._bound, other._bound))
 
     def __add__(self, other):
@@ -404,9 +399,7 @@ class LaurentPoly:
         """self times c, a nonzero stored coefficient."""
         if c == 1:
             return self
-        out = {key: c * v for key, v in self.terms.items()}
-        _normalise(out)
-        return _poly(out, self._bound)
+        return _poly({key: c * v for key, v in self.terms.items()}, self._bound)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -423,7 +416,6 @@ class LaurentPoly:
         _check_bound(bound)
         out = {}
         _addmul(out, a.terms, b.terms)
-        _normalise(out)
         return _poly(out, bound)
 
     __rmul__ = __mul__
@@ -498,7 +490,7 @@ class LaurentPoly:
                     if e % 2:
                         raise ValueError("fractional power of a non-monic monomial")
                     k = e // 2
-                    c = _rational(c * mc**k) if k > 0 else _quotient(c, mc**-k)
+                    c = c * mc**k if k > 0 else _quotient(c, mc**-k)
             accumulate(out, new, c)
         return _poly(out, bound)
 
@@ -547,8 +539,8 @@ def accumulate(out, key, value):
 
     out is a dict the caller owns.  The values already in it are replaced,
     never changed in place, so they may be shared with other elements.
-    What is stored is in its simplest form (see _stored): an integral
-    Rational becomes an int, and a constant LaurentPoly its scalar.
+    Nothing is normalised here: the caller wraps out as a value (_poly or
+    LinComb.from_dict), which does that once.
     """
     prev = out.get(key)
     if prev is not None:
@@ -556,11 +548,11 @@ def accumulate(out, key, value):
         if not value:
             del out[key]
             return
-    out[key] = value if type(value) is int else _stored(value)
+    out[key] = value
 
 
 def _as_coeff(c):
-    return _stored(c) if isinstance(c, LaurentPoly) else _rational(c)
+    return c if isinstance(c, LaurentPoly) else _rational(c)
 
 
 # A symbol's mode lies strictly between -MODE_BOUND and MODE_BOUND.
@@ -631,19 +623,20 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
+        clean = {}
         if terms:
             for key, c in terms.items():
                 c = _as_coeff(c)
                 if c:
-                    self.terms[key] = c
+                    clean[key] = c
+        self.terms = _normalise(clean)
 
     @classmethod
     def from_dict(cls, terms):
-        """Take over terms, a dict of nonzero stored coefficients, without a
-        copy."""
+        """Take over terms, a dict of nonzero coefficients, without a copy,
+        and normalise it (_normalise)."""
         e = cls.__new__(cls)
-        e.terms = terms
+        e.terms = _normalise(terms)
         return e
 
     @classmethod
@@ -686,7 +679,7 @@ class LinComb:
             return self.zero()
         if s == 1:
             return self
-        return self.from_dict({key: _stored(c * s) for key, c in self.terms.items()})
+        return self.from_dict({key: c * s for key, c in self.terms.items()})
 
     __mul__ = scale
     __rmul__ = scale

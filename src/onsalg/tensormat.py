@@ -10,11 +10,11 @@ denominators, here and in currents, goes through exactalg.complement.
 Matrix arithmetic runs on exactalg._addmul, the one product kernel: each
 entry of a product (the sum over k of a_ik b_kj) and of a sum or
 difference (a pa +- b pb) accumulates in one term dict, with no
-intermediate polynomial, and is normalised once by exactalg._normalise,
-as every polynomial term dict is.  Traces add entries with +.
-commutator_sum adds several commutators over one denominator; the
-identity checks call it once each.  All identity checks in this module are exact symbolic
-computations.
+intermediate polynomial, and becomes a LaurentPoly through exactalg._poly,
+which normalises it as it does every polynomial term dict.  Traces add
+entries with +.  commutator_sum adds several commutators over one
+denominator; the identity checks call it once each.  All identity checks
+in this module are exact symbolic computations.
 """
 
 from .exactalg import (
@@ -22,7 +22,6 @@ from .exactalg import (
     LaurentPoly,
     _addmul,
     _check_bound,
-    _normalise,
     _poly,
     Variable,
     complement,
@@ -103,11 +102,7 @@ def _add_scaled(acc, rows, p, sign=1):
 
 
 def _finish(acc, bound):
-    """LaurentPoly rows over a grid of accumulated term dicts, each
-    normalised once."""
-    for row in acc:
-        for out in row:
-            _normalise(out)
+    """LaurentPoly rows over a grid of accumulated term dicts."""
     return [[_poly(out, bound) for out in row] for row in acc]
 
 
@@ -519,16 +514,18 @@ def check_r_symmetries(r):
 
 # -- boundary matrices ---------------------------------------------------------------
 
-BOUNDARY_FAMILIES = (
-    "U_diag",
-    "U_offdiag",
-    "k_general",
-    "kappa_plus",
-    "kappa_minus",
-    "M_ons",
-    "M_aug",
-    "M_inv",
-)
+# each boundary family's parameter names, in the order build_boundary reads them
+_BOUNDARY_PARAMS = {
+    "U_diag": ("k", "kstar"),
+    "U_offdiag": ("sign",),
+    "k_general": ("alpha", "beta", "gamma", "delta"),
+    "kappa_plus": (),
+    "kappa_minus": (),
+    "M_ons": ("kappa", "kappastar", "mu"),
+    "M_aug": ("tau", "nu", "nustar"),
+    "M_inv": ("mu0", "mu1", "mu2"),
+}
+BOUNDARY_FAMILIES = tuple(_BOUNDARY_PARAMS)
 
 
 class BoundaryMat:
@@ -555,12 +552,19 @@ class BoundaryMat:
 
 
 def build_boundary(family, params=None, x=None):
-    """Construct a named boundary matrix; see BOUNDARY_FAMILIES."""
+    """Construct a named boundary matrix; params may pin only the family's parameters."""
     if family not in BOUNDARY_FAMILIES:
         raise ValueError(
             f"unknown family {family!r} (choose from {', '.join(BOUNDARY_FAMILIES)})"
         )
     params = dict(params or {})
+    names = _BOUNDARY_PARAMS[family]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(
+            f"unknown parameter(s) {', '.join(unknown)} for {family} "
+            f"(its parameters: {', '.join(names) or 'none'})"
+        )
     if x is None:
         x = spectral("x")
     elif not (isinstance(x, Variable) and x.kind == "spectral"):
@@ -582,7 +586,7 @@ def build_boundary(family, params=None, x=None):
     z = LaurentPoly.zero()
 
     if family == "U_diag":
-        k, ks = coeff("k"), coeff("kstar")
+        k, ks = map(coeff, names)
         rows = [[k, z], [z, -ks]]
     elif family == "U_offdiag":
         sign = params.setdefault("sign", -1)
@@ -592,7 +596,7 @@ def build_boundary(family, params=None, x=None):
         half_dn = LaurentPoly.monomial((x,), (-1,), 1)
         rows = [[z, half_dn], [sign * half_up, z]]
     elif family == "k_general":
-        al, be, ga, de = (coeff(n) for n in ("alpha", "beta", "gamma", "delta"))
+        al, be, ga, de = map(coeff, names)
         sx = xx - inv_x
         rows = [[al * sx, be + ga * inv_x], [-(be + ga * xx), de * sx]]
     elif family == "kappa_plus":
@@ -600,13 +604,13 @@ def build_boundary(family, params=None, x=None):
     elif family == "kappa_minus":
         rows = [[z, inv_x], [-xx, z]]
     elif family == "M_ons":
-        ka, ks, mu = (coeff(n) for n in ("kappa", "kappastar", "mu"))
+        ka, ks, mu = map(coeff, names)
         rows = [[mu * inv_x, ka + ks * inv_x], [ka + ks * xx, mu * xx]]
     elif family == "M_aug":
-        ta, nu, ns = (coeff(n) for n in ("tau", "nu", "nustar"))
+        ta, nu, ns = map(coeff, names)
         rows = [[ta, nu * (one + inv_x)], [ns * (xx + one), z]]
     else:  # M_inv
-        m0, m1, m2 = (coeff(n) for n in ("mu0", "mu1", "mu2"))
+        m0, m1, m2 = map(coeff, names)
         rows = [[m0, m1], [m2, z]]
 
     variables = (x,)

@@ -220,3 +220,25 @@ def test_guards_are_never_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_only_exactalg_decides_a_stored_form():
+    # exactalg._normalise is the one stored-form rule: no other module
+    # reaches the coefficient-form helpers, and none defines a second rule
+    src = Path(__file__).resolve().parent.parent / "src" / "onsalg"
+    private = {"_normalise", "_rational", "_as_coeff", "_stored"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "_stored":
+                found.append(f"{path.name}:{node.lineno} defines _stored")
+            if path.name == "exactalg.py":
+                continue
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} uses {n}" for n in sorted(names & private)]
+    assert not found, found

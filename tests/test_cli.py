@@ -58,6 +58,14 @@ def test_max_k_may_exceed_window(capsys):
                        for f in ("onsager", "augmented", "invariant")}
 
 
+@pytest.mark.parametrize("suite", ["charges", "all"])
+def test_max_k_zero_exits_two(capsys, suite):
+    # max-k 0 leaves the charge checks no pair j < k to compare
+    assert cli.run([suite, "--max-k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "max-k must be >= 1, got 0" in captured.err and not captured.out
+
+
 def test_check_level_window_error_is_config_error(capsys):
     # frt needs window >= 4; the failure surfaces as exit 2, not a crash
     assert cli.run(["frt", "--window", "3", "--max-k", "3"]) == 2

@@ -302,6 +302,8 @@ def test_mixed_commutator_is_reported_not_judged():
 
 # both kinds of charge refuse a family without rows with one message
 _UNKNOWN_BOGUS = r"unknown family 'bogus' \(choose from onsager, augmented, invariant\)"
+# a charge check at max-k 0 would compare no pair, so both refuse it
+_NO_PAIR = "a charge check compares pairs j < k <= max-k, so max-k must be >= 1, not 0"
 
 
 @pytest.mark.parametrize(
@@ -315,22 +317,23 @@ _UNKNOWN_BOGUS = r"unknown family 'bogus' \(choose from onsager, augmented, inva
         (lambda: check_linear_charges("kappa_minus", 2),
          r"unknown family 'kappa_minus' \(choose from onsager, augmented, invariant\)"),
         (lambda: note_mixed_commutator("bogus", 1, 1), _UNKNOWN_BOGUS),
-        (lambda: check_linear_charges("onsager", -1), "max-k must be >= 0, not -1"),
+        (lambda: check_linear_charges("onsager", -1), "max-k must be >= 1, not -1"),
         (lambda: build_B("onsager", 0), "window must be >= 1"),
         (lambda: build_T("0", 2), "sign must be '[+]' or '-', not '0'"),
         (lambda: build_T("+", -1), "window must be >= 0"),
         (lambda: build_quadratic_charge("onsager", -1), "max-k must be >= 0, not -1"),
-        (lambda: check_quadratic_charges("augmented", -1), "max-k must be >= 0, not -1"),
+        (lambda: check_quadratic_charges("augmented", -1), "max-k must be >= 1, not -1"),
         (lambda: note_mixed_commutator("onsager", -1, 0), "max-k must be >= 0, not -1"),
-        (lambda: check_linear_charges("onsager", 0, mutate=True),
-         "mutate needs max-k >= 1, not 0"),
-        (lambda: check_quadratic_charges("onsager", 0, mutate=True),
-         "mutate needs max-k >= 1, not 0"),
+        (lambda: check_linear_charges("onsager", 0, mutate=True), _NO_PAIR),
+        (lambda: check_quadratic_charges("onsager", 0, mutate=True), _NO_PAIR),
+        (lambda: check_linear_charges("invariant", 0), _NO_PAIR),
+        (lambda: check_quadratic_charges("augmented", 0), _NO_PAIR),
     ],
     ids=["negative_k", "variant", "series_family", "formula_family", "quadratic_family",
          "linear_family", "mixed_commutator_family", "linear_max_k", "B_window",
          "T_sign", "T_window", "quadratic_max_k", "quadratic_check_max_k",
-         "mixed_commutator_max_k", "linear_mutate_max_k", "quadratic_mutate_max_k"],
+         "mixed_commutator_max_k", "linear_mutate_max_k", "quadratic_mutate_max_k",
+         "linear_max_k_0", "quadratic_max_k_0"],
 )
 def test_guards_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):

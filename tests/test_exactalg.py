@@ -178,6 +178,10 @@ def test_substitute_reads_every_exponent_before_replacing():
          r"kappa_minus, M_ons, M_aug, M_inv\)"),
         (lambda: tensormat.build_boundary("U_offdiag", params={"sign": 2}),
          "U_offdiag sign must be"),
+        (lambda: tensormat.build_boundary("M_ons", params={"kapa": 1}),
+         r"unknown parameter\(s\) kapa for M_ons \(its parameters: kappa, kappastar, mu\)"),
+        (lambda: tensormat.build_boundary("kappa_plus", params={"sign": 1, "k": 2}),
+         r"unknown parameter\(s\) k, sign for kappa_plus \(its parameters: none\)"),
         (lambda: tensormat.build_rbar(tensormat.build_boundary("U_diag", x=X), Y, X),
          "boundary matrix must be built in the first variable"),
         (lambda: tensormat.check_nscybe(tensormat.build_r(spectral("u"))),
@@ -193,7 +197,8 @@ def test_substitute_reads_every_exponent_before_replacing():
     ids=["zero-factor", "singular", "length", "half-power-image", "non-monic",
          "matrix-shape", "add-legs", "matmul-legs", "embed-distinct", "embed-range",
          "transpose-leg", "trace-leg", "r-variable", "boundary-family",
-         "offdiag-sign", "rbar-variable", "nscybe-variables", "m-rbar-variables",
+         "offdiag-sign", "boundary-param", "boundary-param-none",
+         "rbar-variable", "nscybe-variables", "m-rbar-variables",
          "m-variable"],
 )
 def test_guards_raise_value_error(call, message):
@@ -438,14 +443,13 @@ def display_polys(draw):
 def _split_str(p):
     """str(p) as written through split: each term's exponents come from
     splitting off every variable p uses, and its coefficient is the
-    constant left over."""
+    constant left over, which split returns as its scalar."""
     if not p.terms:
         return "0"
     variables = p.variables
     bits = []
-    for exps, rest in sorted(p.split(variables).items()):
-        assert list(rest.terms) == [0]
-        c = rest.terms[0]
+    for exps, c in sorted(p.split(variables).items()):
+        assert not isinstance(c, LaurentPoly), repr(c)
         factors = []
         for v, e in zip(variables, exps):
             if e == 2:
@@ -565,7 +569,11 @@ def _elements(keys):
 
 
 def _assert_lincomb_stored(elt):
-    for c in elt.terms.values():
+    _assert_terms_stored(elt.terms)
+
+
+def _assert_terms_stored(terms):
+    for c in terms.values():
         if isinstance(c, LaurentPoly):
             assert any(c.terms.keys() - {0}), f"constant polynomial {c!r}"
             _assert_stored(c)
@@ -598,6 +606,35 @@ def test_a_constant_coefficient_is_stored_as_its_scalar():
     assert scaled.terms == {"k": 1} and type(scaled.terms["k"]) is int
     summed = LinComb.single("k", x + 3) - LinComb.single("k", x)
     assert [type(c) for c in summed.terms.values()] == [int]
+
+
+# what a term dict may hold before it becomes a value: ints, integral and
+# non-integral Rationals of the backend type, and constant and non-constant
+# polynomials, none of them zero
+raw_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.builds(exactalg.Rational, st.integers(-9, 9)),
+    st.builds(rat, st.integers(-9, 9), st.integers(2, 4)),
+    st.builds(LaurentPoly.const, mixed_coeffs),
+    st.builds(lambda c, c0: LaurentPoly((X, A), {(2, 0): c, (0, 2): c0}), mixed_coeffs,
+              mixed_coeffs),
+).filter(bool)
+
+
+@given(st.dictionaries(st.integers(-3, 3) | st.sampled_from(["a", "ab"]), raw_coeffs,
+                       max_size=6))
+@example({0: exactalg.Rational(4, 2), "a": LaurentPoly.const(rat(3, 1)),
+          "ab": LaurentPoly.const(rat(1, 2))})
+def test_normalise_is_the_one_stored_form(raw):
+    terms = dict(raw)
+    assert exactalg._normalise(terms) is terms
+    # every value is stored as its simplest form and still equals itself
+    assert terms.keys() == raw.keys() and all(terms[k] == raw[k] for k in raw)
+    _assert_terms_stored(terms)
+    # a stored dict is a fixed point: a second call replaces nothing
+    again = dict(terms)
+    exactalg._normalise(again)
+    assert all(again[k] is terms[k] for k in terms)
 
 
 # -- the linear and bilinear extensions --------------------------------------------
@@ -726,16 +763,24 @@ def test_addbilin_equals_bilinear(p, q, r, s):
 
 def test_kernels_store_simplest_forms_on_cancellation():
     a = LaurentPoly.var(A)
+
+    def stored(out):
+        # the element the accumulated dict becomes, which normalises it
+        return LinComb.from_dict(dict(out)).terms
+
     # (a + 1/2) - a is the non-integral scalar 1/2, and 1/2 + 1/2 the int 1
     out = {"k": a + rat(1, 2)}
     exactalg._addlin(out, {"k": a}, -1)
-    assert out == {"k": rat(1, 2)} and type(out["k"]) is _RATIONAL
+    got = stored(out)
+    assert got == {"k": rat(1, 2)} and type(got["k"]) is _RATIONAL
     exactalg._addlin(out, {"k": rat(1, 2)})
-    assert out == {"k": 1} and type(out["k"]) is int
+    got = stored(out)
+    assert got == {"k": 1} and type(got["k"]) is int
     # 1/2 scaled by 2a is the polynomial a, which the bilinear term cancels
     out = {}
     exactalg._addlin(out, {"k": rat(1, 2)}, 2 * a)
-    assert out == {"k": a} and isinstance(out["k"], LaurentPoly)
+    got = stored(out)
+    assert got == {"k": a} and isinstance(got["k"], LaurentPoly)
     exactalg._addbilin(out, {"x": 1}, {"y": a}, lambda ka, kb: (("k", -1),))
     assert out == {}
 
