@@ -1,8 +1,8 @@
 """Command-line harness: run named verification suites, report text or JSON.
 
-Exit codes: 0 every check passed, 1 at least one failed, 2 usage or
-configuration error (including a window below the suite's minimum, which
-is rejected before any check runs).
+Exit codes: 0 every check passed, 1 at least one failed or raised (status
+error), 2 usage or configuration error (including a window below a suite's
+minimum, which is rejected before any check runs).
 """
 
 import argparse
@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, fields
 
-from . import currents, envelope, exactalg, kacmoody, onsager, tensormat
+from . import currents, envelope, exactalg, kacmoody, onsager, report, tensormat
 from .currents import B_FAMILIES, check_exchange, check_frt_relations
 from .exactalg import spectral
 from .onsager import FAMILIES, FIXING_MAP
@@ -175,12 +175,16 @@ def _cpu_seconds():
 
 def _run_one(job):
     """Run one check and set its duration_ms: the whole call, building the
-    check's inputs included."""
+    check's inputs included.  An exception is the check's error report."""
     fn, args = job
     started = time.perf_counter()
-    report = fn(*args)
-    report.duration_ms = (time.perf_counter() - started) * 1000.0
-    return report
+    try:
+        result = fn(*args)
+    except Exception as e:
+        witness = {"position": "exception", "residual": f"{type(e).__name__}: {e}"}
+        result = report.CheckReport(f"{fn.__name__}{args}", "error", witnesses=[witness])
+    result.duration_ms = (time.perf_counter() - started) * 1000.0
+    return result
 
 
 def _execute(checks, parallel):

@@ -49,6 +49,8 @@ _addbilin are LinComb's counterparts: they add a scaled element, or a
 scaled bilinear extension, into a key -> coefficient dict the caller owns.
 LinComb's sums, linear and bilinear are calls of them, and so are the
 series products of currents and the residuals of the mode-algebra checks.
+content_in, the content in one variable, is the one gcd; its one caller,
+tensormat.check_nscybe, divides rbar by its content in x.
 """
 
 import operator
@@ -796,3 +798,50 @@ def factor_lcm(*multisets):
         need |= Counter(factors)
     return list(need.elements())
 
+
+def _lists_in(p, v):
+    """p as polynomials in v over the rest of each key: rest -> (the lowest
+    doubled exponent of v, a coefficient per half step, the highest first)."""
+    shift, groups = _WIDTH * _slot(v), {}
+    for key, c in p.terms.items():
+        e = _exponent(key, v)
+        groups.setdefault(key - (e << shift), {})[e] = c
+    return {r: (min(es), [es.get(e, 0) for e in range(max(es), min(es) - 1, -1)])
+            for r, es in groups.items()}
+
+
+def _divmod_list(a, g):
+    """(quotient, remainder) of coefficient lists, the highest first, by a monic g."""
+    a, k = list(a), max(len(a) - len(g) + 1, 0)
+    for i in range(k):
+        for j in range(1, len(g)):
+            a[i + j] -= a[i] * g[j]
+    return a[:k], a[k:]
+
+
+def _divide_in(p, g, v):
+    """p / g exactly, g a monic coefficient list in v; ValueError on a remainder."""
+    out, shift = {}, _WIDTH * _slot(v)
+    for rest, (low, coeffs) in _lists_in(p, v).items():
+        q, r = _divmod_list(coeffs, g)
+        if any(r):
+            raise ValueError(f"{g} (half steps of {v.name}, highest first) does not divide {p}")
+        out.update((rest + ((low + i) << shift), c) for i, c in enumerate(q[::-1]) if c)
+    return _poly(out, p._bound)
+
+
+def content_in(polys, v):
+    """(g, quotients): g is the monic gcd over Q of polys as polynomials in v
+    alone (powers of v are units: g(0) != 0), and each quotient a poly / g.
+    A coefficient list runs Euclid only if the running g leaves a remainder."""
+    polys, g = list(polys), []
+    for p in polys:
+        for _, coeffs in _lists_in(p, v).values():
+            r = _divmod_list(coeffs, g)[1] if g else coeffs
+            while any(r):  # Euclid: the monic remainder divides the old g next
+                r = r[next(i for i, c in enumerate(r) if c):]
+                g, r = [_quotient(c, r[0]) for c in r], g
+                r = _divmod_list(r, g)[1]
+    g = g or [1]  # no nonzero coefficient list: the content is 1
+    content = LaurentPoly((v,), {(i,): c for i, c in enumerate(g[::-1])})
+    return content, [_divide_in(p, g, v) for p in polys]

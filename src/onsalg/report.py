@@ -16,9 +16,9 @@ WITNESS_CHARS = 200
 class CheckReport:
     """Outcome of one verified identity.
 
-    status is 'pass' or 'fail'; witnesses lists up to MAX_WITNESSES
-    offending positions with a printable residual each; region describes
-    the domain on which the identity was actually compared.
+    status is 'pass', 'fail' or 'error' (the check raised); witnesses lists
+    up to MAX_WITNESSES offending positions with a printable residual each;
+    region describes the domain on which the identity was compared.
     """
 
     name: str
@@ -43,14 +43,14 @@ class CheckReport:
         }
 
     def __str__(self):
-        mark = "ok" if self.passed else "FAIL"
+        mark = {"pass": "ok", "fail": "FAIL"}.get(self.status, "ERR")
         s = f"[{mark:4}] {self.name}"
         if self.region:
             s += f"  ({self.region})"
-        if not self.passed:
+        if self.status == "fail":
             s += f"  residual terms: {self.residual_term_count}"
-            for w in self.witnesses:
-                s += f"\n        at {w['position']}: {w['residual']}"
+        for w in self.witnesses:  # a passing report has none
+            s += f"\n        at {w['position']}: {w['residual']}"
         return s
 
 

@@ -3,9 +3,9 @@
 A TensorMat keeps one shared denominator as a multiset of canonical
 polynomial factors and a dense numerator array; sums take the least
 common multiple of the factor multisets, products concatenate them, and
-no gcd is ever needed.  It is the only rational-function value: a trace
-is a numerator over the matrix's own factors.  Every clearing of
-denominators, here and in currents, goes through exactalg.complement.
+only check_nscybe takes a gcd (exactalg.content_in).  TensorMat is the
+only rational-function value: a trace is a numerator over its factors.
+Every clearing, here and in currents, goes through exactalg.complement.
 
 Matrix arithmetic runs on exactalg._addmul, the one product kernel: each
 entry of a product (the sum over k of a_ik b_kj) and of a sum or
@@ -25,6 +25,7 @@ from .exactalg import (
     _poly,
     Variable,
     complement,
+    content_in,
     factor_canonical,
     factor_lcm,
     parameter,
@@ -696,14 +697,20 @@ def _rbar_args(rbar):
 
 
 def check_nscybe(rbar, label=None):
-    """[rb13, rb23] = [rb21, rb13] + [rb23, rb12], arguments (x1,x3) etc."""
+    """[rb13, rb23] = [rb21, rb13] + [rb23, rb12], arguments (x1,x3) etc.,
+    on rbar divided by its content g(x) in x: each pair's first arguments
+    are x1 and x2, so the residual is g(x1) g(x2) times the reduced one."""
     x, y = _rbar_args(rbar)
+    g, nums = content_in((n for row in rbar.nums for n in row), x)
+    rows = [nums[i : i + rbar.dim] for i in range(0, len(nums), rbar.dim)]
+    reduced = TensorMat._raw(rbar.legs, rbar.variables, rows, rbar.den_factors)
     rb13, rb23, rb21, rb12 = (
-        _embed_at(rbar, {x: LaurentPoly.var(_leg_var(i)), y: LaurentPoly.var(_leg_var(j))},
+        _embed_at(reduced, {x: LaurentPoly.var(_leg_var(i)), y: LaurentPoly.var(_leg_var(j))},
                   (i, j))
         for i, j in ((1, 3), (2, 3), (2, 1), (1, 2))
     )
-    delta = commutator_sum([(rb13, rb23), (rb13, rb21), (rb12, rb23)])
+    g1, g2 = (g.substitute({x: LaurentPoly.var(_leg_var(i))}) for i in (1, 2))
+    delta = commutator_sum([(rb13, rb23), (rb13, rb21), (rb12, rb23)]).scale(g1 * g2)
     name = "nscybe" if label is None else f"nscybe[{label}]"
     return _residual_report(name, delta, "symbolic in x1,x2,x3 (exact)")
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from onsalg import cli, exactalg
+from onsalg import cli, currents, exactalg
 from onsalg.report import CheckReport
 
 CHECK_KEYS = {"name", "status", "residual_terms", "region", "duration_ms", "witnesses"}
@@ -112,6 +112,37 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] forced" in out
     assert "at spot: leftover" in out
+    assert "summary: 0 passed, 1 failed" in out
+
+
+def test_an_exception_in_a_check_is_its_error_report(monkeypatch, capsys):
+    # F^- read one degree low: build_B raises inside two exchange checks,
+    # and the run goes on past them
+    monkeypatch.setitem(currents._T_CURRENTS["-"], "F", ("F", -1, 0, False))
+    code, doc = run_json(["all", "--window", "4"], capsys)
+    assert code == 1
+    assert len(doc["checks"]) == 51
+    errors = {c["name"]: c for c in doc["checks"] if c["status"] == "error"}
+    assert sorted(errors) == ["check_exchange('augmented', 4)",
+                              "check_exchange('kappa_minus', 4)"]
+    assert errors["check_exchange('augmented', 4)"]["witnesses"] == [{
+        "position": "exception",
+        "residual": "ValueError: build_B('augmented', window=4) has degree -2 at "
+                    "entry (0, 1), below the family's lowest degree 0",
+    }]
+    assert doc["summary"]["fail"] == sum(c["status"] != "pass" for c in doc["checks"])
+    assert doc["summary"]["pass"] + doc["summary"]["fail"] == 51
+
+
+def test_an_error_report_prints_its_exception(monkeypatch, capsys):
+    def raises():
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(cli, "suite_checks", lambda cfg: [(raises, ())])
+    assert cli.run(["rmatrix"]) == 1
+    out = capsys.readouterr().out
+    assert "[ERR ] raises()\n" in out
+    assert "at exception: ZeroDivisionError: planted" in out
     assert "summary: 0 passed, 1 failed" in out
 
 

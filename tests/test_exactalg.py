@@ -19,6 +19,7 @@ from onsalg.exactalg import (
     LinComb,
     Variable,
     complement,
+    content_in,
     factor_canonical,
     factor_lcm,
     parameter,
@@ -193,13 +194,19 @@ def test_substitute_reads_every_exponent_before_replacing():
             tensormat.build_boundary("M_ons", x=Y),
             tensormat.build_rbar(tensormat.build_boundary("U_diag", x=X), X, Y)),
          "M must be built in rbar's first spectral variable"),
+        (lambda: exactalg._divide_in(LaurentPoly((X,), {(4,): 1, (0,): 1}), [1, 0, -1], X),
+         r"\[1, 0, -1\] \(half steps of x, highest first\) does not divide 1 \+ x\^2"),
+        # x^2 - 1 divides the y^0 part, not the y^1 part x + 2
+        (lambda: exactalg._divide_in(
+            LaurentPoly((X, Y), {(4, 0): 1, (0, 0): -1, (2, 2): 1, (0, 2): 2}), [1, 0, -1], X),
+         r"\(half steps of x, highest first\) does not divide"),
     ],
     ids=["zero-factor", "singular", "length", "half-power-image", "non-monic",
          "matrix-shape", "add-legs", "matmul-legs", "embed-distinct", "embed-range",
          "transpose-leg", "trace-leg", "r-variable", "boundary-family",
          "offdiag-sign", "boundary-param", "boundary-param-none",
          "rbar-variable", "nscybe-variables", "m-rbar-variables",
-         "m-variable"],
+         "m-variable", "content-remainder", "content-remainder-one-part"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them
@@ -397,6 +404,74 @@ def test_factor_canonical_ignores_context_order(terms):
     uq, fq = factor_canonical(q)
     assert up == uq and fp == fq
     assert [str(f) for f in fp] == [str(f) for f in fq]
+
+
+# -- the content in one variable ------------------------------------------------
+
+half_coeffs = st.builds(rat, st.integers(-9, 9), st.sampled_from([1, 2]))
+
+
+@st.composite
+def xya_polys(draw):
+    # polynomials in x, y and a parameter, half powers of x and y included
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([0, 2, 4])),
+        half_coeffs, max_size=5))
+    return LaurentPoly((X, Y, A), terms)
+
+
+@st.composite
+def univariate(draw):
+    # g(x) in full or half steps of x, with nonzero lowest and highest terms
+    step = draw(st.sampled_from([1, 2]))
+    cs = draw(st.lists(half_coeffs, min_size=1, max_size=4).filter(lambda c: c[0] and c[-1]))
+    return LaurentPoly((X,), {(step * i,): c for i, c in enumerate(cs)})
+
+
+def _divides(g, p):
+    """Whether g divides p, both polynomials in x alone, up to a power of x."""
+
+    def coefficients(q):  # the highest first, one per half step
+        parts = q.split((X,))
+        return [Fraction(parts.get((e,), 0))
+                for e in range(max(parts)[0], min(parts)[0] - 1, -1)]
+
+    a, b = coefficients(p), coefficients(g)
+    while len(a) >= len(b):
+        c = a[0] / b[0]
+        a = [ai - c * bi for ai, bi in zip(a, b + [0] * len(a))][1:]
+    return not any(a)
+
+
+@settings(deadline=None)
+@given(st.lists(xya_polys(), min_size=1, max_size=3).filter(lambda ps: any(ps)), univariate())
+def test_content_in_finds_a_common_univariate_factor(ps, g):
+    inputs = [g * p for p in ps]
+    content, quotients = content_in(inputs, X)
+    assert set(content.variables) <= {X}
+    assert _divides(g, content)
+    low, high = content.degree_range(X)
+    assert low == 0 and content.split((X,))[(high,)] == 1  # monic, g(0) != 0
+    assert [content * q for q in quotients] == inputs
+
+
+@settings(deadline=None)
+@given(st.lists(xya_polys(), max_size=3))
+def test_content_in_without_a_common_factor_is_one(ps):
+    # x + y has the content 1 in x: its y^0 and y^1 parts are powers of x
+    inputs = ps + [LaurentPoly.var(X) + LaurentPoly.var(Y)]
+    content, quotients = content_in(inputs, X)
+    assert content == 1
+    assert quotients == inputs
+
+
+def test_content_in_strips_half_steps_and_units():
+    # x^(1/2) (x - 1) and x^-1 (x - 1)(x + 1) y share x - 1; x^(1/2) is a unit
+    x, y = LaurentPoly.var(X), LaurentPoly.var(Y)
+    half, inv = LaurentPoly.var(X, half_steps=1), LaurentPoly.var(X, half_steps=-2)
+    content, quotients = content_in([half * (x - 1), inv * (x - 1) * (x + 1) * y], X)
+    assert content == x - 1
+    assert quotients == [half, inv * (x + 1) * y]
 
 
 def test_factor_canonical_splits_parameter_monomials():

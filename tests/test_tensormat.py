@@ -13,6 +13,7 @@ from onsalg.exactalg import (
     rat,
     spectral,
 )
+from onsalg import tensormat
 from onsalg.tensormat import (
     BoundaryMat,
     TensorMat,
@@ -264,6 +265,37 @@ def test_nscybe_fails_for_non_solution():
     rep = check_nscybe(build_rbar(_altered_k(), X, Y))
     assert not rep.passed
     assert rep.witnesses
+
+
+@pytest.mark.parametrize(
+    "make_k",
+    [*(lambda f=f: build_boundary(f, x=X)
+       for f in ("U_diag", "U_offdiag", "kappa_plus", "kappa_minus", "k_general")),
+     _altered_k],
+    ids=["U_diag", "U_offdiag", "kappa_plus", "kappa_minus", "k_general", "altered"],
+)
+def test_nscybe_residual_is_the_unreduced_commutator_sum(monkeypatch, make_k):
+    # check_nscybe divides rbar by its content in x and multiplies
+    # g(x1) g(x2) back; the oracle commutes the undivided embeddings
+    rbar = build_rbar(make_k(), X, Y)
+    xs = {i: _pv(spectral(f"x{i}")) for i in (1, 2, 3)}
+    rb13, rb23, rb21, rb12 = (
+        leg_embed(rbar.substitute({X: xs[i], Y: xs[j]}), (i, j), 3)
+        for i, j in ((1, 3), (2, 3), (2, 1), (1, 2))
+    )
+    oracle = commutator_sum([(rb13, rb23), (rb13, rb21), (rb12, rb23)])
+    seen = []
+    report = tensormat._residual_report
+    monkeypatch.setattr(tensormat, "_residual_report",
+                        lambda name, mat, region: seen.append(mat) or report(name, mat, region))
+    rep = check_nscybe(rbar)
+    (residual,) = seen
+    assert residual.den_factors == oracle.den_factors
+    for row, oracle_row in zip(residual.nums, oracle.nums):
+        for n, m in zip(row, oracle_row):
+            assert n.terms == m.terms
+    assert rep.residual_term_count == oracle.term_count()
+    assert rep.passed == (make_k is not _altered_k)
 
 
 def test_rbar_layout():
