@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .exactalg import LaurentPoly, _addbilin, _addlin, complement, rat, spectral
+from .exactalg import LaurentPoly, Variable, _addbilin, _addlin, complement, rat, spectral
 from .kacmoody import C, BasisSymbol, LieElt, _basis_bracket, bracket
 from .report import Residuals
 from .tensormat import (
@@ -399,6 +399,8 @@ def _series(rows, letters, element, window, x):
         raise ValueError(f"window must be >= 0, not {window}")
     if x is None:
         x = spectral("x")
+    elif not (isinstance(x, Variable) and x.kind == "spectral"):
+        raise ValueError(f"a series needs x to be a spectral Variable, not {x!r}")
     entries, metas = {}, []
     for pos, (_, letter) in rows.items():
         first = letters[letter][2]

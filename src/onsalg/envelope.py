@@ -40,8 +40,8 @@ from .currents import _coefficient
 from .exactalg import MODE_BOUND, LaurentPoly, LinComb, _addlin, accumulate, spectral
 from .kacmoody import _basis_bracket
 from .onsager import (
-    _B_CURRENTS, _CURRENTS, _LETTERS, FAMILIES, OnsElt, OnsSymbol, _pair_bracket,
-    _unknown_family, abstract_bracket, ons
+    _B_CURRENTS, _CURRENTS, _LETTERS, OnsElt, OnsSymbol, _pair_bracket, _row,
+    abstract_bracket, ons
 )
 from .tensormat import build_boundary
 from .report import Residuals
@@ -177,10 +177,7 @@ def _rows(family):
     """The family's abstract B(x) as table rows (onsager._B_CURRENTS) and
     its current letters (onsager._CURRENTS), read by both kinds of
     charge; an unknown family is refused here, before any work."""
-    rows = _B_CURRENTS.get(family)
-    if rows is None:
-        raise ValueError(_unknown_family(family, FAMILIES))
-    return rows, _CURRENTS[family]
+    return _row(_B_CURRENTS, family), _CURRENTS[family]
 
 
 def build_quadratic_charge(family, max_k):

@@ -23,6 +23,9 @@ generators is not memoised here: it reads the table _BRACKETS on every
 call, so a change to the table takes effect at once in every check of
 this module.  envelope._bracket memoises it for the enveloping algebras,
 as it memoises their normal forms.
+
+The finite presentations are the table _DOLAN_GRADY: each relation is
+stated once, as the string it is reported at, and read by _nested.
 """
 
 import random
@@ -94,6 +97,13 @@ class OnsSymbol(
 
 def _unknown_family(family, choices):
     return f"unknown family {family!r} (choose from {', '.join(choices)})"
+
+
+def _row(table, family):
+    """table[family]; an unknown family raises, naming the table's families."""
+    if family not in table:
+        raise ValueError(_unknown_family(family, table))
+    return table[family]
 
 
 def canonicalize(family, letter, mode):
@@ -174,9 +184,7 @@ def abstract_bracket(a, b):
 def canonical_symbols(family, window):
     """All canonical generators with |mode| <= window: letter by letter in
     the family's order, modes ascending."""
-    letters = _LETTERS.get(family)
-    if letters is None:
-        raise ValueError(_unknown_family(family, FAMILIES))
+    letters = _row(_LETTERS, family)
     if window < 0:
         raise ValueError(f"window must be >= 0, not {window}")
     syms = []
@@ -229,9 +237,7 @@ FIXING_MAP = {
 def morphism_image(family, sym):
     """Image of a canonical generator in the mode algebra (see
     _REALIZATIONS)."""
-    row = _REALIZATIONS.get(family)
-    if row is None:
-        raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
+    row = _row(_REALIZATIONS, family)
     if sym.family != _abstract_family(family):
         raise ValueError(
             f"the {family!r} realization takes generators of family "
@@ -249,8 +255,7 @@ def check_morphism(family, window, override=None):
     pairs with |mode| <= window (no symmetry is assumed).  `override(sym)`
     replaces single images (returning None falls through), which is how a
     perturbed realization is checked."""
-    if family not in MORPHISM_FAMILIES:
-        raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
+    _row(_REALIZATIONS, family)  # an unknown family fails before any work
     img = _memo_image(lambda sym: morphism_image(family, sym), override)
     syms = canonical_symbols(_abstract_family(family), window)
     res = Residuals()
@@ -323,58 +328,41 @@ def check_jacobi_sampled(family, max_mode, seed):
     )
 
 
+# Each family's finite presentation, each relation stated as it is reported.
+_DOLAN_GRADY = {
+    "onsager": ("[A0,[A0,[A0,A1]]] = 16 [A0,A1]", "[A1,[A1,[A1,A0]]] = 16 [A1,A0]"),
+    "augmented": ("[K0,Z+0] = 4 Z+0", "[K0,Z-0] = -4 Z-0",
+                  "[Z+0,[Z+0,[Z+0,Z-0]]] = 0", "[Z-0,[Z-0,[Z-0,Z+0]]] = 0"),
+    "invariant": ("[H0,E0] = 4 E0", "[H0,F0] = -4 F0", "[E0,F0] = 2 H0", "[H0,E1] = 4 E1",
+                  "[H1,E0] = 4 E1", "[H0,F1] = -4 F1", "[H1,F0] = -4 F1", "[E0,F1] = 2 H1",
+                  "[E1,F0] = 2 H1", "[H1,[E1,F1]] = 0"),
+}
+
+
+def _nested(family, text):
+    """The right-nested bracket [X1,[X2,...,Xk]] of generators such as Z+0, or Xk."""
+    if text.startswith("["):
+        head, rest = text[1:-1].split(",", 1)
+        return abstract_bracket(_nested(family, head), _nested(family, rest))
+    letter = text.rstrip("0123456789")
+    return ons(family, letter, int(text[len(letter):]))
+
+
 def check_dolan_grady(family):
-    """The finite presentations: nested-commutator relations among the
-    lowest generators that characterize each family."""
+    """The finite presentations _DOLAN_GRADY: each relation "lhs = 0" or
+    "lhs = k rhs", its sides read by _nested, is compared where it is stated."""
     res = Residuals()
-
-    def expect(tag, got, want):
-        res.add(got - want, tag)
-
-    br = abstract_bracket
-    if family == "onsager":
-        a0, a1 = ons(family, "A", 0), ons(family, "A", 1)
-        expect(
-            "[A0,[A0,[A0,A1]]] = 16 [A0,A1]",
-            br(a0, br(a0, br(a0, a1))),
-            br(a0, a1).scale(16),
-        )
-        expect(
-            "[A1,[A1,[A1,A0]]] = 16 [A1,A0]",
-            br(a1, br(a1, br(a1, a0))),
-            br(a1, a0).scale(16),
-        )
-    elif family == "augmented":
-        k0 = ons(family, "K", 0)
-        zp, zm = ons(family, "Z+", 0), ons(family, "Z-", 0)
-        expect("[K0,Z+0] = 4 Z+0", br(k0, zp), zp.scale(4))
-        expect("[K0,Z-0] = -4 Z-0", br(k0, zm), zm.scale(-4))
-        expect("[Z+0,[Z+0,[Z+0,Z-0]]] = 0", br(zp, br(zp, br(zp, zm))), OnsElt())
-        expect("[Z-0,[Z-0,[Z-0,Z+0]]] = 0", br(zm, br(zm, br(zm, zp))), OnsElt())
-    else:
-        if family != "invariant":
-            raise ValueError(_unknown_family(family, FAMILIES))
-        h0, h1 = ons(family, "H", 0), ons(family, "H", 1)
-        e0, e1 = ons(family, "E", 0), ons(family, "E", 1)
-        f0, f1 = ons(family, "F", 0), ons(family, "F", 1)
-        expect("[H0,E0] = 4 E0", br(h0, e0), e0.scale(4))
-        expect("[H0,F0] = -4 F0", br(h0, f0), f0.scale(-4))
-        expect("[E0,F0] = 2 H0", br(e0, f0), h0.scale(2))
-        expect("[H0,E1] = 4 E1", br(h0, e1), e1.scale(4))
-        expect("[H1,E0] = 4 E1", br(h1, e0), e1.scale(4))
-        expect("[H0,F1] = -4 F1", br(h0, f1), f1.scale(-4))
-        expect("[H1,F0] = -4 F1", br(h1, f0), f1.scale(-4))
-        expect("[E0,F1] = 2 H1", br(e0, f1), h1.scale(2))
-        expect("[E1,F0] = 2 H1", br(e1, f0), h1.scale(2))
-        expect("[H1,[E1,F1]] = 0", br(h1, br(e1, f1)), OnsElt())
+    for text in _row(_DOLAN_GRADY, family):
+        lhs, rhs = text.split(" = ")
+        k, _, rest = rhs.partition(" ")
+        want = OnsElt() if k == "0" else _nested(family, rest).scale(int(k))
+        res.add(_nested(family, lhs) - want, text)
     return res.report(f"dolan_grady[{family}]", "lowest-mode relations")
 
 
 def check_fixed_point(family, max_mode):
     """The family's distinguished involution fixes its realization pointwise."""
-    if family not in FIXING_MAP:
-        raise ValueError(_unknown_family(family, MORPHISM_FAMILIES))
-    name = FIXING_MAP[family]
+    name = _row(FIXING_MAP, family)
     res = Residuals()
     for sym in canonical_symbols(_abstract_family(family), max_mode):
         img = morphism_image(family, sym)
@@ -434,10 +422,7 @@ _B_CURRENTS = {
 def build_abstract_B(family, window, x=None):
     """The family's abstract B(x) (see _B_CURRENTS), each current truncated
     at degree window."""
-    rows = _B_CURRENTS.get(family)
-    if rows is None:
-        raise ValueError(_unknown_family(family, FAMILIES))
-    return _series(rows, _CURRENTS[family], partial(ons, family), window, x)
+    return _series(_row(_B_CURRENTS, family), _CURRENTS[family], partial(ons, family), window, x)
 
 
 def check_current_relations(family, window):
@@ -445,8 +430,7 @@ def check_current_relations(family, window):
     [B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)] under
     _pair_bracket, with the rbar of the realized B (currents.B_FAMILIES).
     Each entry of the relation pairs two of the family's currents."""
-    if family not in _B_CURRENTS:
-        raise ValueError(_unknown_family(family, FAMILIES))
+    _row(_B_CURRENTS, family)  # an unknown family fails before any work
     res = Residuals()
     region = _reflection(
         res, window, lambda v: build_abstract_B(family, window, v), family, _pair_bracket

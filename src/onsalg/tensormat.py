@@ -15,6 +15,9 @@ which normalises it as it does every polynomial term dict.  Traces add
 entries with +.  commutator_sum adds several commutators over one
 denominator; the identity checks call it once each.  All identity checks
 in this module are exact symbolic computations.
+
+The numerators of r(u), _R_ROWS, and the boundary families, _BOUNDARY, are
+table rows of monomials, read by the one reader _rows.
 """
 
 from .exactalg import (
@@ -24,6 +27,7 @@ from .exactalg import (
     _check_bound,
     _poly,
     Variable,
+    accumulate,
     complement,
     content_in,
     factor_canonical,
@@ -414,21 +418,37 @@ def trace_leg(m, leg):
 # -- the r-matrix ------------------------------------------------------------------
 
 
+# A matrix as table rows: position -> monomials (coefficient, parameter or
+# None, doubled power of the spectral variable); a position not listed is 0.
+_R_ROWS = {
+    (0, 0): ((rat(-1, 2), None, 2), (rat(-1, 2), None, 0)),
+    (1, 1): ((rat(1, 2), None, 2), (rat(1, 2), None, 0)),
+    (1, 2): ((-2, None, 0),),
+    (2, 1): ((-2, None, 2),),
+    (2, 2): ((rat(1, 2), None, 2), (rat(1, 2), None, 0)),
+    (3, 3): ((rat(-1, 2), None, 2), (rat(-1, 2), None, 0)),
+}
+
+
+def _rows(table, dim, x, value=None):
+    """The dim x dim LaurentPoly rows that table describes in x (see
+    _R_ROWS); value(name) is the polynomial of a parameter it names."""
+    rows = [[LaurentPoly.zero()] * dim for _ in range(dim)]
+    for (i, j), monomials in table.items():
+        groups = {}  # the monomials of one parameter make one polynomial
+        for c, name, e in monomials:
+            accumulate(groups.setdefault(name, {}), (e,), c)
+        for name, g in groups.items():
+            p = LaurentPoly((x,), g) * (1 if name is None else value(name))
+            rows[i][j] = rows[i][j] + p if rows[i][j] else p
+    return rows
+
+
 def build_r(u):
-    """The 4x4 classical r-matrix r(u) with simple pole at u=1."""
+    """The 4x4 classical r-matrix r(u), _R_ROWS over u - 1: a simple pole at u=1."""
     if not (isinstance(u, Variable) and u.kind == "spectral"):
         raise ValueError(f"build_r needs a spectral Variable, not {u!r}")
-    one = LaurentPoly.const(1)
-    uu = LaurentPoly.var(u)
-    half = rat(1, 2)
-    z = LaurentPoly.zero()
-    nums = [
-        [-half * (uu + one), z, z, z],
-        [z, half * (uu + one), LaurentPoly.const(-2), z],
-        [z, -2 * uu, half * (uu + one), z],
-        [z, z, z, -half * (uu + one)],
-    ]
-    return TensorMat._raw(2, (u,), nums, (uu - one,))
+    return TensorMat._raw(2, (u,), _rows(_R_ROWS, 4, u), (LaurentPoly.var(u) - 1,))
 
 
 def _spectral_var(m):
@@ -515,18 +535,28 @@ def check_r_symmetries(r):
 
 # -- boundary matrices ---------------------------------------------------------------
 
-# each boundary family's parameter names, in the order build_boundary reads them
-_BOUNDARY_PARAMS = {
-    "U_diag": ("k", "kstar"),
-    "U_offdiag": ("sign",),
-    "k_general": ("alpha", "beta", "gamma", "delta"),
-    "kappa_plus": (),
-    "kappa_minus": (),
-    "M_ons": ("kappa", "kappastar", "mu"),
-    "M_aug": ("tau", "nu", "nustar"),
-    "M_inv": ("mu0", "mu1", "mu2"),
+# Each boundary family as a table row: its parameters, each with its
+# default (None makes it symbolic), and its entries in the format of _R_ROWS.
+_BOUNDARY = {
+    "U_diag": ({"k": None, "kstar": None}, {(0, 0): ((1, "k", 0),), (1, 1): ((-1, "kstar", 0),)}),
+    "U_offdiag": ({"sign": -1}, {(0, 1): ((1, None, -1),), (1, 0): ((1, "sign", 1),)}),
+    "k_general": ({"alpha": None, "beta": None, "gamma": None, "delta": None},
+                  {(0, 0): ((1, "alpha", 2), (-1, "alpha", -2)),
+                   (0, 1): ((1, "beta", 0), (1, "gamma", -2)),
+                   (1, 0): ((-1, "beta", 0), (-1, "gamma", 2)),
+                   (1, 1): ((1, "delta", 2), (-1, "delta", -2))}),
+    "kappa_plus": ({}, {(0, 1): ((1, None, 0),), (1, 0): ((-1, None, 0),)}),
+    "kappa_minus": ({}, {(0, 1): ((1, None, -2),), (1, 0): ((-1, None, 2),)}),
+    "M_ons": ({"kappa": None, "kappastar": None, "mu": None},
+              {(0, 0): ((1, "mu", -2),), (0, 1): ((1, "kappa", 0), (1, "kappastar", -2)),
+               (1, 0): ((1, "kappa", 0), (1, "kappastar", 2)), (1, 1): ((1, "mu", 2),)}),
+    "M_aug": ({"tau": None, "nu": None, "nustar": None},
+              {(0, 0): ((1, "tau", 0),), (0, 1): ((1, "nu", 0), (1, "nu", -2)),
+               (1, 0): ((1, "nustar", 2), (1, "nustar", 0))}),
+    "M_inv": ({"mu0": None, "mu1": None, "mu2": None},
+              {(0, 0): ((1, "mu0", 0),), (0, 1): ((1, "mu1", 0),), (1, 0): ((1, "mu2", 0),)}),
 }
-BOUNDARY_FAMILIES = tuple(_BOUNDARY_PARAMS)
+BOUNDARY_FAMILIES = tuple(_BOUNDARY)
 
 
 class BoundaryMat:
@@ -554,72 +584,34 @@ class BoundaryMat:
 
 def build_boundary(family, params=None, x=None):
     """Construct a named boundary matrix; params may pin only the family's parameters."""
-    if family not in BOUNDARY_FAMILIES:
-        raise ValueError(
-            f"unknown family {family!r} (choose from {', '.join(BOUNDARY_FAMILIES)})"
-        )
+    row = _BOUNDARY.get(family)
+    if row is None:
+        raise ValueError(f"unknown family {family!r} (choose from {', '.join(_BOUNDARY)})")
+    defaults, table = row
     params = dict(params or {})
-    names = _BOUNDARY_PARAMS[family]
-    unknown = sorted(set(params) - set(names))
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {', '.join(unknown)} for {family} "
-            f"(its parameters: {', '.join(names) or 'none'})"
-        )
+        raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for {family} "
+                         f"(its parameters: {', '.join(defaults) or 'none'})")
     if x is None:
         x = spectral("x")
     elif not (isinstance(x, Variable) and x.kind == "spectral"):
         raise ValueError(f"build_boundary needs x to be a spectral Variable, not {x!r}")
+    if params.get("sign", -1) not in (1, -1):  # U_offdiag's sign
+        raise ValueError(f"{family} sign must be +1 or -1, not {params['sign']!r}")
+    for name, default in defaults.items():
+        if params.setdefault(name, default) is None:
+            params[name] = parameter(name)
 
-    def coeff(name):
-        val = params.get(name)
-        if val is None:
-            v = parameter(name)
-            params[name] = v
-            return LaurentPoly.var(v)
-        if isinstance(val, (LaurentPoly, Variable)):
-            return LaurentPoly.var(val) if isinstance(val, Variable) else val
-        return LaurentPoly.const(val)
+    def value(name):
+        val = params[name]
+        if isinstance(val, Variable):
+            return LaurentPoly.var(val)
+        return val if isinstance(val, LaurentPoly) else LaurentPoly.const(val)
 
-    xx = LaurentPoly.var(x)
-    inv_x = LaurentPoly.monomial((x,), (-2,), 1)
-    one = LaurentPoly.const(1)
-    z = LaurentPoly.zero()
-
-    if family == "U_diag":
-        k, ks = map(coeff, names)
-        rows = [[k, z], [z, -ks]]
-    elif family == "U_offdiag":
-        sign = params.setdefault("sign", -1)
-        if sign not in (1, -1):
-            raise ValueError(f"U_offdiag sign must be +1 or -1, not {sign!r}")
-        half_up = LaurentPoly.monomial((x,), (1,), 1)  # x^(1/2)
-        half_dn = LaurentPoly.monomial((x,), (-1,), 1)
-        rows = [[z, half_dn], [sign * half_up, z]]
-    elif family == "k_general":
-        al, be, ga, de = map(coeff, names)
-        sx = xx - inv_x
-        rows = [[al * sx, be + ga * inv_x], [-(be + ga * xx), de * sx]]
-    elif family == "kappa_plus":
-        rows = [[z, one], [-one, z]]
-    elif family == "kappa_minus":
-        rows = [[z, inv_x], [-xx, z]]
-    elif family == "M_ons":
-        ka, ks, mu = map(coeff, names)
-        rows = [[mu * inv_x, ka + ks * inv_x], [ka + ks * xx, mu * xx]]
-    elif family == "M_aug":
-        ta, nu, ns = map(coeff, names)
-        rows = [[ta, nu * (one + inv_x)], [ns * (xx + one), z]]
-    else:  # M_inv
-        m0, m1, m2 = map(coeff, names)
-        rows = [[m0, m1], [m2, z]]
-
-    variables = (x,)
-    for row in rows:
-        for p in row:
-            variables = _merge_vars(variables, p.variables)
-    mat = TensorMat._raw(1, variables, [list(r) for r in rows], ())
-    return BoundaryMat(family, mat, x, params)
+    rows = _rows(table, 2, x, value)
+    variables = dict.fromkeys([x, *(v for row in rows for p in row for v in p.variables)])
+    return BoundaryMat(family, TensorMat._raw(1, variables, rows, ()), x, params)
 
 
 def check_U_conditions(b, epsilon):

@@ -345,10 +345,15 @@ _X, _Y = spectral("x"), spectral("y")
          r"a 1-leg matrix has no entry at \(0, -1\)"),
         (lambda: CurrentMat(1, (_X,), {0: {(0,): LieElt.single(H(0))}}),
          "a 1-leg matrix has no entry at 0 "),
+        # a current is a series in a spectral variable, as build_boundary's x is
+        (lambda: build_T("-", 3, parameter("a")),
+         "a series needs x to be a spectral Variable, not "
+         r"Variable\(name='a', kind='parameter'\)"),
+        (lambda: build_T("+", 3, "x"), "a series needs x to be a spectral Variable, not 'x'"),
     ],
     ids=["metas", "add_variables", "add_legs", "rows", "disjoint", "exchange_rbar_family",
          "B_family", "negative_legs", "float_legs", "bool_legs", "position_outside_dim",
-         "negative_position", "position_not_a_pair"],
+         "negative_position", "position_not_a_pair", "series_parameter_x", "series_str_x"],
 )
 def test_guards_raise_value_error(call, message):
     # explicit exceptions, so python -O keeps them

@@ -2,18 +2,30 @@
 
 serre_chevalley, jacobi, jacobi_sampled, dolan_grady, fixed_point and
 current_relations take no override: the structure constants, the
-realizations, the automorphisms and the abstract B(x) they test are module
-data (kacmoody._SL2 and _FORM, onsager._BRACKETS, _REALIZATIONS and
-_B_CURRENTS, kacmoody._MAPS).  Each test changes
-one entry for its duration and pins the residual count and first witness
-of the failure.
+realizations, the automorphisms, the abstract B(x) and the finite
+presentations they test are module data (kacmoody._SL2 and _FORM,
+onsager._BRACKETS, _REALIZATIONS, _B_CURRENTS and _DOLAN_GRADY,
+kacmoody._MAPS), and so are the matrices the rmatrix checks read
+(tensormat._R_ROWS and _BOUNDARY).  Each test changes one entry for its
+duration and pins the residual count and first witness of the failure.
 """
+
+import os
+import sys
 
 import pytest
 
 import onsalg.kacmoody as kacmoody
 import onsalg.onsager as onsager
+import onsalg.tensormat as tensormat
 from onsalg.exactalg import rat
+from onsalg.tensormat import (
+    build_boundary, build_r, build_rbar, check_cybe, check_nscybe, check_reflection
+)
+
+# test_acceptance sits next to this file and builds the hand-made mutants
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_acceptance import U, X, Y, _altered_k, _mutate_entry  # noqa: E402
 
 
 def _first(rep):
@@ -70,6 +82,58 @@ def test_dolan_grady_fails_on_a_halved_structure_constant(monkeypatch):
     monkeypatch.setitem(onsager._BRACKETS, ("A", "A"), ((2, "G", 1, -1, 0),))
     assert _first(onsager.check_dolan_grady("onsager")) == (
         2, "[A0,[A0,[A0,A1]]] = 16 [A0,A1]", "16*G[1]")
+
+
+# every relation "lhs = k rhs" of onsager._DOLAN_GRADY with k nonzero
+_SCALED_RELATIONS = [
+    (f, i, text) for f, rels in onsager._DOLAN_GRADY.items()
+    for i, text in enumerate(rels) if not text.endswith(" = 0")
+]
+
+
+@pytest.mark.parametrize("family, index, text", _SCALED_RELATIONS,
+                         ids=[text for _, _, text in _SCALED_RELATIONS])
+def test_dolan_grady_fails_at_a_relation_with_a_changed_coefficient(
+        monkeypatch, family, index, text):
+    # "lhs = k rhs" stated as "lhs = k+1 rhs": only that relation fails
+    lhs, rhs = text.split(" = ")
+    k, rest = rhs.split(" ", 1)
+    edited = f"{lhs} = {int(k) + 1} {rest}"
+    relations = list(onsager._DOLAN_GRADY[family])
+    relations[index] = edited
+    monkeypatch.setitem(onsager._DOLAN_GRADY, family, tuple(relations))
+    rep = onsager.check_dolan_grady(family)
+    assert not rep.passed
+    assert [w["position"] for w in rep.witnesses] == [edited]
+    assert rep.witnesses[0]["residual"] == str(onsager._nested(family, rest).scale(-1))
+
+
+def _failure(rep):
+    assert not rep.passed and rep.witnesses, rep
+    return rep.name, rep.residual_term_count, rep.witnesses
+
+
+def test_boundary_row_with_gamma_x_fails_as_the_hand_made_mutant(monkeypatch):
+    # k_general's entry (0, 1), beta + gamma/x, as beta + gamma*x
+    altered = _altered_k()
+    want_reflection = _failure(check_reflection(altered))
+    want_nscybe = _failure(check_nscybe(build_rbar(altered, X, Y)))
+    defaults, entries = tensormat._BOUNDARY["k_general"]
+    row = (defaults, {**entries, (0, 1): ((1, "beta", 0), (1, "gamma", 2))})
+    monkeypatch.setitem(tensormat._BOUNDARY, "k_general", row)
+    k = build_boundary("k_general", x=X)
+    assert _failure(check_reflection(k)) == want_reflection
+    assert _failure(check_nscybe(build_rbar(k, X, Y))) == want_nscybe
+    assert want_reflection[:2] == ("reflection[k_general]", 64)
+    assert want_nscybe[:2] == ("nscybe", 10892)
+
+
+def test_r_row_doubled_fails_as_the_doubled_entry(monkeypatch):
+    # r(u)'s entry (1, 2), -2/(u - 1), doubled
+    want = _failure(check_cybe(_mutate_entry(build_r(U), 1, 2, lambda p: 2 * p)))
+    monkeypatch.setitem(tensormat._R_ROWS, (1, 2), ((-4, None, 0),))
+    assert _failure(check_cybe(build_r(U))) == want
+    assert want[:2] == ("cybe", 12)
 
 
 # every term of onsager._BRACKETS, doubled, against current_relations at
