@@ -25,11 +25,11 @@ this module.  envelope._bracket memoises it for the enveloping algebras,
 as it memoises their normal forms.
 
 The finite presentations are the table _DOLAN_GRADY: each relation is
-stated once, as the string it is reported at, and read by _nested.
+stated once, as the string it is reported at, and read by one parser.
 """
 
 import random
-from functools import partial
+from functools import cache, partial
 
 from .exactalg import LinComb, Symbol, _addbilin
 from .kacmoody import LieElt, _affine_image, _homomorphism, _memo_image, apply_map
@@ -339,24 +339,24 @@ _DOLAN_GRADY = {
 }
 
 
-def _nested(family, text):
-    """The right-nested bracket [X1,[X2,...,Xk]] of generators such as Z+0, or Xk."""
-    if text.startswith("["):
-        head, rest = text[1:-1].split(",", 1)
-        return abstract_bracket(_nested(family, head), _nested(family, rest))
-    letter = text.rstrip("0123456789")
-    return ons(family, letter, int(text[len(letter):]))
-
-
 def check_dolan_grady(family):
     """The finite presentations _DOLAN_GRADY: each relation "lhs = 0" or
-    "lhs = k rhs", its sides read by _nested, is compared where it is stated."""
+    "lhs = k rhs" is compared where it is stated."""
+    @cache  # the tables hold still during one call, so each string is read once
+    def nested(text):
+        """The right-nested bracket [X1,[X2,...,Xk]] of generators such as Z+0, or Xk."""
+        if text.startswith("["):
+            head, rest = text[1:-1].split(",", 1)
+            return abstract_bracket(nested(head), nested(rest))
+        letter = text.rstrip("0123456789")
+        return ons(family, letter, int(text[len(letter):]))
+
     res = Residuals()
     for text in _row(_DOLAN_GRADY, family):
         lhs, rhs = text.split(" = ")
         k, _, rest = rhs.partition(" ")
-        want = OnsElt() if k == "0" else _nested(family, rest).scale(int(k))
-        res.add(_nested(family, lhs) - want, text)
+        want = OnsElt() if k == "0" else nested(rest).scale(int(k))
+        res.add(nested(lhs) - want, text)
     return res.report(f"dolan_grady[{family}]", "lowest-mode relations")
 
 
