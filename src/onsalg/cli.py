@@ -14,9 +14,9 @@ import time
 from dataclasses import MISSING, dataclass, fields
 
 from . import currents, envelope, exactalg, kacmoody, onsager, report, tensormat
-from .currents import B_FAMILIES, check_exchange, check_frt_relations
+from .currents import REALIZATIONS, boundary_for, check_exchange, check_frt_relations
 from .exactalg import spectral
-from .onsager import FAMILIES, FIXING_MAP
+from .onsager import FAMILIES
 from .tensormat import build_boundary, build_r, build_rbar
 
 SUITE_ORDER = (
@@ -94,12 +94,11 @@ def _check_nscybe(family):
     return tensormat.check_nscybe(rbar, label=family)
 
 
-def _check_m_condition(m_family, current_family):
-    # pair each M with the rbar of the boundary its family actually uses
+def _check_m_condition(family):
+    # pair the family's M with the rbar of the boundary its B(x) uses
     x, y = spectral("x"), spectral("y")
-    k_family, k_params = B_FAMILIES[current_family]
-    rbar = build_rbar(build_boundary(k_family, params=k_params, x=x), x, y)
-    return tensormat.check_M_condition(build_boundary(m_family, x=x), rbar)
+    rbar = build_rbar(boundary_for(family, x), x, y)
+    return tensormat.check_M_condition(build_boundary(REALIZATIONS[family].m, x=x), rbar)
 
 
 def suite_checks(cfg):
@@ -112,7 +111,7 @@ def suite_checks(cfg):
             (onsager.check_jacobi_sampled, (fam, 3 * w, seed)),
             (onsager.check_dolan_grady, (fam,)),
             (onsager.check_morphism, (fam, w)),
-            (kacmoody.check_automorphism, (FIXING_MAP[fam], w)),
+            (kacmoody.check_automorphism, (REALIZATIONS[fam].fixing, w)),
             (onsager.check_fixed_point, (fam, w)),
         ]
 
@@ -123,28 +122,22 @@ def suite_checks(cfg):
             (_check_u_conditions, ("U_diag", 1)),
             (_check_u_conditions, ("U_offdiag", -1)),
             (_check_reflection, ()),
-            (_check_nscybe, ("U_diag",)),
-            (_check_nscybe, ("U_offdiag",)),
-            (_check_nscybe, ("kappa_plus",)),
-            (_check_nscybe, ("kappa_minus",)),
-            (_check_nscybe, ("k_general",)),
         ]
-        + [(_check_m_condition, (m, fam)) for fam, m in envelope.M_FAMILY.items()],
+        + [(_check_nscybe, (row.boundary[0],)) for row in REALIZATIONS.values()]
+        + [(_check_nscybe, ("k_general",))]
+        + [(_check_m_condition, (fam,)) for fam, row in REALIZATIONS.items() if row.m],
         "frt": [
             (kacmoody.check_serre_chevalley, (w,)),
             (check_frt_relations, (w,)),
         ],
-        "currents": [
-            (check_exchange, (fam, w))
-            for fam in ("onsager", "augmented", "invariant", "kappa_minus")
-        ]
+        "currents": [(check_exchange, (fam, w)) for fam in REALIZATIONS]
         + [(onsager.check_current_relations, (fam, w)) for fam in FAMILIES],
         "onsager": family_block("onsager"),
         "augmented": family_block("augmented"),
         "invariant": family_block("invariant"),
         "kappa": [
             (onsager.check_morphism, ("kappa_minus", w)),
-            (kacmoody.check_automorphism, ("lusztig_minus", w)),
+            (kacmoody.check_automorphism, (REALIZATIONS["kappa_minus"].fixing, w)),
             (kacmoody.check_automorphism, ("shift", w)),
             (onsager.check_fixed_point, ("kappa_minus", w)),
             (onsager.check_kappa_isomorphism, (w,)),

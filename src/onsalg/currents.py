@@ -21,6 +21,10 @@ rule, _coefficient, reads a coefficient off the rows; _series calls it
 for each degree, and envelope's charges call it for the finitely many
 coefficients each charge sums.
 
+Each realization of an Onsager-type family is one row of REALIZATIONS,
+kept here, in the lowest module that reads it; onsager, envelope and the
+cli suites read their fields from it, and _row refuses an unknown family.
+
 A product (_mixed_mul, series_bracket) builds each coefficient as one term
 dict through exactalg's LinComb kernels (_addlin, _addbilin), with no
 intermediate element, and wraps it as a LieElt once, at the end; a sum
@@ -30,6 +34,7 @@ merges each coefficient both operands hold with one kernel call.
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from .exactalg import LaurentPoly, Variable, _addbilin, _addlin, complement, rat, spectral
 from .kacmoody import C, BasisSymbol, LieElt, _basis_bracket, bracket
@@ -51,7 +56,7 @@ __all__ = [
     "series_bracket",
     "check_frt_relations",
     "check_exchange",
-    "B_FAMILIES",
+    "REALIZATIONS",
 ]
 
 # the smallest window check_frt_relations and check_exchange accept
@@ -436,23 +441,63 @@ def _c_unit(scale, legs, spectral_vars):
     )
 
 
-B_FAMILIES = {
-    "onsager": ("U_diag", {"k": 1, "kstar": 1}),
-    "augmented": ("U_offdiag", {"sign": -1}),
-    "invariant": ("kappa_plus", None),
-    "kappa_minus": ("kappa_minus", None),
+class Realization(NamedTuple):
+    """One realization of an Onsager-type family in the mode algebra: the
+    family whose generators it realizes; its image, an affine map on their
+    letters (kacmoody._affine_image); fixing, the kacmoody._MAPS involution
+    that fixes it pointwise; boundary, K(x)'s tensormat family and the
+    parameters pinned there; lowest, the doubled degree B(x) starts at (see
+    build_B); and m, the tensormat M family weighting the linear charges
+    (envelope), None for a row without charges of its own."""
+
+    family: str
+    image: dict
+    fixing: str
+    boundary: tuple
+    lowest: int
+    m: str
+
+
+# Every realization, one row each; kappa_minus is a second embedding of the
+# invariant family, shifted by the translation automorphism.
+REALIZATIONS = {
+    "onsager": Realization(
+        "onsager", {"A": (((2, "E", 1, 0), (2, "F", -1, 0)), 0),
+                    "G": (((1, "H", 1, 0), (-1, "H", -1, 0)), 0)},
+        "theta1", ("U_diag", {"k": 1, "kstar": 1}), 0, "M_ons"),
+    "augmented": Realization(
+        "augmented", {"K": (((1, "H", 1, 0), (1, "H", -1, 0)), 1),
+                      "Z+": (((2, "E", 1, 0), (2, "E", -1, 1)), 0),
+                      "Z-": (((2, "F", 1, 0), (2, "F", -1, -1)), 0)},
+        "theta2", ("U_offdiag", {"sign": -1}), 0, "M_aug"),
+    "invariant": Realization(
+        "invariant", {"H": (((1, "H", 1, 0), (1, "H", -1, 0)), 0),
+                      "E": (((1, "E", 1, 0), (1, "E", -1, 0)), 0),
+                      "F": (((1, "F", 1, 0), (1, "F", -1, 0)), 0)},
+        "lusztig_plus", ("kappa_plus", None), 0, "M_inv"),
+    "kappa_minus": Realization(
+        "invariant", {"H": (((1, "H", 1, 0), (1, "H", -1, 0)), 2),
+                      "E": (((1, "E", 1, 1), (1, "E", -1, 1)), 0),
+                      "F": (((1, "F", 1, -1), (1, "F", -1, -1)), 0)},
+        "lusztig_minus", ("kappa_minus", None), -2, None),
 }
 
-_B_NATURAL_LO = {"onsager": 0, "augmented": 0, "invariant": 0, "kappa_minus": -2}
+
+def _unknown_family(family, choices):
+    return f"unknown family {family!r} (choose from {', '.join(choices)})"
+
+
+def _row(table, family):
+    """table[family]; an unknown family raises, naming the table's families."""
+    if family not in table:
+        raise ValueError(_unknown_family(family, table))
+    return table[family]
 
 
 def boundary_for(family, x):
-    if family not in B_FAMILIES:
-        raise ValueError(
-            f"unknown family {family!r} (choose from {', '.join(B_FAMILIES)})"
-        )
-    fam, params = B_FAMILIES[family]
-    return build_boundary(fam, dict(params) if params else None, x=x)
+    """K(x) of the realization family (REALIZATIONS)."""
+    k, params = _row(REALIZATIONS, family).boundary
+    return build_boundary(k, params, x=x)
 
 
 def build_B(family, window, x=None):
@@ -478,16 +523,19 @@ def build_B(family, window, x=None):
     # central term: -c x k'(x) k(x)^-1
     xk_rows = (b.derivative() @ kinv).scale(LaurentPoly.var(x)).cleared(())
     total = tp + conj + _c_unit(-1, 1, (x,))._times(xk_rows, True)
-    nat_lo = _B_NATURAL_LO[family]
+    nat_lo = REALIZATIONS[family].lowest
     hi = nat_lo + 2 * window
     trunc_hi = total.metas[0].trunc_hi
     # Post-conditions of the construction above, which hold for every valid
     # input, so a failure is a bug here and not bad input: the margin keeps
-    # the exact region past the window, and everything below the family's
-    # lowest degree cancels (checked before the degrees past hi are dropped).
+    # the exact region past the window, and B(x) starts at the family's
+    # lowest degree: some entry has a term there, and everything below it
+    # cancels (checked before the degrees past hi are dropped).
     call = f"build_B({family!r}, window={window})"
     if trunc_hi is not None and trunc_hi < hi:
         raise ValueError(f"{call} is exact only up to degree {trunc_hi}, not {hi}")
+    if not any((nat_lo,) in coeffs for coeffs in total.entries.values()):
+        raise ValueError(f"{call} has no term at the family's lowest degree {nat_lo}")
     entries = {}
     for pos, coeffs in total.entries.items():
         low = min((d[0] for d in coeffs), default=nat_lo)
@@ -616,7 +664,7 @@ def check_frt_relations(window, omit_central=False):
 def _reflection(res, window, build, rbar_family, product):
     """Check [B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)]
     for B = build(x), with the reflected r-matrix of rbar_family's
-    boundary (B_FAMILIES), after clearing (x - y)(xy - 1); add the residual
+    boundary (REALIZATIONS), after clearing (x - y)(xy - 1); add the residual
     to res and return the compared region.  product brackets the
     coefficients of B."""
     if window < MIN_WINDOW:

@@ -10,8 +10,9 @@ is injective, and so is its extension to the enveloping algebras
 (Poincare-Birkhoff-Witt), so this holds exactly when the realized charges
 commute in U(affine sl2).  The linear charge I_k, the coefficient of x^k
 in tr(M(x)B(x)), is the sum of w B_ij[k - e] over the monomials w x^e of
-M_ji(x): M(x) is the family's boundary matrix from tensormat.build_boundary
-(M_FAMILY), with symbolic weight parameters.
+M_ji(x): M(x) is the boundary matrix from tensormat.build_boundary that the
+family's row in currents.REALIZATIONS names, with symbolic weight
+parameters.
 
 One PBW routine serves U(affine sl2) and the three U(family).  Products
 are normal-ordered against the basis order: c first, then modes
@@ -29,19 +30,19 @@ at C speed.  Each symbol's PBW place is one int, memoised by symbol
 (_key), and each word's normal form is memoised in the module-level dict
 _NORMAL for the life of the process.  The one memo holds words of every
 algebra: symbols of different classes or families never compare equal, so
-words of different algebras never collide.  Bergman's diamond lemma makes
+words of different algebras never collide, and uea_mul and uea_commutator
+refuse operands of two algebras.  Bergman's diamond lemma makes
 the normal form independent of the rewrite order, so a memoised form is
 the same whichever product first asked for it.
 """
 
 from functools import partial
 
-from .currents import _coefficient
-from .exactalg import MODE_BOUND, LaurentPoly, LinComb, _addlin, accumulate, spectral
+from .currents import REALIZATIONS, _coefficient, _row
+from .exactalg import MODE_BOUND, LinComb, _addlin, accumulate, spectral
 from .kacmoody import _basis_bracket
 from .onsager import (
-    _B_CURRENTS, _CURRENTS, _LETTERS, OnsElt, OnsSymbol, _pair_bracket, _row,
-    abstract_bracket, ons
+    _B_CURRENTS, _CURRENTS, _LETTERS, OnsElt, OnsSymbol, _pair_bracket, abstract_bracket, ons
 )
 from .tensormat import build_boundary
 from .report import Residuals
@@ -135,7 +136,24 @@ def _normal_word(word):
     return out
 
 
+def _algebra(a):
+    """The algebra of a's words, read off the first symbol: its family for a
+    generator, affine sl2 for a basis symbol; None for a scalar."""
+    for word in a.terms:
+        if word:
+            return word[0].family if type(word[0]) is OnsSymbol else "affine sl2"
+    return None
+
+
+def _one_algebra(a, b):
+    """Refuse operands of two algebras: a word holds symbols of one."""
+    x, y = _algebra(a), _algebra(b)
+    if x != y and x is not None and y is not None:
+        raise ValueError(f"cannot multiply words of U({x}) and U({y})")
+
+
 def uea_mul(a, b):
+    _one_algebra(a, b)
     return a.bilinear(b, lambda wa, wb: _normal_word(wa + wb).terms.items())
 
 
@@ -150,6 +168,7 @@ def uea_commutator(a, b):
     m+n products.  The normal form does not depend on the rewrite order
     (Bergman's diamond lemma), so this equals uea_mul(a, b) - uea_mul(b, a).
     """
+    _one_algebra(a, b)
     sites = {}
     for wb, cb in b.terms.items():
         for j, y in enumerate(wb):
@@ -209,14 +228,10 @@ def build_quadratic_charge(family, max_k):
     return out
 
 
-# each family's M matrix (see tensormat.build_boundary), whose entries and
-# parameters weight the linear charges
-M_FAMILY = {"onsager": "M_ons", "augmented": "M_aug", "invariant": "M_inv"}
-
-
 def _linear_charges(family, max_k):
     """The linear charges I_0..I_max_k, the coefficients of tr(M(x)B(x))
-    with M(x) the family's M matrix (M_FAMILY) and its weights symbolic.
+    with M(x) the family's M matrix (its row's m in currents.REALIZATIONS)
+    and its weights symbolic.
 
     M's entries are split into monomials w x^e once; I_k is the sum over
     positions (i, j) and monomials w x^e of M_ji(x) of w B_ij[k - e], each
@@ -225,7 +240,7 @@ def _linear_charges(family, max_k):
     if max_k < 0:
         raise ValueError(f"max-k must be >= 0, not {max_k}")
     x = spectral("x")
-    m = build_boundary(M_FAMILY[family], x=x).mat.cleared(())
+    m = build_boundary(REALIZATIONS[family].m, x=x).mat.cleared(())
     weights = [
         ((i, j), e // 2, w)
         for i, j in rows
@@ -243,52 +258,13 @@ def _linear_charges(family, max_k):
     return charges
 
 
-def build_linear_charge(family, k, variant="series"):
-    """The k-th linear charge as an abstract element with symbolic weights.
-
-    variant="series" reads it off the rows (see _linear_charges), the form
-    the commutativity suite uses.  variant="formula" is the closed
-    expression, the hand-written reference: it equals the row sum for every
-    k >= 1 and differs at k = 0: there the onsager and invariant closed
-    forms are twice the row sum, and the augmented one, which does not
-    halve K[0], is NOT proportional to it and fails to commute with the
-    higher charges -- keep it out of suites.
-    """
+def build_linear_charge(family, k):
+    """The k-th linear charge as an abstract element with symbolic weights,
+    read off the rows (see _linear_charges)."""
     _rows(family)
     if k < 0:
         raise ValueError(f"charge index must be >= 0, got {k}")
-    if variant == "series":
-        return _linear_charges(family, k)[k]
-    if variant != "formula":
-        raise ValueError(f"unknown variant {variant!r} (choose series or formula)")
-    w = {
-        n: LaurentPoly.var(v)
-        for n, v in build_boundary(M_FAMILY[family]).params.items()
-    }
-    if family == "onsager":
-        return (
-            ons(family, "A", k, w["kappa"])
-            + ons(family, "A", -k, w["kappa"])
-            + ons(family, "A", k + 1, w["kappastar"])
-            + ons(family, "A", -k + 1, w["kappastar"])
-            + ons(family, "G", k + 1, w["mu"])
-            - ons(family, "G", k - 1, w["mu"])
-        )
-    if family == "augmented":
-        # the closed form reads Z+_0 and Z-_{-1} as absent
-        low = 1 if k >= 1 else 0
-        return (
-            ons(family, "K", k, w["tau"])
-            + ons(family, "Z+", k, w["nu"] * low)
-            + ons(family, "Z+", k + 1, w["nu"])
-            + ons(family, "Z-", k - 1, w["nustar"] * low)
-            + ons(family, "Z-", k, w["nustar"])
-        )
-    return (
-        ons(family, "H", k, w["mu0"])
-        + ons(family, "E", k, 2 * w["mu1"])
-        + ons(family, "F", k, 2 * w["mu2"])
-    )
+    return _linear_charges(family, k)[k]
 
 
 def _diagonal_generator(family):

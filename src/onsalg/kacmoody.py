@@ -10,7 +10,7 @@ for x, y in sl2, read off two tables: the sl2 bracket _SL2 ([h, e] = 2e,
 (e, f) = 1, every other pair 0).  c is central.
 
 The named automorphisms and the realizations of the Onsager families
-(onsager._REALIZATIONS) are affine maps in one table format: per letter, a
+(currents.REALIZATIONS) are affine maps in one table format: per letter, a
 list of terms (k, type, s, b) meaning k type[s n + b] and a coefficient z
 meaning z delta_{n,0} c.  _affine_image is the one interpreter of both,
 and _homomorphism the one sweep that checks a map preserves brackets.

@@ -10,12 +10,13 @@ check_current_relations proves the whole bracket table as the FRT
 exchange relation of B(x), by the routine that proves it for the realized
 B in currents.check_exchange.
 
-The realizations are one table, _REALIZATIONS: a row per realization
-(the three families and kappa_minus), each an affine map in the format of
-the automorphisms kacmoody._MAPS, with the generator letters as letters.
-kacmoody._affine_image reads both tables, and kacmoody._homomorphism is the
-pair sweep of check_morphism and check_automorphism alike.  Like the
-brackets, every entry is affine in n.
+The realizations are the rows of currents.REALIZATIONS (the three
+families and kappa_minus): each holds the family it realizes, its affine
+map in the format of the automorphisms kacmoody._MAPS, with the generator
+letters as letters, and the involution that fixes it.  kacmoody._affine_image
+reads both kinds of map, and kacmoody._homomorphism is the pair sweep of
+check_morphism and check_automorphism alike.  Like the brackets, every entry
+is affine in n.
 
 Generators are interned ints, one instance per (family, letter, mode),
 ordered as those tuples are (see OnsSymbol).  The bracket of two
@@ -33,7 +34,7 @@ from functools import cache, partial
 
 from .exactalg import LinComb, Symbol, _addbilin
 from .kacmoody import LieElt, _affine_image, _homomorphism, _memo_image, apply_map
-from .currents import _reflection, _series
+from .currents import REALIZATIONS, _reflection, _row, _series, _unknown_family
 from .report import Residuals
 
 __all__ = [
@@ -93,17 +94,6 @@ class OnsSymbol(
         return f"{self.letter}[{self.mode}]"
 
     __repr__ = __str__
-
-
-def _unknown_family(family, choices):
-    return f"unknown family {family!r} (choose from {', '.join(choices)})"
-
-
-def _row(table, family):
-    """table[family]; an unknown family raises, naming the table's families."""
-    if family not in table:
-        raise ValueError(_unknown_family(family, table))
-    return table[family]
 
 
 def canonicalize(family, letter, mode):
@@ -198,56 +188,17 @@ def canonical_symbols(family, window):
 
 # -- realization inside the mode algebra ------------------------------------------
 
-# Each realization inside the mode algebra, as an affine map (see
-# kacmoody._affine_image) on the generator letters.  kappa_minus is a second
-# embedding of the invariant family, shifted by the translation automorphism.
-_REALIZATIONS = {
-    "onsager": {
-        "A": (((2, "E", 1, 0), (2, "F", -1, 0)), 0),
-        "G": (((1, "H", 1, 0), (-1, "H", -1, 0)), 0),
-    },
-    "augmented": {
-        "K": (((1, "H", 1, 0), (1, "H", -1, 0)), 1),
-        "Z+": (((2, "E", 1, 0), (2, "E", -1, 1)), 0),
-        "Z-": (((2, "F", 1, 0), (2, "F", -1, -1)), 0),
-    },
-    "invariant": {
-        "H": (((1, "H", 1, 0), (1, "H", -1, 0)), 0),
-        "E": (((1, "E", 1, 0), (1, "E", -1, 0)), 0),
-        "F": (((1, "F", 1, 0), (1, "F", -1, 0)), 0),
-    },
-    "kappa_minus": {
-        "H": (((1, "H", 1, 0), (1, "H", -1, 0)), 2),
-        "E": (((1, "E", 1, 1), (1, "E", -1, 1)), 0),
-        "F": (((1, "F", 1, -1), (1, "F", -1, -1)), 0),
-    },
-}
-
-MORPHISM_FAMILIES = tuple(_REALIZATIONS)
-
-# which involution of the mode algebra fixes which realization pointwise
-FIXING_MAP = {
-    "onsager": "theta1",
-    "augmented": "theta2",
-    "invariant": "lusztig_plus",
-    "kappa_minus": "lusztig_minus",
-}
-
 
 def morphism_image(family, sym):
     """Image of a canonical generator in the mode algebra (see
-    _REALIZATIONS)."""
-    row = _row(_REALIZATIONS, family)
-    if sym.family != _abstract_family(family):
+    currents.REALIZATIONS)."""
+    row = _row(REALIZATIONS, family)
+    if sym.family != row.family:
         raise ValueError(
             f"the {family!r} realization takes generators of family "
-            f"{_abstract_family(family)!r}, not of family {sym.family!r}"
+            f"{row.family!r}, not of family {sym.family!r}"
         )
-    return _affine_image(row, sym.letter, sym.mode)
-
-
-def _abstract_family(family):
-    return "invariant" if family == "kappa_minus" else family
+    return _affine_image(row.image, sym.letter, sym.mode)
 
 
 def check_morphism(family, window, override=None):
@@ -255,9 +206,9 @@ def check_morphism(family, window, override=None):
     pairs with |mode| <= window (no symmetry is assumed).  `override(sym)`
     replaces single images (returning None falls through), which is how a
     perturbed realization is checked."""
-    _row(_REALIZATIONS, family)  # an unknown family fails before any work
+    row = _row(REALIZATIONS, family)  # an unknown family fails before any work
     img = _memo_image(lambda sym: morphism_image(family, sym), override)
-    syms = canonical_symbols(_abstract_family(family), window)
+    syms = canonical_symbols(row.family, window)
     res = Residuals()
     # [img(a), img(b)] - img([a, b])
     _homomorphism(res, syms, img, _pair_bracket, -1)
@@ -362,13 +313,13 @@ def check_dolan_grady(family):
 
 def check_fixed_point(family, max_mode):
     """The family's distinguished involution fixes its realization pointwise."""
-    name = _row(FIXING_MAP, family)
+    row = _row(REALIZATIONS, family)
     res = Residuals()
-    for sym in canonical_symbols(_abstract_family(family), max_mode):
+    for sym in canonical_symbols(row.family, max_mode):
         img = morphism_image(family, sym)
-        res.add(apply_map(name, img) - img, "{}", sym)
+        res.add(apply_map(row.fixing, img) - img, "{}", sym)
     return res.report(
-        f"fixed_point[{family}, {name}]",
+        f"fixed_point[{family}, {row.fixing}]",
         f"generators with |mode| <= {max_mode}",
     )
 
@@ -428,7 +379,7 @@ def build_abstract_B(family, window, x=None):
 def check_current_relations(family, window):
     """The whole bracket table in FRT form: the abstract B(x) satisfies
     [B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)] under
-    _pair_bracket, with the rbar of the realized B (currents.B_FAMILIES).
+    _pair_bracket, with the rbar of the realized B (currents.REALIZATIONS).
     Each entry of the relation pairs two of the family's currents."""
     _row(_B_CURRENTS, family)  # an unknown family fails before any work
     res = Residuals()

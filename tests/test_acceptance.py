@@ -11,14 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from onsalg.currents import check_exchange, check_frt_relations
+from onsalg.currents import REALIZATIONS, check_exchange, check_frt_relations
 from onsalg.envelope import check_linear_charges, check_quadratic_charges
 from onsalg.exactalg import LaurentPoly, spectral
 from onsalg.kacmoody import F, LieElt, check_automorphism, check_serre_chevalley
 from onsalg.kacmoody import E as kme
 from onsalg.onsager import (
     FAMILIES,
-    MORPHISM_FAMILIES,
     check_current_relations,
     check_dolan_grady,
     check_fixed_point,
@@ -123,14 +122,14 @@ def test_abstract_algebras():
         for fam in FAMILIES:
             ok(check_jacobi(fam, 4))
             ok(check_dolan_grady(fam))
-        for fam in MORPHISM_FAMILIES:
+        for fam in REALIZATIONS:
             ok(check_morphism(fam, 8))
         ok(check_kappa_isomorphism(8))
 
 
 def test_fixed_subalgebras():
     with deadline(10):
-        for fam in MORPHISM_FAMILIES:
+        for fam in REALIZATIONS:
             ok(check_fixed_point(fam, 8))
         # the involution sweep inside these proves the maps square to id
         ok(check_automorphism("theta1", 8))

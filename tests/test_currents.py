@@ -370,12 +370,17 @@ def test_guards_raise_value_error(call, message):
             "below the family's lowest degree 2"),
         # a window past the construction's margin
         (40, r"build_B\('onsager', window=4\) is exact only up to degree 10, not 48"),
+        # a lowest degree below the family's, where no entry has a term,
+        # which would slide the window down onto a degree that is all zero
+        (-2, r"build_B\('onsager', window=4\) has no term at the family's lowest "
+             "degree -2"),
     ],
-    ids=["degree_below_lowest", "window_past_margin"],
+    ids=["degree_below_lowest", "window_past_margin", "no_term_at_lowest"],
 )
 def test_guards_build_B_post_conditions(monkeypatch, lowest, message):
     # explicit exceptions, so python -O keeps them
-    monkeypatch.setitem(currents._B_NATURAL_LO, "onsager", lowest)
+    row = currents.REALIZATIONS["onsager"]
+    monkeypatch.setitem(currents.REALIZATIONS, "onsager", row._replace(lowest=lowest))
     with pytest.raises(ValueError, match=message):
         build_B("onsager", 4)
 

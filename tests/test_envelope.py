@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsalg import envelope
-from onsalg.currents import CurrentMat, build_B, build_T
+from onsalg.currents import REALIZATIONS, CurrentMat, build_B, build_T
 from onsalg.envelope import (
     UeaElt,
     build_linear_charge,
@@ -20,7 +20,7 @@ from onsalg.envelope import (
 from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
 from onsalg.kacmoody import C, E, F, H, LieElt, bracket
 from onsalg.onsager import (
-    FAMILIES, OnsElt, abstract_bracket, build_abstract_B, canonical_symbols, morphism_image
+    FAMILIES, OnsElt, abstract_bracket, build_abstract_B, canonical_symbols, morphism_image, ons
 )
 from onsalg.tensormat import build_boundary
 
@@ -225,7 +225,7 @@ def _weight_series(family, window, x):
     multiplied by its M matrix through CurrentMat._times, and traced.  The
     linear charges are its mode coefficients; this builds them by series
     arithmetic, independently of the row sums of envelope._linear_charges."""
-    m = build_boundary(envelope.M_FAMILY[family], x=x).mat.cleared(())
+    m = build_boundary(REALIZATIONS[family].m, x=x).mat.cleared(())
     mb = build_abstract_B(family, window, x)._times(m, False)
     trace = {}
     for i in range(mb.dim):
@@ -268,6 +268,39 @@ def test_linear_mutation_fails():
     assert rep.witnesses
 
 
+def _closed_form(family, k):
+    """The k-th linear charge as the hand-written closed expression, its
+    weights named by the parameters of the family's M (its row's m)."""
+    w = {
+        n: LaurentPoly.var(v)
+        for n, v in build_boundary(REALIZATIONS[family].m).params.items()
+    }
+    if family == "onsager":
+        return (
+            ons(family, "A", k, w["kappa"])
+            + ons(family, "A", -k, w["kappa"])
+            + ons(family, "A", k + 1, w["kappastar"])
+            + ons(family, "A", -k + 1, w["kappastar"])
+            + ons(family, "G", k + 1, w["mu"])
+            - ons(family, "G", k - 1, w["mu"])
+        )
+    if family == "augmented":
+        # the closed form reads Z+_0 and Z-_{-1} as absent
+        low = 1 if k >= 1 else 0
+        return (
+            ons(family, "K", k, w["tau"])
+            + ons(family, "Z+", k, w["nu"] * low)
+            + ons(family, "Z+", k + 1, w["nu"])
+            + ons(family, "Z-", k - 1, w["nustar"] * low)
+            + ons(family, "Z-", k, w["nustar"])
+        )
+    return (
+        ons(family, "H", k, w["mu0"])
+        + ons(family, "E", k, 2 * w["mu1"])
+        + ons(family, "F", k, 2 * w["mu2"])
+    )
+
+
 def test_closed_form_variant():
     # the closed form agrees with the row sums for k >= 1 in every family;
     # at k = 0 the onsager and invariant closed forms are twice the row
@@ -275,17 +308,17 @@ def test_closed_form_variant():
     # augmented k = 0 closed form fails to commute
     for family in FAMILIES:
         for k in range(1, 9):
-            assert build_linear_charge(family, k, "formula") == build_linear_charge(family, k)
-    assert str(build_linear_charge("onsager", 0, "formula")) == (
+            assert _closed_form(family, k) == build_linear_charge(family, k)
+    assert str(_closed_form("onsager", 0)) == (
         "(2*kappa)*A[0] + (2*kappastar)*A[1] + (2*mu)*G[1]"
     )
-    assert str(build_linear_charge("augmented", 0, "formula")) == (
+    assert str(_closed_form("augmented", 0)) == (
         "tau*K[0] + nu*Z+[1] + nustar*Z-[0]"
     )
-    assert str(build_linear_charge("invariant", 0, "formula")) == (
+    assert str(_closed_form("invariant", 0)) == (
         "(2*mu1)*E[0] + (2*mu2)*F[0] + mu0*H[0]"
     )
-    i0, i1 = (build_linear_charge("augmented", k, "formula") for k in range(2))
+    i0, i1 = (_closed_form("augmented", k) for k in range(2))
     assert str(abstract_bracket(i0, i1)) == (
         "(2*nu*tau)*Z+[1] + (2*nu*tau)*Z+[2] "
         "+ (-2*nustar*tau)*Z-[0] + (-2*nustar*tau)*Z-[1]"
@@ -310,9 +343,7 @@ _NO_PAIR = "a charge check compares pairs j < k <= max-k, so max-k must be >= 1,
     "call, message",
     [
         (lambda: build_linear_charge("onsager", -1), "charge index must be >= 0"),
-        (lambda: build_linear_charge("onsager", 1, "closed"), "unknown variant"),
         (lambda: build_linear_charge("bogus", 1), _UNKNOWN_BOGUS),
-        (lambda: build_linear_charge("bogus", 1, "formula"), _UNKNOWN_BOGUS),
         (lambda: check_quadratic_charges("bogus", 2), _UNKNOWN_BOGUS),
         (lambda: check_linear_charges("kappa_minus", 2),
          r"unknown family 'kappa_minus' \(choose from onsager, augmented, invariant\)"),
@@ -329,7 +360,7 @@ _NO_PAIR = "a charge check compares pairs j < k <= max-k, so max-k must be >= 1,
         (lambda: check_linear_charges("invariant", 0), _NO_PAIR),
         (lambda: check_quadratic_charges("augmented", 0), _NO_PAIR),
     ],
-    ids=["negative_k", "variant", "series_family", "formula_family", "quadratic_family",
+    ids=["negative_k", "series_family", "quadratic_family",
          "linear_family", "mixed_commutator_family", "linear_max_k", "B_window",
          "T_sign", "T_window", "quadratic_max_k", "quadratic_check_max_k",
          "mixed_commutator_max_k", "linear_mutate_max_k", "quadratic_mutate_max_k",
@@ -338,3 +369,32 @@ _NO_PAIR = "a charge check compares pairs j < k <= max-k, so max-k must be >= 1,
 def test_guards_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_A1, _K1, _E0 = (lie_to_uea(ons("onsager", "A", 1)), lie_to_uea(ons("augmented", "K", 1)),
+                 single(E(0)))
+
+
+@pytest.mark.parametrize("op", [uea_mul, uea_commutator])
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (_A1, _E0, r"cannot multiply words of U\(onsager\) and U\(affine sl2\)"),
+        (_E0, _A1, r"cannot multiply words of U\(affine sl2\) and U\(onsager\)"),
+        (_A1, _K1, r"cannot multiply words of U\(onsager\) and U\(augmented\)"),
+        (UeaElt({(): 1}) + _K1, _A1 + _A1,
+         r"cannot multiply words of U\(augmented\) and U\(onsager\)"),
+    ],
+    ids=["family_by_basis", "basis_by_family", "two_families", "with_a_scalar_word"],
+)
+def test_guards_uea_refuses_words_of_two_algebras(op, a, b, message):
+    # a word holds the symbols of one algebra; explicit, so python -O keeps it
+    with pytest.raises(ValueError, match=message):
+        op(a, b)
+
+
+def test_a_scalar_multiplies_words_of_any_algebra():
+    two = UeaElt({(): 2})
+    for word in (_A1, _K1, _E0):
+        assert uea_mul(two, word) == uea_mul(word, two) == word.scale(2)
+        assert uea_commutator(two, word).is_zero()

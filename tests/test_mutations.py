@@ -4,10 +4,12 @@ serre_chevalley, jacobi, jacobi_sampled, dolan_grady, fixed_point and
 current_relations take no override: the structure constants, the
 realizations, the automorphisms, the abstract B(x) and the finite
 presentations they test are module data (kacmoody._SL2 and _FORM,
-onsager._BRACKETS, _REALIZATIONS, _B_CURRENTS and _DOLAN_GRADY,
-kacmoody._MAPS), and so are the matrices the rmatrix checks read
-(tensormat._R_ROWS and _BOUNDARY).  Each test changes one entry for its
-duration and pins the residual count and first witness of the failure.
+onsager._BRACKETS, currents.REALIZATIONS, onsager._B_CURRENTS and
+_DOLAN_GRADY, kacmoody._MAPS), and so are the matrices the rmatrix checks
+read (tensormat._R_ROWS and _BOUNDARY).  Each test changes one entry for
+its duration and pins the residual count and first witness of the
+failure.  The realization rows are also swept whole: every mutant made
+from the live table must fail verify all's checks.
 """
 
 import os
@@ -15,6 +17,9 @@ import sys
 
 import pytest
 
+import onsalg.cli as cli
+import onsalg.currents as currents
+import onsalg.envelope as envelope
 import onsalg.kacmoody as kacmoody
 import onsalg.onsager as onsager
 import onsalg.tensormat as tensormat
@@ -44,8 +49,9 @@ def test_serre_chevalley_fails_without_the_central_term(monkeypatch):
 
 def test_augmented_realization_fails_without_its_central_term(monkeypatch):
     # K[n] goes to h[n] + h[-n] + delta_{n,0} c, with the c dropped
-    terms, _ = onsager._REALIZATIONS["augmented"]["K"]
-    monkeypatch.setitem(onsager._REALIZATIONS["augmented"], "K", (terms, 0))
+    image = currents.REALIZATIONS["augmented"].image
+    terms, _ = image["K"]
+    monkeypatch.setitem(image, "K", (terms, 0))
     assert _first(onsager.check_morphism("augmented", 3)) == (6, "[Z+[1], Z-[0]]", "4*c")
     assert _first(onsager.check_fixed_point("augmented", 3)) == (1, "K[0]", "2*c")
 
@@ -218,3 +224,53 @@ def test_automorphism_fails_on_a_map_that_is_not_an_involution(monkeypatch):
     rep = kacmoody.check_automorphism("lusztig_plus", 2)
     assert _first(rep) == (10, "involution at e[-2]", "3*e[-2]")
     assert all(w["position"].startswith("involution at ") for w in rep.witnesses)
+
+
+# -- the realization rows -----------------------------------------------------------
+
+
+def _row_mutants():
+    """Every row of currents.REALIZATIONS with one field replaced by each
+    distinct value another row holds there, and with lowest moved one
+    degree (two doubled) down and up: (name, field, mutated row)."""
+    rows = currents.REALIZATIONS
+    for name, row in rows.items():
+        for field in row._fields:
+            held = [getattr(row, field)]
+            values = [getattr(other, field) for other in rows.values()]
+            if field == "lowest":
+                values += [row.lowest - 2, row.lowest + 2]
+            for value in values:
+                if value not in held:
+                    held.append(value)
+                    yield name, field, row._replace(**{field: value})
+
+
+def _clear_memos():
+    kacmoody._BRACKET_MEMO.clear()
+    envelope._BRACKET.clear()
+    envelope._NORMAL.clear()
+
+
+def test_every_realization_row_mutant_fails(monkeypatch):
+    # verify all's checks at window 4, max-k 2, against each mutant; the
+    # unmutated run must pass, and its durations order the checks cheapest
+    # first, so that a mutant stops at its first report that is not a pass
+    cfg = cli.SuiteConfig(suite="all", window=4, max_k=2)
+    _clear_memos()
+    cost = {}
+    for job in cli.suite_checks(cfg):
+        rep = cli._run_one(job)
+        assert rep.passed, rep
+        cost[job] = rep.duration_ms
+    survivors, count = [], 0
+    for name, field, row in _row_mutants():
+        count += 1
+        with monkeypatch.context() as m:
+            m.setitem(currents.REALIZATIONS, name, row)
+            _clear_memos()
+            jobs = sorted(cli.suite_checks(cfg), key=lambda job: cost.get(job, 0))
+            if all(cli._run_one(job).passed for job in jobs):
+                survivors.append((name, field, getattr(row, field)))
+    assert count >= len(currents.REALIZATIONS) * len(currents.Realization._fields)
+    assert survivors == []

@@ -8,11 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from onsalg import onsager
-from onsalg.currents import _series, build_B
+from onsalg.currents import REALIZATIONS, _series, build_B
 from onsalg.kacmoody import BasisSymbol, C, E as me, F as mf, H as mh, LieElt
 from onsalg.onsager import (
     FAMILIES,
-    MORPHISM_FAMILIES,
     OnsSymbol,
     abstract_bracket,
     build_abstract_B,
@@ -238,7 +237,7 @@ def test_morphism_images():
         assert morphism_image(family, sym) == want, (family, str(sym))
 
 
-@pytest.mark.parametrize("family", MORPHISM_FAMILIES)
+@pytest.mark.parametrize("family", list(REALIZATIONS))
 def test_morphisms(family):
     rep = check_morphism(family, 8)
     assert rep.passed, rep
@@ -259,7 +258,7 @@ def test_morphism_fails_without_f_term():
     }
 
 
-@pytest.mark.parametrize("family", MORPHISM_FAMILIES)
+@pytest.mark.parametrize("family", list(REALIZATIONS))
 def test_fixed_points(family):
     rep = check_fixed_point(family, 8)
     assert rep.passed, rep

@@ -17,7 +17,7 @@ import pytest
 
 from onsalg import currents
 from onsalg.currents import (
-    B_FAMILIES, build_B, build_T, check_exchange, check_frt_relations, series_bracket
+    REALIZATIONS, build_B, build_T, check_exchange, check_frt_relations, series_bracket
 )
 from onsalg.exactalg import LaurentPoly, parameter, spectral
 from onsalg.onsager import _CURRENTS, FAMILIES, _pair_bracket, build_abstract_B
@@ -81,7 +81,7 @@ def test_build_T_window(sign):
     _assert_sound_and_tight(lambda w: build_T(sign, w))
 
 
-@pytest.mark.parametrize("family", list(B_FAMILIES))
+@pytest.mark.parametrize("family", list(REALIZATIONS))
 def test_build_B_window(family):
     _assert_sound_and_tight(lambda w: build_B(family, w))
 
