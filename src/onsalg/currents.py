@@ -67,16 +67,19 @@ def _names(variables):
     return "(" + ", ".join(v.name for v in variables) + ")"
 
 
-def _nmin(a, b):
-    if a is None or b is None:
-        return None
-    return min(a, b)
+def _tightest(pick, *bounds):
+    """pick (max at a low end, min at a high end) of the bounds not None."""
+    return pick((v for v in bounds if v is not None), default=None)
 
 
-def _nmax(a, b):
-    if a is None or b is None:
-        return None
-    return max(a, b)
+def _loosest(pick, a, b):
+    """pick (min at a low end, max at a high end); None is unbounded."""
+    return None if a is None or b is None else pick(a, b)
+
+
+def _moved(bound, shift, sign=1):
+    """sign * bound + shift; an unbounded end (None) stays unbounded."""
+    return None if bound is None else sign * bound + shift
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,9 @@ class SupportMeta:
 
     natural_lo/hi bound the true series support (None = unbounded);
     trunc_lo/hi bound the region where stored coefficients are exact
-    (None = exact arbitrarily far in that direction).
+    (None = exact arbitrarily far in that direction).  Each bound is
+    stated by one rule: the tightest given (_tightest), the loosest support
+    (_loosest), or a bounded end moved (_moved).
     """
 
     natural_lo: int = None
@@ -95,13 +100,8 @@ class SupportMeta:
 
     def exact_window(self):
         """(lo, hi) of the informative comparison region; None = unbounded."""
-        lo = self.natural_lo
-        if self.trunc_lo is not None:
-            lo = self.trunc_lo if lo is None else max(lo, self.trunc_lo)
-        hi = self.natural_hi
-        if self.trunc_hi is not None:
-            hi = self.trunc_hi if hi is None else min(hi, self.trunc_hi)
-        return lo, hi
+        return (_tightest(max, self.natural_lo, self.trunc_lo),
+                _tightest(min, self.natural_hi, self.trunc_hi))
 
     def require_nonvacuous(self, what):
         lo, hi = self.exact_window()
@@ -115,32 +115,21 @@ class SupportMeta:
         """Meta after multiplying by a scalar whose degrees span
         [lo_shift, hi_shift] in this variable."""
         return SupportMeta(
-            None if self.natural_lo is None else self.natural_lo + lo_shift,
-            None if self.natural_hi is None else self.natural_hi + hi_shift,
-            None if self.trunc_lo is None else self.trunc_lo + hi_shift,
-            None if self.trunc_hi is None else self.trunc_hi + lo_shift,
+            _moved(self.natural_lo, lo_shift), _moved(self.natural_hi, hi_shift),
+            _moved(self.trunc_lo, hi_shift), _moved(self.trunc_hi, lo_shift),
         )
 
     def added(self, other):
         return SupportMeta(
-            _nmin(self.natural_lo, other.natural_lo),
-            _nmax(self.natural_hi, other.natural_hi),
-            other.trunc_lo
-            if self.trunc_lo is None
-            else (self.trunc_lo if other.trunc_lo is None else max(self.trunc_lo, other.trunc_lo)),
-            other.trunc_hi
-            if self.trunc_hi is None
-            else (self.trunc_hi if other.trunc_hi is None else min(self.trunc_hi, other.trunc_hi)),
+            _loosest(min, self.natural_lo, other.natural_lo),
+            _loosest(max, self.natural_hi, other.natural_hi),
+            _tightest(max, self.trunc_lo, other.trunc_lo),
+            _tightest(min, self.trunc_hi, other.trunc_hi),
         )
 
     def inverted(self):
-        def neg(v):
-            return None if v is None else -v
-
-        return SupportMeta(
-            neg(self.natural_hi), neg(self.natural_lo),
-            neg(self.trunc_hi), neg(self.trunc_lo),
-        )
+        ends = (self.natural_hi, self.natural_lo, self.trunc_hi, self.trunc_lo)
+        return SupportMeta(*(_moved(v, 0, -1) for v in ends))
 
 
 _FULL = SupportMeta()
@@ -343,12 +332,11 @@ def series_bracket(a, b, product=_basis_bracket):
     """
     if set(a.spectral_vars) & set(b.spectral_vars):
         raise ValueError("series_bracket needs disjoint spectral variables")
-    dim_b = b.dim
+    table = embed_indices(range(1, a.legs + 1), a.legs, a.legs + b.legs)
     out = {}
     for (ia, ja), ca in a.entries.items():
         for (ib, jb), cb in b.entries.items():
-            pos = (ia * dim_b + ib, ja * dim_b + jb)
-            tgt = out.setdefault(pos, {})
+            tgt = out.setdefault((table[ia][ib], table[ja][jb]), {})
             for da, la in ca.items():
                 for db, lb in cb.items():
                     d = da + db

@@ -30,10 +30,10 @@ at C speed.  Each symbol's PBW place is one int, memoised by symbol
 (_key), and each word's normal form is memoised in the module-level dict
 _NORMAL for the life of the process.  The one memo holds words of every
 algebra: symbols of different classes or families never compare equal, so
-words of different algebras never collide, and uea_mul and uea_commutator
-refuse operands of two algebras.  Bergman's diamond lemma makes
-the normal form independent of the rewrite order, so a memoised form is
-the same whichever product first asked for it.
+words of different algebras never collide; lie_to_uea, uea_mul and
+uea_commutator refuse elements of two algebras.  Bergman's diamond lemma
+makes the normal form independent of the rewrite order, so a memoised
+form is the same whichever product first asked for it.
 """
 
 from functools import partial
@@ -136,12 +136,17 @@ def _normal_word(word):
     return out
 
 
+def _symbol_algebra(sym):
+    """A generator's family, or affine sl2 for a basis symbol."""
+    return sym.family if type(sym) is OnsSymbol else "affine sl2"
+
+
 def _algebra(a):
-    """The algebra of a's words, read off the first symbol: its family for a
-    generator, affine sl2 for a basis symbol; None for a scalar."""
+    """The algebra of a's words, read off the first symbol (lie_to_uea makes
+    every word of one algebra); None for a scalar."""
     for word in a.terms:
         if word:
-            return word[0].family if type(word[0]) is OnsSymbol else "affine sl2"
+            return _symbol_algebra(word[0])
     return None
 
 
@@ -186,6 +191,10 @@ def uea_commutator(a, b):
 
 
 def lie_to_uea(lie):
+    """lie as a sum of one-letter words; its keys must lie in one algebra."""
+    algebras = sorted(set(map(_symbol_algebra, lie.terms)))
+    if len(algebras) > 1:
+        raise ValueError(f"cannot map a Lie element of {' and '.join(algebras)} into one U")
     return UeaElt({(sym,): c for sym, c in lie.terms.items()})
 
 

@@ -194,18 +194,17 @@ def _memo_image(base, override=None):
     return image
 
 
-def _map_fn(name, override=None):
-    """The named map on basis symbols, sym -> LieElt, memoised for the life
-    of the returned function (override as in _memo_image)."""
+def _map_fn(name):
+    """The named map on basis symbols, sym -> LieElt."""
     row = _MAPS.get(name)
     if row is None:
         raise ValueError(f"unknown map {name!r} (choose from {', '.join(MAP_NAMES)})")
-    return _memo_image(lambda sym: _affine_image(row, sym.type, sym.mode), override)
+    return lambda sym: _affine_image(row, sym.type, sym.mode)
 
 
-def apply_map(name, a, override=None):
-    """Apply a named linear map to a LieElt (override as in _map_fn)."""
-    return a.linear(_map_fn(name, override))
+def apply_map(name, a):
+    """Apply a named linear map to a LieElt."""
+    return a.linear(_map_fn(name))
 
 
 def _basis_range(window):
@@ -237,7 +236,7 @@ def check_automorphism(name, window, override=None):
     """Verify the named map preserves brackets on all ordered basis pairs
     with |mode| <= window, and squares to the identity when every term of
     its row reverses the mode (s = -1)."""
-    image = _map_fn(name, override)
+    image = _memo_image(_map_fn(name), override)
     syms = _basis_range(window)
     res = Residuals()
     _homomorphism(res, syms, image, _basis_bracket, 1)

@@ -329,8 +329,10 @@ def embed_indices(legs, sub_legs, total_legs):
     legs lists the 1-based positions the sub_legs legs occupy, in order.
     Returns table with table[a][o] the index in (C^2)^{total_legs} of basis
     vector a on those legs tensored with basis vector o on the remaining
-    legs, taken in increasing order with the first of them as o's lowest
-    bit.  Leg 1 owns the most significant bit (the first Kronecker factor).
+    legs, in increasing order.  Every index reads its legs leg-1-first: the
+    first leg listed owns a's top bit, the first remaining leg o's, and leg
+    1 the result's (the first Kronecker factor).  No other code splits an
+    index into legs.
     """
     legs = tuple(legs)
     if len(legs) != sub_legs or len(set(legs)) != len(legs):
@@ -339,20 +341,14 @@ def embed_indices(legs, sub_legs, total_legs):
         raise ValueError(f"leg positions must lie in 1..{total_legs}, not {legs}")
     rest = [p for p in range(1, total_legs + 1) if p not in legs]
 
-    def bit(p):
-        return 1 << (total_legs - p)
+    def spread(positions):  # bit t from the top goes to positions[t]
+        top = len(positions) - 1
+        return [
+            sum(1 << (total_legs - p) for t, p in enumerate(positions) if (a >> (top - t)) & 1)
+            for a in range(2 ** len(positions))
+        ]
 
-    # bit t from the top of a goes to legs[t]; bit t of o goes to rest[t]
-    top = sub_legs - 1
-    own = [
-        sum(bit(p) for t, p in enumerate(legs) if (a >> (top - t)) & 1)
-        for a in range(2 ** sub_legs)
-    ]
-    others = [
-        sum(bit(p) for t, p in enumerate(rest) if (o >> t) & 1)
-        for o in range(2 ** len(rest))
-    ]
-    return [[i | o for o in others] for i in own]
+    return [[i | o for o in spread(rest)] for i in spread(legs)]
 
 
 def leg_embed(m, legs, total_legs):
@@ -379,38 +375,27 @@ def _check_leg(m, leg):
 
 
 def partial_transpose(m, leg):
-    """Transpose the indices of one leg (1-based)."""
+    """Transpose the indices of one leg (1-based): entry (a o, b p) moves to
+    (b o, a p), where a and b index the leg and o and p the other legs."""
     _check_leg(m, leg)
-    dim = m.dim
-    shift = m.legs - leg
-    mask = 1 << shift
-    nums = [[LaurentPoly.zero() for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if m.nums[i][j].is_zero():
-                continue
-            ni = (i & ~mask) | (j & mask)
-            nj = (j & ~mask) | (i & mask)
-            nums[ni][nj] = m.nums[i][j]
+    table = embed_indices((leg,), 1, m.legs)
+    nums = [[None] * m.dim for _ in range(m.dim)]
+    for ra in table:
+        for rb in table:
+            for i, ib in zip(ra, rb):
+                for j, ja in zip(rb, ra):
+                    nums[ib][ja] = m.nums[i][j]
     return TensorMat._raw(m.legs, m.variables, nums, m.den_factors)
 
 
 def trace_leg(m, leg):
-    """Partial trace over one leg, producing a matrix on the remaining legs."""
+    """Partial trace over one leg (1-based): entry (o, p) of the result, a
+    matrix on the remaining legs, is the sum over a of entry (a o, a p)."""
     _check_leg(m, leg)
-    shift = m.legs - leg
-    mask = 1 << shift
-    dim_out = 2 ** (m.legs - 1)
-
-    def expand(idx, bit):
-        lo = idx & (mask - 1)
-        hi = (idx >> shift) << (shift + 1)
-        return hi | (bit << shift) | lo
-
+    zero, one = embed_indices((leg,), 1, m.legs)
     nums = [
-        [m.nums[expand(i, 0)][expand(j, 0)] + m.nums[expand(i, 1)][expand(j, 1)]
-         for j in range(dim_out)]
-        for i in range(dim_out)
+        [m.nums[i0][j0] + m.nums[i1][j1] for j0, j1 in zip(zero, one)]
+        for i0, i1 in zip(zero, one)
     ]
     return TensorMat._raw(m.legs - 1, m.variables, nums, m.den_factors)
 

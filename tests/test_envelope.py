@@ -393,6 +393,20 @@ def test_guards_uea_refuses_words_of_two_algebras(op, a, b, message):
         op(a, b)
 
 
+@pytest.mark.parametrize(
+    "lie, message",
+    [
+        (ons("onsager", "A", 1) + LieElt.single(E(0)), "of affine sl2 and onsager into"),
+        (ons("onsager", "A", 1) + ons("augmented", "K", 1), "of augmented and onsager into"),
+    ],
+    ids=["family_and_basis", "two_families"],
+)
+def test_guards_lie_to_uea_refuses_two_algebras(lie, message):
+    # the one way from a Lie element into U; explicit, so python -O keeps it
+    with pytest.raises(ValueError, match=message):
+        lie_to_uea(lie)
+
+
 def test_a_scalar_multiplies_words_of_any_algebra():
     two = UeaElt({(): 2})
     for word in (_A1, _K1, _E0):

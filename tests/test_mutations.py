@@ -8,8 +8,8 @@ onsager._BRACKETS, currents.REALIZATIONS, onsager._B_CURRENTS and
 _DOLAN_GRADY, kacmoody._MAPS), and so are the matrices the rmatrix checks
 read (tensormat._R_ROWS and _BOUNDARY).  Each test changes one entry for
 its duration and pins the residual count and first witness of the
-failure.  The realization rows are also swept whole: every mutant made
-from the live table must fail verify all's checks.
+failure.  The realization rows and the Lie-side tables are also swept:
+every mutant generated from the live tables must fail verify all's checks.
 """
 
 import os
@@ -232,7 +232,7 @@ def test_automorphism_fails_on_a_map_that_is_not_an_involution(monkeypatch):
 def _row_mutants():
     """Every row of currents.REALIZATIONS with one field replaced by each
     distinct value another row holds there, and with lowest moved one
-    degree (two doubled) down and up: (name, field, mutated row)."""
+    degree (two doubled) down and up, as _survivors takes them."""
     rows = currents.REALIZATIONS
     for name, row in rows.items():
         for field in row._fields:
@@ -243,7 +243,7 @@ def _row_mutants():
             for value in values:
                 if value not in held:
                     held.append(value)
-                    yield name, field, row._replace(**{field: value})
+                    yield (name, field, value), rows, name, row._replace(**{field: value})
 
 
 def _clear_memos():
@@ -252,10 +252,13 @@ def _clear_memos():
     envelope._NORMAL.clear()
 
 
-def test_every_realization_row_mutant_fails(monkeypatch):
-    # verify all's checks at window 4, max-k 2, against each mutant; the
-    # unmutated run must pass, and its durations order the checks cheapest
-    # first, so that a mutant stops at its first report that is not a pass
+def _survivors(monkeypatch, mutants):
+    """The labels of the mutants under which every check of verify all at
+    window 4, max-k 2 passes; a mutant is (label, container, key, value),
+    meaning container[key] = value.  The unmutated run must pass, and its
+    durations order the checks cheapest first, so that a mutant stops at
+    its first report that is not a pass (a check that raises is an error
+    report, which is not a pass)."""
     cfg = cli.SuiteConfig(suite="all", window=4, max_k=2)
     _clear_memos()
     cost = {}
@@ -263,14 +266,88 @@ def test_every_realization_row_mutant_fails(monkeypatch):
         rep = cli._run_one(job)
         assert rep.passed, rep
         cost[job] = rep.duration_ms
-    survivors, count = [], 0
-    for name, field, row in _row_mutants():
-        count += 1
+    survivors = []
+    for label, container, key, value in mutants:
         with monkeypatch.context() as m:
-            m.setitem(currents.REALIZATIONS, name, row)
+            m.setitem(container, key, value)
             _clear_memos()
             jobs = sorted(cli.suite_checks(cfg), key=lambda job: cost.get(job, 0))
             if all(cli._run_one(job).passed for job in jobs):
-                survivors.append((name, field, getattr(row, field)))
-    assert count >= len(currents.REALIZATIONS) * len(currents.Realization._fields)
-    assert survivors == []
+                survivors.append(label)
+    _clear_memos()  # no bracket or normal form of a mutant outlives it
+    return survivors
+
+
+def test_every_realization_row_mutant_fails(monkeypatch):
+    mutants = list(_row_mutants())
+    assert len(mutants) >= len(currents.REALIZATIONS) * len(currents.Realization._fields)
+    assert _survivors(monkeypatch, mutants) == []
+
+
+# -- the Lie-side tables, entry by entry ----------------------------------------------
+
+_SCALE = (lambda v: 2 * v, lambda v: -v)  # doubled, negated
+_STEP = (lambda v: v - 1, lambda v: v + 1)
+_FLIP = (lambda v: -v,)
+
+
+def _term_mutants(terms, moves):
+    """terms with one field of one term moved: moves maps a field's index
+    to the moves of that field."""
+    for i, term in enumerate(terms):
+        for field, fns in moves.items():
+            for fn in fns:
+                new = term[:field] + (fn(term[field]),) + term[field + 1:]
+                yield terms[:i] + (new,) + terms[i + 1:]
+
+
+def _lie_table_mutants():
+    """Every mutant of the Lie-side tables, generated from the live tables
+    as (label, container, key, value).  Each onsager._BRACKETS term
+    (coeff, Z, p, q, r) has its coefficient doubled and negated and p, q
+    and r moved by one; each _LETTERS rule (r, sign) has r moved, its sign
+    flipped, or is dropped, and a letter with no rule gains (0, +-1); each
+    kacmoody._SL2 term and _FORM value is doubled and negated; each term
+    (k, type, s, b) of an affine map, in kacmoody._MAPS and in every
+    realization's image, has k doubled and negated, s flipped and b moved;
+    and each coefficient of currents._T_ROWS and onsager._B_CURRENTS is
+    doubled and negated."""
+    out = []
+
+    def add(table, container, key, values):
+        out.extend(((table, key, v), container, key, v) for v in values)
+
+    for pair, terms in onsager._BRACKETS.items():
+        add("_BRACKETS", onsager._BRACKETS, pair,
+            _term_mutants(terms, {0: _SCALE, 2: _STEP, 3: _STEP, 4: _STEP}))
+    for letters in onsager._LETTERS.values():
+        for letter, rule in letters.items():
+            if rule is None:
+                add("_LETTERS", letters, letter, [(0, 1), (0, -1)])
+            else:
+                r, sign = rule
+                add("_LETTERS", letters, letter, [(r - 1, sign), (r + 1, sign), (r, -sign), None])
+    for pair, terms in kacmoody._SL2.items():
+        add("_SL2", kacmoody._SL2, pair, _term_mutants(terms, {0: _SCALE}))
+    for pair, value in kacmoody._FORM.items():
+        add("_FORM", kacmoody._FORM, pair, [fn(value) for fn in _SCALE])
+    maps = [("_MAPS", row) for row in kacmoody._MAPS.values()]
+    maps += [("REALIZATIONS", row.image) for row in currents.REALIZATIONS.values()]
+    for table, row in maps:
+        for letter, (terms, z) in row.items():
+            add(table, row, letter,
+                [(new, z) for new in _term_mutants(terms, {0: _SCALE, 2: _FLIP, 3: _STEP})])
+    rows = [("_T_ROWS", r) for r in currents._T_ROWS.values()]
+    rows += [("_B_CURRENTS", r) for r in onsager._B_CURRENTS.values()]
+    for table, row in rows:
+        for pos, (k, letter) in row.items():
+            add(table, row, pos, [(fn(k), letter) for fn in _SCALE])
+    return out
+
+
+def test_every_lie_table_mutant_fails(monkeypatch):
+    mutants = _lie_table_mutants()
+    tables = {"_BRACKETS", "_LETTERS", "_SL2", "_FORM", "_MAPS", "REALIZATIONS",
+              "_T_ROWS", "_B_CURRENTS"}
+    assert {label[0] for label, *_ in mutants} == tables
+    assert _survivors(monkeypatch, mutants) == []

@@ -27,6 +27,7 @@ from onsalg.tensormat import (
     check_reflection,
     check_U_conditions,
     commutator_sum,
+    embed_indices,
     leg_embed,
     partial_transpose,
     trace_leg,
@@ -194,6 +195,19 @@ def test_trace_leg_of_embedding():
     tr = b.trace()
     want = TensorMat(1, [[tr, 0], [0, tr]])
     assert (got - want).is_zero()
+
+
+def test_leg_operations_on_a_middle_leg_read_the_standard_order():
+    # a (x) b (x) c with no symmetric factor: the legs left over keep leg 1
+    # as their high bit, so tracing or transposing leg 2 of three sees it
+    a, b, c = (TensorMat(1, rows) for rows in ([[1, 2], [3, 4]], [[5, 6], [7, 8]],
+                                               [[9, 10], [11, 12]]))
+    assert embed_indices((2,), 1, 3) == [[0, 1, 4, 5], [2, 3, 6, 7]]
+    abc = leg_embed(a, (1,), 3) @ leg_embed(b, (2,), 3) @ leg_embed(c, (3,), 3)
+    ac = leg_embed(a, (1,), 2) @ leg_embed(c, (2,), 2)
+    assert (trace_leg(abc, 2) - ac.scale(13)).is_zero()
+    abtc = leg_embed(a, (1,), 3) @ leg_embed(b.transpose(), (2,), 3) @ leg_embed(c, (3,), 3)
+    assert (partial_transpose(abc, 2) - abtc).is_zero()
 
 
 def test_inverse_2x2():
