@@ -5,7 +5,9 @@ polynomials, denominator factors and the one clearing rule, and
 `LinComb`, the sparse linear combination of basis keys), `tensormat`
 (tensor-leg matrices over one factored denominator, the only
 rational-function value; the classical r-matrix and boundary matrices,
-the unreduced identity checks), `kacmoody` (the mode Lie algebra and its order-two maps), `currents`
+the unreduced identity checks), `modes` (identities of the affine mode
+tables, decided for every mode), `kacmoody` (the mode Lie algebra and its
+order-two maps), `currents`
 (truncated matrix series, the double-row series and their exchange
 relations), `onsager` (the three abstract subalgebra families), and
 `envelope` (normal-ordered products and commuting charges).  `cli` wires

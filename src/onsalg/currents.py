@@ -32,7 +32,7 @@ merges each coefficient both operands hold with one kernel call.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 from operator import add
 from typing import NamedTuple
 
@@ -435,39 +435,43 @@ class Realization(NamedTuple):
     letters (kacmoody._affine_image); fixing, the kacmoody._MAPS involution
     that fixes it pointwise; boundary, K(x)'s tensormat family and the
     parameters pinned there; lowest, the doubled degree B(x) starts at (see
-    build_B); and m, the tensormat M family weighting the linear charges
-    (envelope), None for a row without charges of its own."""
+    build_B); gauge, the doubled degrees of D's diagonal, where build_B is
+    D phi(B_abs) D^-1 (see _realizes); and m, the tensormat M family
+    weighting the linear charges (envelope), None for a row without charges
+    of its own."""
 
     family: str
     image: dict
     fixing: str
     boundary: tuple
     lowest: int
+    gauge: tuple
     m: str
 
 
 # Every realization, one row each; kappa_minus is a second embedding of the
-# invariant family, shifted by the translation automorphism.
+# invariant family, shifted by the translation automorphism, and its B(x)
+# is the image of the invariant abstract B(x) gauged by D = diag(1, x).
 REALIZATIONS = {
     "onsager": Realization(
         "onsager", {"A": (((2, "E", 1, 0), (2, "F", -1, 0)), 0),
                     "G": (((1, "H", 1, 0), (-1, "H", -1, 0)), 0)},
-        "theta1", ("U_diag", {"k": 1, "kstar": 1}), 0, "M_ons"),
+        "theta1", ("U_diag", {"k": 1, "kstar": 1}), 0, (0, 0), "M_ons"),
     "augmented": Realization(
         "augmented", {"K": (((1, "H", 1, 0), (1, "H", -1, 0)), 1),
                       "Z+": (((2, "E", 1, 0), (2, "E", -1, 1)), 0),
                       "Z-": (((2, "F", 1, 0), (2, "F", -1, -1)), 0)},
-        "theta2", ("U_offdiag", {"sign": -1}), 0, "M_aug"),
+        "theta2", ("U_offdiag", {"sign": -1}), 0, (0, 0), "M_aug"),
     "invariant": Realization(
         "invariant", {"H": (((1, "H", 1, 0), (1, "H", -1, 0)), 0),
                       "E": (((1, "E", 1, 0), (1, "E", -1, 0)), 0),
                       "F": (((1, "F", 1, 0), (1, "F", -1, 0)), 0)},
-        "lusztig_plus", ("kappa_plus", None), 0, "M_inv"),
+        "lusztig_plus", ("kappa_plus", None), 0, (0, 0), "M_inv"),
     "kappa_minus": Realization(
         "invariant", {"H": (((1, "H", 1, 0), (1, "H", -1, 0)), 2),
                       "E": (((1, "E", 1, 1), (1, "E", -1, 1)), 0),
                       "F": (((1, "F", 1, -1), (1, "F", -1, -1)), 0)},
-        "lusztig_minus", ("kappa_minus", None), -2, None),
+        "lusztig_minus", ("kappa_minus", None), -2, (0, 2), None),
 }
 
 
@@ -667,18 +671,36 @@ def _reflection(res, window, build, rbar_family, product):
     return _exchange(res, "", bx, by, product, clearing, commutators)
 
 
+def _realizes(res, family, b):
+    """Add to res build_B(family), given as b, minus D phi(B_abs) D^-1 on
+    b's exact window (see _compare), and return the region: phi is the
+    row's image, B_abs its family's abstract B(x), and D = diag(x^(g0/2),
+    x^(g1/2)) for its gauge (g0, g1) moves entry (i, j) by gi - gj."""
+    from .onsager import build_abstract_B, morphism_image  # onsager imports this module
+
+    row, x = REALIZATIONS[family], b.spectral_vars[0]
+    g, phi = row.gauge, partial(morphism_image, family)
+    want = build_abstract_B(row.family, (b.metas[0].trunc_hi + max(g) - min(g) + 1) // 2, x)
+    neg = {(i, j): {(d + g[i] - g[j],): -elt.linear(phi) for (d,), elt in coeffs.items()}
+           for (i, j), coeffs in want.entries.items()}
+    region = _compare(res, "realized B", b + CurrentMat(1, (x,), neg, b.metas))
+    d = ", ".join("1" if e == 0 else "x" if e == 2 else f"x^({e}/2)" for e in g)
+    return f"B = {f'D phi(B_abs) D^-1, D = diag({d}),' if any(g) else 'phi(B_abs)'} on {region}"
+
+
 def check_exchange(family, window, rbar_family=None):
     """[B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)] for the
-    realized B of build_B on the safe window, after clearing (x - y)(xy - 1).
+    realized B of build_B on the safe window, after clearing (x - y)(xy - 1);
+    and B = D phi(B_abs) D^-1 (see _realizes), which ties B to its family, so
+    a K(x) scaled by x, which leaves the exchange relation alone, fails.
 
     rbar_family overrides which family's reflected r-matrix is used; any
     mismatch with the B family must make the check fail.
     """
     res = Residuals()
-    region = _reflection(
-        res, window, lambda v: build_B(family, window, v), rbar_family or family,
-        _basis_bracket,
-    )
+    build = cache(partial(build_B, family, window))
+    region = _reflection(res, window, build, rbar_family or family, _basis_bracket)
+    region += "; " + _realizes(res, family, build(spectral("x")))
     tag = f"exchange[{family}]"
     if rbar_family and rbar_family != family:
         tag += f"[rbar from {rbar_family}]"

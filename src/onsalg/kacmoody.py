@@ -12,8 +12,11 @@ for x, y in sl2, read off two tables: the sl2 bracket _SL2 ([h, e] = 2e,
 The named automorphisms and the realizations of the Onsager families
 (currents.REALIZATIONS) are affine maps in one table format: per letter, a
 list of terms (k, type, s, b) meaning k type[s n + b] and a coefficient z
-meaning z delta_{n,0} c.  _affine_image is the one interpreter of both,
-and _homomorphism the one sweep that checks a map preserves brackets.
+meaning z delta_{n,0} c.  _affine_image reads both at a mode and
+modes.image at a symbolic mode, as _bracket_terms and _loop read the loop
+bracket; tests/test_modes.py holds each pair to agree.  _homomorphism is
+the one sweep that checks a map preserves brackets, at symbolic modes or
+over a window.
 
 Elements carry exact coefficients: plain integers or rationals, and
 polynomials in parameter variables only where a coefficient involves one,
@@ -25,6 +28,9 @@ hash and compare at C speed and print in the (type, mode) order.  The
 bracket of two basis symbols is memoised per pair (see _basis_bracket).
 """
 
+from functools import cache, partial
+
+from . import modes
 from .exactalg import LinComb, Symbol, _addbilin, _addlin, accumulate
 from .report import Residuals
 
@@ -130,6 +136,22 @@ def _bracket_terms(a, b):
     return tuple(out)
 
 
+def _loop(a, b):
+    """_bracket_terms at symbolic modes (modes.Loop keys), read off the same
+    tables: [x[F], y[G]] = [x, y][F + G] + (x, y) F [F + G = 0] c; a
+    central key brackets to zero."""
+    if type(a) is not modes.Loop or type(b) is not modes.Loop:
+        return ()
+    ta, tb = a.name, b.name
+    terms, sign = _SL2.get((ta, tb)), 1
+    if terms is None:
+        terms, sign = _SL2.get((tb, ta), ()), -1
+    total = modes.lin(1, a.form, 1, b.form)
+    out = [(modes.Loop(t, total), sign * k) for k, t in terms]
+    form = _FORM.get((ta, tb)) or _FORM.get((tb, ta))
+    return out + modes.central(total, a.form, form) if form else out
+
+
 def bracket(a, b):
     """Exact Lie bracket of two LieElts (bilinear over coefficient polys)."""
     return a.bilinear(b, _basis_bracket)
@@ -172,26 +194,10 @@ _MAPS = {
 MAP_NAMES = tuple(_MAPS)
 
 
-def _memo_image(base, override=None):
-    """base, a map from a symbol (a basis symbol or a family generator) to
-    a LieElt, memoised for the life of the returned function.
-
-    override, if given, is a callable symbol -> LieElt | None tried before
-    base; returning None falls through (used to verify that perturbed maps
-    fail).
-    """
-    memo = {}
-
-    def image(sym):
-        img = memo.get(sym)
-        if img is None:
-            img = override(sym) if override else None
-            if img is None:
-                img = base(sym)
-            memo[sym] = img
-        return img
-
-    return image
+def _memo_image(base, override):
+    """base, a map from a symbol to a LieElt, with override(sym) tried
+    first (None falls through), memoised for the life of the result."""
+    return cache(lambda sym: base(sym) if (img := override(sym)) is None else img)
 
 
 def _map_fn(name):
@@ -216,37 +222,66 @@ def _basis_range(window):
     return syms
 
 
-def _homomorphism(res, syms, image, product, sign):
-    """Add to res, for every ordered pair (a, b) of syms (no symmetry is
-    assumed), sign (image([a, b]) - [image(a), image(b)]) at position
-    [a, b]: product is the bracket of the domain, as (symbol, coefficient)
-    pairs, image maps a symbol to a LieElt, and the images are bracketed in
-    the mode algebra."""
-    for a in syms:
+def _homomorphism(res, firsts, seconds, image, product, bracket, sign):
+    """Add to res, for every pair (a, b) of firsts and seconds, sign
+    (image([a, b]) - [image(a), image(b)]) at position [a, b]: product and
+    bracket are those of the domain and of the images, as (key,
+    coefficient) pairs, and image maps a key to a LieElt.  Symbolic keys
+    (modes) and concrete ones alike."""
+    for a in firsts:
         ia = image(a).terms
-        for b in syms:
+        for b in seconds:
             out = {}
             for k, ck in product(a, b):
                 _addlin(out, image(k).terms, sign * ck)
-            _addbilin(out, ia, image(b).terms, _basis_bracket, -sign)
+            _addbilin(out, ia, image(b).terms, bracket, -sign)
             res.add(LieElt.from_dict(out), "[{}, {}]", a, b)
 
 
 def check_automorphism(name, window, override=None):
-    """Verify the named map preserves brackets on all ordered basis pairs
-    with |mode| <= window, and squares to the identity when every term of
-    its row reverses the mode (s = -1)."""
-    image = _memo_image(_map_fn(name), override)
-    syms = _basis_range(window)
-    res = Residuals()
-    _homomorphism(res, syms, image, _basis_bracket, 1)
-    if all(s == -1 for terms, _ in _MAPS[name].values() for _, _, s, _ in terms):
-        for a in syms:
+    """The named map preserves brackets, and squares to the identity when
+    each term of its row reverses the mode (s = -1), at every mode: decided
+    on the pairs (x[n], y[m]) of basis types and c.  override(sym), tried
+    before the row (None falls through), is how the tests and the
+    benchmark's mutation sweep check a perturbed map: it runs the windowed
+    sweep of |mode| <= window, pending ROADMAP item 5 (a table patch)."""
+    fn, row = _map_fn(name), _MAPS[name]
+    if override:
+        res, image, bracket = Residuals(), _memo_image(fn, override), _basis_bracket
+        firsts = seconds = _basis_range(window)
+        region = f"basis pairs with |mode| <= {window}"
+    else:
+        res, image, bracket = modes.Proof(window), partial(modes.image, row), _loop
+        firsts, seconds = ([modes.Loop(t, f) for t in "EFH"] + [modes.C]
+                           for f in (modes.N, modes.M))
+        region = "every integer mode"
+    _homomorphism(res, firsts, seconds, image, bracket, bracket, 1)
+    if all(s == -1 for terms, _ in row.values() for _, _, s, _ in terms):
+        for a in firsts:
             out = {a: -1}
             for k, ck in image(a).terms.items():
                 _addlin(out, image(k).terms, ck)
             res.add(LieElt.from_dict(out), "involution at {}", a)
-    return res.report(f"automorphism[{name}]", f"basis pairs with |mode| <= {window}")
+    return res.report(f"automorphism[{name}]", region)
+
+
+def loop_axioms(res):
+    """Decide that the loop bracket is a Lie bracket at every mode: on the
+    type pairs (x[n], y[m]), antisymmetry holds _SL2's and _FORM's symmetry;
+    on the triples (x[n], y[m], z[0]), Jacobi holds sl2's and, on n + m = 0,
+    _FORM's invariance, the cocycle condition of the central term (Kac,
+    Infinite-dimensional Lie algebras, ch. 7)."""
+    for x in "EFH":
+        a = LieElt.single(modes.Loop(x, modes.N))
+        for y in "EFH":
+            b = LieElt.single(modes.Loop(y, modes.M))
+            res.add(a.bilinear(b, _loop) + b.bilinear(a, _loop), "[{0}, {1}] + [{1}, {0}]",
+                    *a.terms, *b.terms)
+            for z in "EFH":
+                c, out = LieElt.single(modes.Loop(z, (0, 0, 0))), {}
+                for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+                    _addbilin(out, p.bilinear(q, _loop).terms, r.terms, _loop)
+                res.add(LieElt.from_dict(out), "({}, {}, {})", *a.terms, *b.terms, *c.terms)
 
 
 def check_serre_chevalley(window):

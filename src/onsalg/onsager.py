@@ -13,10 +13,10 @@ B in currents.check_exchange.
 The realizations are the rows of currents.REALIZATIONS (the three
 families and kappa_minus): each holds the family it realizes, its affine
 map in the format of the automorphisms kacmoody._MAPS, with the generator
-letters as letters, and the involution that fixes it.  kacmoody._affine_image
-reads both kinds of map, and kacmoody._homomorphism is the pair sweep of
-check_morphism and check_automorphism alike.  Like the brackets, every entry
-is affine in n.
+letters as letters, and the involution that fixes it.  Like the brackets,
+every entry is affine in n, so the mode checks (morphism, jacobi,
+fixed_point, kappa_isomorphism) are decided for every mode at symbolic
+modes (see modes), where _raw is the bracket of raw generators.
 
 Generators are interned ints, one instance per (family, letter, mode),
 ordered as those tuples are (see OnsSymbol).  The bracket of two
@@ -32,8 +32,11 @@ stated once, as the string it is reported at, and read by one parser.
 import random
 from functools import cache, partial
 
+from . import modes
 from .exactalg import LinComb, Symbol, _addbilin
-from .kacmoody import LieElt, _affine_image, _homomorphism, _memo_image, apply_map
+from .kacmoody import (
+    _MAPS, _affine_image, _basis_bracket, _homomorphism, _loop, _memo_image, loop_axioms
+)
 from .currents import REALIZATIONS, _reflection, _row, _series, _unknown_family
 from .report import Residuals
 
@@ -166,6 +169,16 @@ def _pair_bracket(a, b):
     return out
 
 
+def _raw(a, b):
+    """[X[F], Y[G]] for generators at symbolic modes (modes.Gen): the terms
+    _pair_bracket reads off _BRACKETS, with no canonical index."""
+    f, g, sign = a.form, b.form, 1
+    terms = _BRACKETS.get((a.name, b.name))
+    if terms is None:
+        terms, f, g, sign = _BRACKETS.get((b.name, a.name), ()), g, f, -1
+    return [(modes.Gen(z, modes.lin(p, f, q, g, r)), sign * k) for k, z, p, q, r in terms]
+
+
 def abstract_bracket(a, b):
     """Bilinear bracket of OnsElts via the family's defining relations."""
     return a.bilinear(b, _pair_bracket)
@@ -201,20 +214,43 @@ def morphism_image(family, sym):
     return _affine_image(row.image, sym.letter, sym.mode)
 
 
+def _realization(res, family):
+    """Decide (modes.Proof) that family's realization phi is, at every mode,
+    a homomorphism on raw generators (_raw), well defined, phi(X[r - n]) =
+    sign phi(X[n]) for each _LETTERS rule, so that canonical indices are
+    invisible after phi, and injective on canonical generators."""
+    row = _row(REALIZATIONS, family)
+    letters = _LETTERS[row.family]
+    image = partial(modes.image, row.image)
+    at_n = {x: modes.Gen(x, modes.N) for x in letters}
+    _homomorphism(res, at_n.values(), [modes.Gen(x, modes.M) for x in letters],
+                  image, _raw, _loop, -1)
+    for x, (r, sign) in ((x, rule) for x, rule in letters.items() if rule):
+        mirror = modes.Gen(x, (-1, 0, r))
+        res.add(image(mirror) - image(at_n[x]).scale(sign), "{} = {}{}", mirror,
+                "-" * (sign < 0), at_n[x])
+    modes.injective(res, {x: image(at_n[x]) for x in letters}, letters)
+
+
 def check_morphism(family, window, override=None):
-    """The realization is a Lie algebra homomorphism on all ordered generator
-    pairs with |mode| <= window (no symmetry is assumed).  `override(sym)`
-    replaces single images (returning None falls through), which is how a
-    perturbed realization is checked."""
+    """The realization is an injective homomorphism at every mode (see
+    _realization).  override(sym), replacing single images (None falls
+    through), is how the tests and the benchmark's mutation sweep check a
+    perturbed realization: it runs the windowed sweep of canonical pairs
+    with |mode| <= window, pending ROADMAP item 5 (a table patch)."""
     row = _row(REALIZATIONS, family)  # an unknown family fails before any work
+    if not override:
+        res = modes.Proof(window)
+        _realization(res, family)
+        return res.report(f"morphism[{family}]", "every integer mode: homomorphism on "
+                          "letter pairs, well defined, injective")
     img = _memo_image(lambda sym: morphism_image(family, sym), override)
     syms = canonical_symbols(row.family, window)
     res = Residuals()
     # [img(a), img(b)] - img([a, b])
-    _homomorphism(res, syms, img, _pair_bracket, -1)
+    _homomorphism(res, syms, syms, img, _pair_bracket, _basis_bracket, -1)
     return res.report(
-        f"morphism[{family}]" + ("[override]" if override else ""),
-        f"generator pairs with |mode| <= {window}",
+        f"morphism[{family}][override]", f"generator pairs with |mode| <= {window}"
     )
 
 
@@ -227,36 +263,17 @@ def _jacobi(a, b, c):
 
 
 def check_jacobi(family, window):
-    """Antisymmetry and the Jacobi identity on the canonical generators up
-    to the window: the axioms that make the bracket tables a Lie algebra.
-
-    [a, b] + [b, a] is symmetric in a and b, so each unordered pair (a = b
-    included) is compared once.  The Jacobi sum is cyclically symmetric for
-    any bilinear bracket, and it changes sign under a transposition because
-    the bracket is antisymmetric on the window's pairs, which the first
-    sweep proves; so the sorted triples i <= j <= k cover every triple.
-    """
-    syms = canonical_symbols(family, window)
-    elts = [OnsElt.single(s) for s in syms]
-    res = Residuals()
-    n = len(syms)
-    for i in range(n):
-        for j in range(i, n):
-            a, b = elts[i].terms, elts[j].terms
-            out = {}
-            _addbilin(out, a, b, _pair_bracket)
-            _addbilin(out, b, a, _pair_bracket)
-            res.add(OnsElt.from_dict(out), "[{0}, {1}] + [{1}, {0}]", syms[i], syms[j])
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                res.add(_jacobi(elts[i], elts[j], elts[k]),
-                        "({}, {}, {})", syms[i], syms[j], syms[k])
-    return res.report(
-        f"jacobi[{family}]",
-        f"antisymmetry on generator pairs and Jacobi on generator triples with "
-        f"|mode| <= {window}",
-    )
+    """The family's bracket is a Lie bracket at every mode, by pullback: its
+    realization (REALIZATIONS[family]) is a well-defined injective
+    homomorphism (_realization) into the loop algebra, whose bracket is a
+    Lie bracket (kacmoody.loop_axioms).  Both premises are decided here."""
+    _row(_LETTERS, family)  # an unknown family fails before any work
+    res = modes.Proof(window)
+    loop_axioms(res)
+    _realization(res, family)
+    return res.report(f"jacobi[{family}]", "pullback from the loop axioms (sl2 Jacobi, _FORM "
+                      f"symmetric and invariant) and the {family} realization (homomorphism, "
+                      "well defined, injective), at every integer mode")
 
 
 # how many random triples check_jacobi_sampled draws
@@ -312,34 +329,34 @@ def check_dolan_grady(family):
 
 
 def check_fixed_point(family, max_mode):
-    """The family's distinguished involution fixes its realization pointwise."""
+    """The family's distinguished involution fixes its realization
+    pointwise, at every mode."""
     row = _row(REALIZATIONS, family)
-    res = Residuals()
-    for sym in canonical_symbols(row.family, max_mode):
-        img = morphism_image(family, sym)
-        res.add(apply_map(row.fixing, img) - img, "{}", sym)
-    return res.report(
-        f"fixed_point[{family}, {row.fixing}]",
-        f"generators with |mode| <= {max_mode}",
-    )
+    theta = partial(modes.image, _MAPS[row.fixing])
+    res = modes.Proof(max_mode)
+    for x in _LETTERS[row.family]:
+        at = modes.Gen(x, modes.N)
+        img = modes.image(row.image, at)
+        res.add(img.linear(theta) - img, "{}", at)
+    return res.report(f"fixed_point[{family}, {row.fixing}]", "every integer mode")
 
 
 def check_kappa_isomorphism(window, correspondence_shift=0):
     """The translation automorphism carries the invariant realization onto
-    the kappa_minus one generator by generator.  A nonzero
+    the kappa_minus one generator by generator, at every mode: shift
+    phi_inv(X[n]) = phi_kappa(X[n + correspondence_shift]), at any index
+    by kappa_minus's well-definedness (morphism[kappa_minus]).  A nonzero
     correspondence_shift misaligns the modes and must fail."""
-    res = Residuals()
-    for sym in canonical_symbols("invariant", window):
-        sign, target = canonicalize(
-            "invariant", sym.letter, sym.mode + correspondence_shift
-        )
-        moved = apply_map("shift", morphism_image("invariant", sym))
-        want = morphism_image("kappa_minus", target).scale(sign) if target else LieElt.zero()
-        res.add(moved - want, "{}", sym)
+    shift = partial(modes.image, _MAPS["shift"])
+    res = modes.Proof(window)
+    for x in _LETTERS["invariant"]:
+        at, moved = modes.Gen(x, modes.N), modes.Gen(x, (1, 0, correspondence_shift))
+        res.add(modes.image(REALIZATIONS["invariant"].image, at).linear(shift)
+                - modes.image(REALIZATIONS["kappa_minus"].image, moved), "{}", at)
     return res.report(
         "kappa_isomorphism"
         + (f"[shift {correspondence_shift:+d}]" if correspondence_shift else ""),
-        f"invariant generators with mode <= {window}",
+        "every integer mode",
     )
 
 

@@ -30,6 +30,7 @@ from onsalg.tensormat import (
 
 # test_acceptance sits next to this file and builds the hand-made mutants
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import oracles  # noqa: E402
 from test_acceptance import U, X, Y, _altered_k, _mutate_entry  # noqa: E402
 
 
@@ -52,14 +53,24 @@ def test_augmented_realization_fails_without_its_central_term(monkeypatch):
     image = currents.REALIZATIONS["augmented"].image
     terms, _ = image["K"]
     monkeypatch.setitem(image, "K", (terms, 0))
-    assert _first(onsager.check_morphism("augmented", 3)) == (6, "[Z+[1], Z-[0]]", "4*c")
-    assert _first(onsager.check_fixed_point("augmented", 3)) == (1, "K[0]", "2*c")
+    # the images of the two K terms of [Z+[n], Z-[m]] each lack 4c on a line
+    assert _first(onsager.check_morphism("augmented", 3)) == (
+        4, "[Z+[n], Z-[m]]", "4*c on n - m - 1 = 0; 4*c on n + m = 0")
+    assert _first(onsager.check_fixed_point("augmented", 3)) == (1, "K[n]", "2*c on n = 0")
+    # the windowed oracle fails at the first pair on one of those lines
+    syms = onsager.canonical_symbols("augmented", 3)
+    assert _first(oracles.fixed_point("augmented", syms, "theta2")) == (1, "K[0]", "2*c")
 
 
 def test_jacobi_fails_on_a_bracket_that_is_not_antisymmetric(monkeypatch):
     # [G_n, G_m] = G_n, so [x, x] = x
     monkeypatch.setitem(onsager._BRACKETS, ("G", "G"), ((1, "G", 1, 0, 0),))
     rep = onsager.check_jacobi("onsager", 2)
+    # the pullback's premise fails: the realization no longer preserves [G, G]
+    assert _first(rep) == (2, "[G[n], G[m]]", "h[-n] - h[n]")
+    assert len(rep.witnesses) == 1
+    # the windowed oracle sees the antisymmetry fail
+    rep = oracles.jacobi("onsager", 2)
     assert _first(rep) == (60, "[G[1], G[1]] + [G[1], G[1]]", "2*G[1]")
     assert rep.witnesses[1] == {
         "position": "[G[1], G[2]] + [G[2], G[1]]",
@@ -74,6 +85,10 @@ _SHIFTED_ZZ = ((4, "K", 1, 1, 0), (4, "K", -1, 1, 0))
 def test_jacobi_fails_on_a_wrong_structure_constant(monkeypatch):
     monkeypatch.setitem(onsager._BRACKETS, ("Z+", "Z-"), _SHIFTED_ZZ)
     assert _first(onsager.check_jacobi("augmented", 2)) == (
+        12, "[Z+[n], Z-[m]]",
+        "-4*h[-n + m] + 4*h[-n + m + 1] + 4*h[n - m - 1] - 4*h[n - m]; "
+        "4*c on n - m - 1 = 0; -4*c on n - m = 0")
+    assert _first(oracles.jacobi("augmented", 2)) == (
         58, "(K[1], Z+[1], Z-[0])", "-8*K[0] + 8*K[2]")
 
 
@@ -206,14 +221,19 @@ _LUSZTIG_PLUS = {
 @pytest.mark.parametrize(
     "family, name, rule, want",
     [
-        ("augmented", "theta2", _LUSZTIG_PLUS, (25, "K[0]", "-2*c")),
+        ("augmented", "theta2", _LUSZTIG_PLUS,
+         ((9, "K[n]", "-2*c on n = 0"), (25, "K[0]", "-2*c"))),
         ("onsager", "theta1", _LUSZTIG_PLUS,
-         (30, "A[-3]", "-2*e[-3] + 2*e[3] + 2*f[-3] - 2*f[3]")),
+         ((6, "A[n]", "2*e[-n] - 2*e[n] - 2*f[-n] + 2*f[n]"),
+          (30, "A[-3]", "-2*e[-3] + 2*e[3] + 2*f[-3] - 2*f[3]"))),
     ],
 )
 def test_fixed_point_fails_on_a_changed_involution(monkeypatch, family, name, rule, want):
+    # the symbolic witness, then the windowed oracle's at |mode| <= 3
     monkeypatch.setitem(kacmoody._MAPS, name, rule)
-    assert _first(onsager.check_fixed_point(family, 3)) == want
+    assert _first(onsager.check_fixed_point(family, 3)) == want[0]
+    syms = onsager.canonical_symbols(family, 3)
+    assert _first(oracles.fixed_point(family, syms, name)) == want[1]
 
 
 def test_automorphism_fails_on_a_map_that_is_not_an_involution(monkeypatch):
@@ -222,6 +242,10 @@ def test_automorphism_fails_on_a_map_that_is_not_an_involution(monkeypatch):
     row = dict(_LUSZTIG_PLUS, E=(((2, "E", -1, 0),), 0), F=(((rat(1, 2), "F", -1, 0),), 0))
     monkeypatch.setitem(kacmoody._MAPS, "lusztig_plus", row)
     rep = kacmoody.check_automorphism("lusztig_plus", 2)
+    assert _first(rep) == (2, "involution at e[n]", "3*e[n]")
+    assert [w["position"] for w in rep.witnesses] == ["involution at e[n]", "involution at f[n]"]
+    # the windowed sweep, which an override selects, fails at every mode
+    rep = kacmoody.check_automorphism("lusztig_plus", 2, override=lambda sym: None)
     assert _first(rep) == (10, "involution at e[-2]", "3*e[-2]")
     assert all(w["position"].startswith("involution at ") for w in rep.witnesses)
 

@@ -272,8 +272,8 @@ def test_kappa_isomorphism_fails_when_shifted():
     rep = check_kappa_isomorphism(8, correspondence_shift=1)
     assert not rep.passed
     assert rep.witnesses[0] == {
-        "position": "H[0]",
-        "residual": "2*c - h[-1] + 2*h[0] - h[1]",
+        "position": "H[n]",
+        "residual": "-h[-n - 1] + h[-n] + h[n] - h[n + 1]; 2*c on n = 0; -2*c on n + 1 = 0",
     }
 
 

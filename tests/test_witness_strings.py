@@ -178,16 +178,11 @@ EXPECTED = {
         ],
     ),
     "kappa_isomorphism[shift +1]": (
-        106,
+        14,
         [
-            ("H[0]", "2*c - h[-1] + 2*h[0] - h[1]"),
-            ("H[1]", "-h[-2] + h[-1] + h[1] - h[2]"),
-            ("H[2]", "-h[-3] + h[-2] + h[2] - h[3]"),
-            ("H[3]", "-h[-4] + h[-3] + h[3] - h[4]"),
-            ("H[4]", "-h[-5] + h[-4] + h[4] - h[5]"),
-            ("H[5]", "-h[-6] + h[-5] + h[5] - h[6]"),
-            ("H[6]", "-h[-7] + h[-6] + h[6] - h[7]"),
-            ("H[7]", "-h[-8] + h[-7] + h[7] - h[8]"),
+            ("H[n]", "-h[-n - 1] + h[-n] + h[n] - h[n + 1]; 2*c on n = 0; -2*c on n + 1 = 0"),
+            ("E[n]", "-e[-n] + e[-n + 1] + e[n + 1] - e[n + 2]"),
+            ("F[n]", "-f[-n - 2] + f[-n - 1] + f[n - 1] - f[n]"),
         ],
     ),
     "linear_charges[onsager][mutated]": (
