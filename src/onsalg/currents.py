@@ -7,11 +7,11 @@ provably safe window; degrees are doubled like LaurentPoly exponents.  A
 meta is shifted by a scalar factor and merged by a sum; no series is the
 product of two truncated series, so no meta is multiplied.
 
-Every series identity (the FRT relations, and the exchange relation of
-B(x) for the realized B of build_B and for the abstract B of each onsager
-family) is checked by one routine, _exchange: it adds the cleared bracket
-[a1(x), b2(y)], minus each cleared commutator and any central term, into
-one residual current, which _compare reads on its safe window.  The
+Every series identity (the FRT relations, the exchange relation of each
+onsager family's abstract B) is checked by one routine, _exchange: it
+adds the cleared bracket [a1(x), b2(y)], minus each cleared commutator and
+any central term, into one residual current, which _compare reads on its
+safe window; check_exchange derives the realized B's by transport.  The
 denominators are cleared one way: exactalg.complement and TensorMat.cleared.
 
 Every generating series is built from table rows by one builder,
@@ -32,7 +32,7 @@ merges each coefficient both operands hold with one kernel call.
 """
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from operator import add
 from typing import NamedTuple
 
@@ -40,6 +40,7 @@ from .exactalg import LaurentPoly, Variable, _addbilin, _addlin, complement, rat
 from .kacmoody import C, BasisSymbol, LieElt, _basis_bracket, bracket
 from .report import Residuals
 from .tensormat import (
+    TensorMat,
     build_boundary,
     build_r,
     build_rbar,
@@ -573,7 +574,7 @@ def _compare(res, tag, diff):
     return ", ".join(_fmt_window(v, w) for v, w in zip(diff.spectral_vars, windows))
 
 
-def _exchange(res, tag, a, b, product, clearing, commutators, central=None):
+def _exchange(res, tag, a, b, product, clearing, commutators, central=None, premise=None):
     """Add the residual of one exchange relation to res (see _compare) and
     return the compared region.  For 1-leg currents a(x) and b(y) and
     commutators ((s1, rows1), (s2, rows2)), the residual
@@ -583,13 +584,14 @@ def _exchange(res, tag, a, b, product, clearing, commutators, central=None):
     is built in one {pos: {deg: term dict}} through _mixed_mul.  [a1, b2]
     is series_bracket(a, b, product), the rows are scalar matrices cleared
     by clearing, and central, if given, is a pair (current, rows) meaning
-    their product.
+    their product.  With premise, the metas of a residual a premise proves
+    zero on their window, in place of product, that residual stands for the bracket.
     """
     vars2 = a.spectral_vars + b.spectral_vars
     out = {}
     clear = complement((), clearing)
     scalar = [[clear if i == j else None for j in range(4)] for i in range(4)]
-    metas = [series_bracket(a, b, product)._mixed_mul(scalar, True, out)]
+    metas = [premise or series_bracket(a, b, product)._mixed_mul(scalar, True, out)]
     a1 = a.embed((1,), 2).with_spectral_vars(vars2)
     b2 = b.embed((2,), 2).with_spectral_vars(vars2)
     for cur, (sign, rows) in zip((a1, b2), commutators):
@@ -653,22 +655,34 @@ def check_frt_relations(window, omit_central=False):
     )
 
 
-def _reflection(res, window, build, rbar_family, product):
+def _rbar(family):
+    """rbar(x, y) of family's boundary (REALIZATIONS), x and y spectral."""
+    x = spectral("x")
+    return build_rbar(boundary_for(family, x), x, spectral("y"))
+
+
+def _reflection(res, window, b, rbar, product, premise=None):
     """Check [B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)]
-    for B = build(x), with the reflected r-matrix of rbar_family's
-    boundary (REALIZATIONS), after clearing (x - y)(xy - 1); add the residual
-    to res and return the compared region.  product brackets the
-    coefficients of B."""
+    for B(x) given as b, B(y) its copy in y, and a reflected r-matrix rbar(x,
+    y) (see _rbar), after clearing (x - y)(xy - 1); add the residual to res
+    and return the compared region.  product brackets the coefficients of
+    B, or premise stands for the bracket (see _exchange)."""
     if window < MIN_WINDOW:
         raise ValueError(f"window must be >= {MIN_WINDOW} for a meaningful comparison")
     x, y = spectral("x"), spectral("y")
-    bx, by = build(x), build(y)
-    rbar = build_rbar(boundary_for(rbar_family, x), x, y)
     xx, yy = LaurentPoly.var(x), LaurentPoly.var(y)
     clearing = [xx - yy, xx * yy - 1]
     rbar21 = leg_embed(rbar.substitute({x: yy, y: xx}), (2, 1), 2)
     commutators = ((-1, rbar21.cleared(clearing)), (1, rbar.cleared(clearing)))
-    return _exchange(res, "", bx, by, product, clearing, commutators)
+    by = CurrentMat(1, (y,), b.entries, b.metas)
+    return _exchange(res, "", b, by, product, clearing, commutators, premise=premise)
+
+
+def _gauged(g):
+    """D1(x) D2(y) for D = diag(x^(g0/2), x^(g1/2)), g doubled degrees."""
+    d = [TensorMat(1, [[LaurentPoly.monomial((v,), (e,), 1) if i == j else 0 for j, e in
+                        enumerate(g)] for i in range(2)], (v,)) for v in map(spectral, "xy")]
+    return leg_embed(d[0], (1,), 2) @ leg_embed(d[1], (2,), 2)
 
 
 def _realizes(res, family, b):
@@ -689,18 +703,28 @@ def _realizes(res, family, b):
 
 
 def check_exchange(family, window, rbar_family=None):
-    """[B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)] for the
-    realized B of build_B on the safe window, after clearing (x - y)(xy - 1);
-    and B = D phi(B_abs) D^-1 (see _realizes), which ties B to its family, so
-    a K(x) scaled by x, which leaves the exchange relation alone, fails.
-
-    rbar_family overrides which family's reflected r-matrix is used; any
-    mismatch with the B family must make the check fail.
-    """
-    res = Residuals()
-    build = cache(partial(build_B, family, window))
-    region = _reflection(res, window, build, rbar_family or family, _basis_bracket)
-    region += "; " + _realizes(res, family, build(spectral("x")))
+    """The exchange relation [B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y),
+    rbar12(x,y)] of the realized B of build_B, cleared by (x - y)(xy - 1),
+    derived by transport from the premises its region names:
+    current_relations[F] (F the row's family) at this window, carried by
+    morphism[family] and conjugated by the gauge D1(x) D2(y).  Given them,
+    the realized residual is -[dR21, B1(x)] - [B2(y), dR12] for dR = rbar -
+    D1 D2 rbar[F] (D1 D2)^-1, rbar that of rbar_family (by default family),
+    and only that is built, on the premise's window moved by the gauge: dR
+    is 0 on the four rows (for kappa_minus, the gauge identity).  B = D
+    phi(B_abs) D^-1 (see _realizes) ties B to its family (x K(x) fails)."""
+    row, used = _row(REALIZATIONS, family), rbar_family or family
+    g, spread = row.gauge, max(row.gauge) - min(row.gauge)
+    premise_rbar = _rbar(row.family)
+    moved = _gauged(g) @ premise_rbar @ _gauged([-e for e in g])
+    delta = (premise_rbar if used == row.family else _rbar(used)) - moved
+    # current_relations[F] compares [0, window]; its residual has no term below 0
+    premise = (SupportMeta(0, None, None, 2 * window).shifted(-spread, spread),) * 2
+    res, b = Residuals(), build_B(family, window)
+    region = _reflection(res, window, b, delta, None, premise)
+    premises = f"current_relations[{row.family}] at window {window}" + (
+        f", morphism[{family}] and the gauge D" if spread else f" and morphism[{family}]")
+    region += f" by transport from {premises}; " + _realizes(res, family, b)
     tag = f"exchange[{family}]"
     if rbar_family and rbar_family != family:
         tag += f"[rbar from {rbar_family}]"

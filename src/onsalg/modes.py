@@ -92,19 +92,21 @@ def image(row, key):
 class Proof(Residuals):
     """The residuals of identities decided for every integer mode, and how
     many were decided: a proof that decided none fails.  It refuses a
-    negative window, as every check taking one does, though it reads none."""
+    negative window, as every check taking one does, though it reads none.
+    A proof from premises sets premise, the prefix of each witness's position."""
 
     def __init__(self, window=0):
         if window < 0:
             raise ValueError(f"window must be >= 0, not {window}")
         super().__init__()
         self.decided = 0
+        self.premise = ""
 
     def settle(self, count, text, position, *args):
         """Count one identity, refuted by count > 0 residual terms."""
         self.decided += 1
         if count:
-            Residuals.add(self, text, position, *args, terms=count)
+            Residuals.add(self, text, self.premise + position, *args, terms=count)
 
     def add(self, residual, position, *args):
         """Decide residual = 0 at every mode.  Distinct forms differ at all
@@ -139,7 +141,8 @@ def injective(res, images, rules):
     each letter X to the image of X[n], rules to its _LETTERS rule (r, sign),
     canonical from n = r // 2 + (r odd or sign < 0), or None.  X[n]'s lead,
     its first term growing with n, must keep a nonzero coefficient and be in
-    no other canonical image, so it reads X[n] off a vanishing sum as 0."""
+    no other canonical image, so it reads X[n] off a vanishing sum as 0: a
+    sufficient test, so a failure says injectivity is undecided, not false."""
     low = {x: r and r[0] // 2 + (r[0] % 2 or r[1] < 0) for x, r in rules.items()}
     for x, img in images.items():
         lead = min((k for k in img.terms if type(k) is Loop and k.form[0] == 1), default=None)
@@ -159,5 +162,6 @@ def injective(res, images, rules):
                     elif not sum(c for t, c in img.terms.items() if type(t) is Loop and t.name
                                  == lead.name and t.form[0] * n + t.form[2] == n + lead.form[2]):
                         clash.append(f"{lead} cancels at n = {n}")
-        res.settle(len(clash), "; ".join(clash), "injective at {}[n], {}", x,
+        res.settle(len(clash), "undecided (the lead-term test is only sufficient): "
+                   + "; ".join(clash), "injective at {}[n], {}", x,
                    "every n" if low[x] is None else f"n >= {low[x]}")

@@ -7,8 +7,8 @@ and their finite consequences.  Each family's currents, _CURRENTS, and its
 abstract B(x), _B_CURRENTS, are table rows in the format of T+(x) and
 T-(1/x) in currents, built by the one series builder currents._series;
 check_current_relations proves the whole bracket table as the FRT
-exchange relation of B(x), by the routine that proves it for the realized
-B in currents.check_exchange.
+exchange relation of B(x), the premise from which currents.check_exchange
+derives the realized B's by transport.
 
 The realizations are the rows of currents.REALIZATIONS (the three
 families and kappa_minus): each holds the family it realizes, its affine
@@ -37,7 +37,7 @@ from .exactalg import LinComb, Symbol, _addbilin
 from .kacmoody import (
     _MAPS, _affine_image, _basis_bracket, _homomorphism, _loop, _memo_image, loop_axioms
 )
-from .currents import REALIZATIONS, _reflection, _row, _series, _unknown_family
+from .currents import REALIZATIONS, _rbar, _reflection, _row, _series, _unknown_family
 from .report import Residuals
 
 __all__ = [
@@ -266,10 +266,13 @@ def check_jacobi(family, window):
     """The family's bracket is a Lie bracket at every mode, by pullback: its
     realization (REALIZATIONS[family]) is a well-defined injective
     homomorphism (_realization) into the loop algebra, whose bracket is a
-    Lie bracket (kacmoody.loop_axioms).  Both premises are decided here."""
+    Lie bracket (kacmoody.loop_axioms).  Both premises are decided here, and
+    each witness names the one it refutes, "loop axioms:" or "realization:"."""
     _row(_LETTERS, family)  # an unknown family fails before any work
     res = modes.Proof(window)
+    res.premise = "loop axioms: "
     loop_axioms(res)
+    res.premise = "realization: "
     _realization(res, family)
     return res.report(f"jacobi[{family}]", "pullback from the loop axioms (sl2 Jacobi, _FORM "
                       f"symmetric and invariant) and the {family} realization (homomorphism, "
@@ -398,9 +401,6 @@ def check_current_relations(family, window):
     [B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)] under
     _pair_bracket, with the rbar of the realized B (currents.REALIZATIONS).
     Each entry of the relation pairs two of the family's currents."""
-    _row(_B_CURRENTS, family)  # an unknown family fails before any work
-    res = Residuals()
-    region = _reflection(
-        res, window, lambda v: build_abstract_B(family, window, v), family, _pair_bracket
-    )
+    res, b = Residuals(), build_abstract_B(family, window)  # an unknown family fails here
+    region = _reflection(res, window, b, _rbar(family), _pair_bracket)
     return res.report(f"current_relations[{family}]", region)

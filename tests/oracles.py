@@ -4,15 +4,19 @@ The library decides automorphism, morphism, fixed_point, kappa_isomorphism
 and jacobi at symbolic modes (onsalg.modes).  The sweeps they replaced
 stay here, as test oracles over concrete modes: jacobi over the canonical
 generators up to a window, and the fixed-point and kappa loops over the
-generators given.  The windowed homomorphism sweep itself stays in the
-library for the override path of check_morphism and check_automorphism.
+generators given.  The library derives the realized exchange relations
+by transport (currents.check_exchange); `exchange` is the computation it
+replaced, the relation rebuilt on the realized series.  The windowed
+homomorphism sweep itself stays in the library for the override path of
+check_morphism and check_automorphism.
 `at` reads a symbolic element at concrete modes, so a symbolic residual
 can be compared with the concrete one.
 """
 
 from onsalg import modes
+from onsalg.currents import _rbar, _realizes, _reflection, build_B
 from onsalg.exactalg import _addbilin
-from onsalg.kacmoody import C, BasisSymbol, LieElt, apply_map
+from onsalg.kacmoody import C, BasisSymbol, LieElt, _basis_bracket, apply_map
 from onsalg.onsager import (
     OnsElt, OnsSymbol, _jacobi, _pair_bracket, canonical_symbols, canonicalize, morphism_image
 )
@@ -62,6 +66,21 @@ def kappa_isomorphism(syms, correspondence_shift=0):
         want = morphism_image("kappa_minus", target).scale(sign) if target else LieElt.zero()
         res.add(moved - want, "{}", sym)
     return res.report("kappa_isomorphism", "the generators given")
+
+
+def exchange(family, window, rbar_family=None):
+    """[B1(x), B2(y)] = [rbar21(y,x), B1(x)] + [B2(y), rbar12(x,y)] for the
+    realized B of build_B, bracketed on its series (series_bracket) and
+    compared on the safe window after clearing (x - y)(xy - 1), with the
+    rbar of rbar_family's boundary; then B = D phi(B_abs) D^-1 as
+    check_exchange compares it.  The region is the relation's window."""
+    res, b = Residuals(), build_B(family, window)
+    region = _reflection(res, window, b, _rbar(rbar_family or family), _basis_bracket)
+    _realizes(res, family, b)
+    tag = f"exchange[{family}]"
+    if rbar_family and rbar_family != family:
+        tag += f"[rbar from {rbar_family}]"
+    return res.report(tag, region)
 
 
 def at(elt, n, m=0, family=None):

@@ -1,5 +1,8 @@
 """Truncated matrix series: the generating currents and their relations."""
 
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,10 @@ from onsalg.currents import (
 from onsalg.exactalg import LaurentPoly, parameter, rat, spectral
 from onsalg.kacmoody import C, E, F, H, LieElt, _basis_bracket, bracket
 from onsalg.report import Residuals
-from onsalg.tensormat import build_r
+from onsalg.tensormat import TensorMat, build_r, build_rbar
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import oracles  # noqa: E402
 
 
 def lie(*pairs):
@@ -271,6 +277,51 @@ def test_exchange_fails_with_mismatched_rbar():
 def test_exchange_rejects_thin_window():
     with pytest.raises(ValueError):
         check_exchange("onsager", 3)
+
+
+@pytest.mark.parametrize("window", [4, 6, 8])
+def test_exchange_by_transport_matches_the_relation_on_the_realized_series(window):
+    # every row with every row's rbar: the transported residual is the
+    # realized relation's, witness for witness, on the same window
+    counts = {}
+    for family in currents.REALIZATIONS:
+        for rbar_family in currents.REALIZATIONS:
+            got = check_exchange(family, window, rbar_family)
+            want = oracles.exchange(family, window, rbar_family)
+            assert (got.name, got.status, got.residual_term_count, got.witnesses) == (
+                want.name, want.status, want.residual_term_count, want.witnesses)
+            assert got.region.startswith(want.region + " by transport from ")
+            assert got.passed == (family == rbar_family)
+            counts[family, rbar_family] = got.residual_term_count
+    if window == 6:
+        assert counts["onsager", "augmented"] == 852
+        assert counts["kappa_minus", "invariant"] == 420
+
+
+def test_the_gauge_carries_rbar_of_kappa_plus_to_kappa_minus():
+    # rbar[kappa_minus] = D1(x) D2(y) rbar[kappa_plus] (D1(x) D2(y))^-1 with
+    # D = diag(1, x), exactly; D1(x) D2(y) is diag(1, y, x, xy)
+    x, y = spectral("x"), spectral("y")
+    rbar = {f: build_rbar(currents.boundary_for(f, x), x, y) for f in ("invariant", "kappa_minus")}
+    assert currents.REALIZATIONS["kappa_minus"].gauge == (0, 2)
+
+    def diag(sign):
+        degrees = [(0, 0), (0, 2), (2, 0), (2, 2)]
+        return TensorMat(2, [[LaurentPoly.monomial((x, y), (sign * a, sign * b), 1) if i == j
+                              else 0 for j in range(4)] for i, (a, b) in enumerate(degrees)])
+
+    assert (currents._gauged((0, 2)) - diag(1)).is_zero()
+    assert (rbar["kappa_minus"] - diag(1) @ rbar["invariant"] @ diag(-1)).is_zero()
+    assert not (rbar["kappa_minus"] - rbar["invariant"]).is_zero()
+
+
+def test_exchange_fails_without_the_kappa_minus_gauge(monkeypatch):
+    row = currents.REALIZATIONS["kappa_minus"]
+    monkeypatch.setitem(currents.REALIZATIONS, "kappa_minus", row._replace(gauge=(0, 0)))
+    rep = check_exchange("kappa_minus", 6)
+    assert not rep.passed and rep.witnesses
+    # the exchange relation itself fails, not only B = phi(B_abs)
+    assert any(not w["position"].startswith("realized B") for w in rep.witnesses)
 
 
 def test_compare_adds_tagged_residuals_to_the_callers_collector():

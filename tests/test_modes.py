@@ -249,6 +249,21 @@ def test_witness_order_does_not_depend_on_the_hash_seed():
     assert all(witnesses for witnesses in runs[0])
 
 
+# -- the lead-term test of injectivity ----------------------------------------------
+
+
+def test_injective_says_the_lead_term_test_did_not_decide(monkeypatch):
+    # A -> e[n] + e[n + 1] has independent images over all n, but its lead
+    # e[n] is in A[m] at m = n - 1: the sufficient test fails, and the
+    # witness says it decided nothing, not that the map is not injective
+    monkeypatch.setitem(_IMAGES["onsager"], "A", (((1, "E", 1, 0), (1, "E", 1, 1)), 0))
+    rep = onsager.check_morphism("onsager", 2)
+    assert not rep.passed
+    assert {"position": "injective at A[n], every n",
+            "residual": "undecided (the lead-term test is only sufficient): "
+                        "e[n] is in A[m] for infinitely many n"} in rep.witnesses
+
+
 # -- K(x) scaled by x ------------------------------------------------------------------
 
 

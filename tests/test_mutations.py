@@ -67,7 +67,7 @@ def test_jacobi_fails_on_a_bracket_that_is_not_antisymmetric(monkeypatch):
     monkeypatch.setitem(onsager._BRACKETS, ("G", "G"), ((1, "G", 1, 0, 0),))
     rep = onsager.check_jacobi("onsager", 2)
     # the pullback's premise fails: the realization no longer preserves [G, G]
-    assert _first(rep) == (2, "[G[n], G[m]]", "h[-n] - h[n]")
+    assert _first(rep) == (2, "realization: [G[n], G[m]]", "h[-n] - h[n]")
     assert len(rep.witnesses) == 1
     # the windowed oracle sees the antisymmetry fail
     rep = oracles.jacobi("onsager", 2)
@@ -85,11 +85,29 @@ _SHIFTED_ZZ = ((4, "K", 1, 1, 0), (4, "K", -1, 1, 0))
 def test_jacobi_fails_on_a_wrong_structure_constant(monkeypatch):
     monkeypatch.setitem(onsager._BRACKETS, ("Z+", "Z-"), _SHIFTED_ZZ)
     assert _first(onsager.check_jacobi("augmented", 2)) == (
-        12, "[Z+[n], Z-[m]]",
+        12, "realization: [Z+[n], Z-[m]]",
         "-4*h[-n + m] + 4*h[-n + m + 1] + 4*h[n - m - 1] - 4*h[n - m]; "
         "4*c on n - m - 1 = 0; -4*c on n - m = 0")
     assert _first(oracles.jacobi("augmented", 2)) == (
         58, "(K[1], Z+[1], Z-[0])", "-8*K[0] + 8*K[2]")
+
+
+@pytest.mark.parametrize("container, key, value", [
+    (kacmoody._SL2, ("E", "F"), ((2, "H"),)),
+    (kacmoody._FORM, ("H", "H"), 4),
+], ids=["sl2_doubled", "form_hh_4"])
+@pytest.mark.parametrize("family", onsager.FAMILIES)
+def test_jacobi_names_the_loop_axioms_when_they_fail(monkeypatch, container, key, value, family):
+    # the family's own bracket is untouched: the failed premise is the
+    # loop algebra's (read at symbolic modes, with no memo), and every
+    # witness says so
+    monkeypatch.setitem(container, key, value)
+    rep = onsager.check_jacobi(family, 2)
+    assert not rep.passed
+    assert rep.witnesses[0] == {"position": "loop axioms: (e[n], h[m], f[0])",
+                                "residual": "(-6*n - 4*m)*c on n + m = 0"}
+    assert all(w["position"].startswith(("loop axioms: ", "realization: "))
+               for w in rep.witnesses)
 
 
 def test_jacobi_sampled_fails_on_a_wrong_structure_constant(monkeypatch):
