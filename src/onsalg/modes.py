@@ -92,21 +92,19 @@ def image(row, key):
 class Proof(Residuals):
     """The residuals of identities decided for every integer mode, and how
     many were decided: a proof that decided none fails.  It refuses a
-    negative window, as every check taking one does, though it reads none.
-    A proof from premises sets premise, the prefix of each witness's position."""
+    negative window, as every check taking one does, though it reads none."""
 
     def __init__(self, window=0):
         if window < 0:
             raise ValueError(f"window must be >= 0, not {window}")
         super().__init__()
         self.decided = 0
-        self.premise = ""
 
     def settle(self, count, text, position, *args):
         """Count one identity, refuted by count > 0 residual terms."""
         self.decided += 1
         if count:
-            Residuals.add(self, text, self.premise + position, *args, terms=count)
+            Residuals.add(self, text, position, *args, terms=count)
 
     def add(self, residual, position, *args):
         """Decide residual = 0 at every mode.  Distinct forms differ at all

@@ -16,7 +16,8 @@ map in the format of the automorphisms kacmoody._MAPS, with the generator
 letters as letters, and the involution that fixes it.  Like the brackets,
 every entry is affine in n, so the mode checks (morphism, jacobi,
 fixed_point, kappa_isomorphism) are decided for every mode at symbolic
-modes (see modes), where _raw is the bracket of raw generators.
+modes (see modes), where _raw is the bracket of raw generators; jacobi
+decides the loop axioms and cites morphism, which carries them over.
 
 Generators are interned ints, one instance per (family, letter, mode),
 ordered as those tuples are (see OnsSymbol).  The bracket of two
@@ -214,34 +215,27 @@ def morphism_image(family, sym):
     return _affine_image(row.image, sym.letter, sym.mode)
 
 
-def _realization(res, family):
-    """Decide (modes.Proof) that family's realization phi is, at every mode,
-    a homomorphism on raw generators (_raw), well defined, phi(X[r - n]) =
-    sign phi(X[n]) for each _LETTERS rule, so that canonical indices are
-    invisible after phi, and injective on canonical generators."""
-    row = _row(REALIZATIONS, family)
-    letters = _LETTERS[row.family]
-    image = partial(modes.image, row.image)
-    at_n = {x: modes.Gen(x, modes.N) for x in letters}
-    _homomorphism(res, at_n.values(), [modes.Gen(x, modes.M) for x in letters],
-                  image, _raw, _loop, -1)
-    for x, (r, sign) in ((x, rule) for x, rule in letters.items() if rule):
-        mirror = modes.Gen(x, (-1, 0, r))
-        res.add(image(mirror) - image(at_n[x]).scale(sign), "{} = {}{}", mirror,
-                "-" * (sign < 0), at_n[x])
-    modes.injective(res, {x: image(at_n[x]) for x in letters}, letters)
-
-
 def check_morphism(family, window, override=None):
-    """The realization is an injective homomorphism at every mode (see
-    _realization).  override(sym), replacing single images (None falls
-    through), is how the tests and the benchmark's mutation sweep check a
-    perturbed realization: it runs the windowed sweep of canonical pairs
-    with |mode| <= window, pending ROADMAP item 5 (a table patch)."""
+    """The realization phi is, at every mode (modes.Proof), a homomorphism
+    on raw generators (_raw), well defined, phi(X[r - n]) = sign phi(X[n])
+    for each _LETTERS rule, so that canonical indices are invisible after
+    phi, and injective on canonical generators.  override(sym), replacing
+    single images (None falls through), is how the tests and the
+    benchmark's mutation sweep check a perturbed realization: it runs the
+    windowed sweep of canonical pairs with |mode| <= window, pending
+    ROADMAP item 5 (a table patch)."""
     row = _row(REALIZATIONS, family)  # an unknown family fails before any work
     if not override:
-        res = modes.Proof(window)
-        _realization(res, family)
+        res, letters = modes.Proof(window), _LETTERS[row.family]
+        image = partial(modes.image, row.image)
+        at_n = {x: modes.Gen(x, modes.N) for x in letters}
+        _homomorphism(res, at_n.values(), [modes.Gen(x, modes.M) for x in letters],
+                      image, _raw, _loop, -1)
+        for x, (r, sign) in ((x, rule) for x, rule in letters.items() if rule):
+            mirror = modes.Gen(x, (-1, 0, r))
+            res.add(image(mirror) - image(at_n[x]).scale(sign), "{} = {}{}", mirror,
+                    "-" * (sign < 0), at_n[x])
+        modes.injective(res, {x: image(at_n[x]) for x in letters}, letters)
         return res.report(f"morphism[{family}]", "every integer mode: homomorphism on "
                           "letter pairs, well defined, injective")
     img = _memo_image(lambda sym: morphism_image(family, sym), override)
@@ -263,19 +257,16 @@ def _jacobi(a, b, c):
 
 
 def check_jacobi(family, window):
-    """The family's bracket is a Lie bracket at every mode, by pullback: its
-    realization (REALIZATIONS[family]) is a well-defined injective
-    homomorphism (_realization) into the loop algebra, whose bracket is a
-    Lie bracket (kacmoody.loop_axioms).  Both premises are decided here, and
-    each witness names the one it refutes, "loop axioms:" or "realization:"."""
+    """The family's bracket is a Lie bracket at every mode, by pullback: the
+    loop bracket is one (kacmoody.loop_axioms, decided here), and the
+    family's realization is a well-defined injective homomorphism into the
+    loop algebra, the premise morphism[family] that carries the axioms to
+    the family; cli.family_block decides it in the same suite."""
     _row(_LETTERS, family)  # an unknown family fails before any work
     res = modes.Proof(window)
-    res.premise = "loop axioms: "
     loop_axioms(res)
-    res.premise = "realization: "
-    _realization(res, family)
     return res.report(f"jacobi[{family}]", "pullback from the loop axioms (sl2 Jacobi, _FORM "
-                      f"symmetric and invariant) and the {family} realization (homomorphism, "
+                      f"symmetric and invariant) through morphism[{family}] (homomorphism, "
                       "well defined, injective), at every integer mode")
 
 
@@ -331,17 +322,24 @@ def check_dolan_grady(family):
     return res.report(f"dolan_grady[{family}]", "lowest-mode relations")
 
 
+def _intertwines(window, outer, source, target, shift=0):
+    """A modes.Proof that the kacmoody._MAPS map outer carries the source
+    realization onto the target one letter by letter, at every mode:
+    outer(phi_source(X[n])) = phi_target(X[n + shift])."""
+    res, moved = modes.Proof(window), partial(modes.image, _MAPS[outer])
+    for x in _LETTERS[REALIZATIONS[source].family]:
+        at = modes.Gen(x, modes.N)
+        res.add(modes.image(REALIZATIONS[source].image, at).linear(moved)
+                - modes.image(REALIZATIONS[target].image, modes.Gen(x, (1, 0, shift))), "{}", at)
+    return res
+
+
 def check_fixed_point(family, max_mode):
     """The family's distinguished involution fixes its realization
     pointwise, at every mode."""
-    row = _row(REALIZATIONS, family)
-    theta = partial(modes.image, _MAPS[row.fixing])
-    res = modes.Proof(max_mode)
-    for x in _LETTERS[row.family]:
-        at = modes.Gen(x, modes.N)
-        img = modes.image(row.image, at)
-        res.add(img.linear(theta) - img, "{}", at)
-    return res.report(f"fixed_point[{family}, {row.fixing}]", "every integer mode")
+    fixing = _row(REALIZATIONS, family).fixing
+    return _intertwines(max_mode, fixing, family, family).report(
+        f"fixed_point[{family}, {fixing}]", "every integer mode")
 
 
 def check_kappa_isomorphism(window, correspondence_shift=0):
@@ -350,17 +348,9 @@ def check_kappa_isomorphism(window, correspondence_shift=0):
     phi_inv(X[n]) = phi_kappa(X[n + correspondence_shift]), at any index
     by kappa_minus's well-definedness (morphism[kappa_minus]).  A nonzero
     correspondence_shift misaligns the modes and must fail."""
-    shift = partial(modes.image, _MAPS["shift"])
-    res = modes.Proof(window)
-    for x in _LETTERS["invariant"]:
-        at, moved = modes.Gen(x, modes.N), modes.Gen(x, (1, 0, correspondence_shift))
-        res.add(modes.image(REALIZATIONS["invariant"].image, at).linear(shift)
-                - modes.image(REALIZATIONS["kappa_minus"].image, moved), "{}", at)
-    return res.report(
-        "kappa_isomorphism"
-        + (f"[shift {correspondence_shift:+d}]" if correspondence_shift else ""),
-        "every integer mode",
-    )
+    tag = f"[shift {correspondence_shift:+d}]" if correspondence_shift else ""
+    return _intertwines(window, "shift", "invariant", "kappa_minus", correspondence_shift).report(
+        f"kappa_isomorphism{tag}", "every integer mode")
 
 
 # -- generating series -------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_twisted_yang_baxter():
 
 def test_defining_relations_of_the_current_algebra():
     with deadline(30):
-        ok(check_serre_chevalley(6))
+        ok(check_serre_chevalley())
         ok(check_frt_relations(6))
         bad(check_frt_relations(6, omit_central=True))
 

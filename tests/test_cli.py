@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from onsalg import cli, currents, exactalg
+from onsalg import cli, currents, envelope, exactalg, kacmoody
 from onsalg.report import CheckReport
 
 CHECK_KEYS = {"name", "status", "residual_terms", "region", "duration_ms", "witnesses"}
@@ -219,6 +219,25 @@ def test_notes_only_for_charge_suites(capsys):
     assert len(doc["notes"]) == 3
     _, doc = run_json(["kappa", "--window", "3", "--max-k", "2"], capsys)
     assert "notes" not in doc
+    # currents names the premises of its exchange checks that other suites decide
+    _, doc = run_json(["currents", "--window", "4"], capsys)
+    assert doc["notes"] == [
+        "exchange[onsager], exchange[augmented], exchange[invariant], exchange[kappa_minus] "
+        "cite premises this suite does not decide: morphism[onsager] (suite onsager), "
+        "morphism[augmented] (suite augmented), morphism[invariant] (suite invariant), "
+        "morphism[kappa_minus] (suite kappa); verify all decides them"]
+
+
+def test_currents_passes_on_a_failed_premise_and_says_so(monkeypatch, capsys):
+    # with sl2's [e, f] doubled every morphism[f] fails, in its own suite:
+    # verify currents still passes, and its note names what it left undecided
+    monkeypatch.setitem(kacmoody._SL2, ("E", "F"), ((2, "H"),))
+    for module, memo in ((kacmoody, "_BRACKET_MEMO"), (envelope, "_BRACKET"),
+                         (envelope, "_NORMAL")):
+        monkeypatch.setattr(module, memo, {})
+    code, doc = run_json(["currents", "--window", "4"], capsys)
+    assert code == 0 and "morphism[onsager] (suite onsager)" in doc["notes"][0]
+    assert run_json(["all", "--window", "4", "--max-k", "2"], capsys)[0] == 1
 
 
 def test_all_runs_every_suite(capsys):

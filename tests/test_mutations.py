@@ -12,6 +12,7 @@ failure.  The realization rows and the Lie-side tables are also swept:
 every mutant generated from the live tables must fail verify all's checks.
 """
 
+import json
 import os
 import sys
 
@@ -45,7 +46,24 @@ def test_serre_chevalley_fails_without_the_central_term(monkeypatch):
     # dropped; an empty memo makes the bracket read the changed table
     monkeypatch.delitem(kacmoody._FORM, ("E", "F"))
     monkeypatch.setattr(kacmoody, "_BRACKET_MEMO", {})
-    assert _first(kacmoody.check_serre_chevalley(3)) == (1, "[x0+, x0-]", "c")
+    assert _first(kacmoody.check_serre_chevalley()) == (1, "[x0+, x0-]", "c")
+
+
+def test_serre_chevalley_fails_on_a_bracket_that_names_c(monkeypatch, capsys):
+    # [h, c] = e: c is no longer central, and the symbolic centrality
+    # identity fails at every mode; no other check of verify frt or verify
+    # all reads c as a table type
+    monkeypatch.setitem(kacmoody._SL2, ("H", "C"), ((1, "E"),))
+    for module, memo in ((kacmoody, "_BRACKET_MEMO"), (envelope, "_BRACKET"),
+                         (envelope, "_NORMAL")):
+        monkeypatch.setattr(module, memo, {})
+    rep = kacmoody.check_serre_chevalley()
+    assert {"position": "[k0+k1, h[n]]", "residual": "e[n]"} in rep.witnesses
+    for suite in ("frt", "all"):
+        assert cli.run([suite, "--format", "json"]) == 1
+        failed = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]
+                  if c["status"] != "pass"]
+        assert failed == ["serre_chevalley"]
 
 
 def test_augmented_realization_fails_without_its_central_term(monkeypatch):
@@ -65,9 +83,11 @@ def test_augmented_realization_fails_without_its_central_term(monkeypatch):
 def test_jacobi_fails_on_a_bracket_that_is_not_antisymmetric(monkeypatch):
     # [G_n, G_m] = G_n, so [x, x] = x
     monkeypatch.setitem(onsager._BRACKETS, ("G", "G"), ((1, "G", 1, 0, 0),))
-    rep = onsager.check_jacobi("onsager", 2)
-    # the pullback's premise fails: the realization no longer preserves [G, G]
-    assert _first(rep) == (2, "realization: [G[n], G[m]]", "h[-n] - h[n]")
+    # the pullback's premise fails: the realization no longer preserves
+    # [G, G]; jacobi[onsager] cites it, and morphism[onsager] decides it
+    assert "through morphism[onsager]" in onsager.check_jacobi("onsager", 2).region
+    rep = onsager.check_morphism("onsager", 2)
+    assert _first(rep) == (2, "[G[n], G[m]]", "h[-n] - h[n]")
     assert len(rep.witnesses) == 1
     # the windowed oracle sees the antisymmetry fail
     rep = oracles.jacobi("onsager", 2)
@@ -84,8 +104,9 @@ _SHIFTED_ZZ = ((4, "K", 1, 1, 0), (4, "K", -1, 1, 0))
 
 def test_jacobi_fails_on_a_wrong_structure_constant(monkeypatch):
     monkeypatch.setitem(onsager._BRACKETS, ("Z+", "Z-"), _SHIFTED_ZZ)
-    assert _first(onsager.check_jacobi("augmented", 2)) == (
-        12, "realization: [Z+[n], Z-[m]]",
+    assert "through morphism[augmented]" in onsager.check_jacobi("augmented", 2).region
+    assert _first(onsager.check_morphism("augmented", 2)) == (
+        12, "[Z+[n], Z-[m]]",
         "-4*h[-n + m] + 4*h[-n + m + 1] + 4*h[n - m - 1] - 4*h[n - m]; "
         "4*c on n - m - 1 = 0; -4*c on n - m = 0")
     assert _first(oracles.jacobi("augmented", 2)) == (
@@ -106,8 +127,7 @@ def test_jacobi_names_the_loop_axioms_when_they_fail(monkeypatch, container, key
     assert not rep.passed
     assert rep.witnesses[0] == {"position": "loop axioms: (e[n], h[m], f[0])",
                                 "residual": "(-6*n - 4*m)*c on n + m = 0"}
-    assert all(w["position"].startswith(("loop axioms: ", "realization: "))
-               for w in rep.witnesses)
+    assert all(w["position"].startswith("loop axioms: ") for w in rep.witnesses)
 
 
 def test_jacobi_sampled_fails_on_a_wrong_structure_constant(monkeypatch):
