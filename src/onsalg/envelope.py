@@ -296,7 +296,7 @@ def check_linear_charges(family, max_k, mutate=False):
 
     j < k suffices: abstract_bracket is antisymmetric by construction (see
     onsager._BRACKETS; the one same-letter entry, [A_n, A_m] = 4 G_{n-m},
-    is odd because G is), and check_jacobi confirms it on its window.
+    is odd because G is), and jacobi[family] proves it at every mode.
 
     mutate=True flips the sign of the diagonal-letter part of the second
     charge, which must break commutativity."""

@@ -215,7 +215,7 @@ def apply_map(name, a):
 
 
 def _basis_range(window):
-    if window < 0:
+    if window is None or window < 0:
         raise ValueError(f"window must be >= 0, not {window}")
     syms = [C]
     for n in range(-window, window + 1):
@@ -239,20 +239,20 @@ def _homomorphism(res, firsts, seconds, image, product, bracket, sign):
             res.add(LieElt.from_dict(out), "[{}, {}]", a, b)
 
 
-def check_automorphism(name, window, override=None):
+def check_automorphism(name, window=None, override=None):
     """The named map preserves brackets, and squares to the identity when
     each term of its row reverses the mode (s = -1), at every mode: decided
     on the pairs (x[n], y[m]) of basis types and c.  override(sym), tried
-    before the row (None falls through), is how the tests and the
-    benchmark's mutation sweep check a perturbed map: it runs the windowed
-    sweep of |mode| <= window, pending ROADMAP item 5 (a table patch)."""
+    before the row (None falls through), checks a perturbed map for the
+    tests and the benchmark's mutation sweep on the one sweep that reads
+    window, |mode| <= window, pending ROADMAP item 5 (a table patch)."""
     fn, row = _map_fn(name), _MAPS[name]
     if override:
         res, image, bracket = Residuals(), _memo_image(fn, override), _basis_bracket
         firsts = seconds = _basis_range(window)
         region = f"basis pairs with |mode| <= {window}"
     else:
-        res, image, bracket = modes.Proof(window), partial(modes.image, row), _loop
+        res, image, bracket = modes.Proof(), partial(modes.image, row), _loop
         firsts, seconds = ([modes.Loop(t, f) for t in "EFH"] + [modes.C]
                            for f in (modes.N, modes.M))
         region = "every integer mode"

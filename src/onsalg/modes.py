@@ -91,14 +91,9 @@ def image(row, key):
 
 class Proof(Residuals):
     """The residuals of identities decided for every integer mode, and how
-    many were decided: a proof that decided none fails.  It refuses a
-    negative window, as every check taking one does, though it reads none."""
+    many were decided: a proof that decided none fails."""
 
-    def __init__(self, window=0):
-        if window < 0:
-            raise ValueError(f"window must be >= 0, not {window}")
-        super().__init__()
-        self.decided = 0
+    decided = 0
 
     def settle(self, count, text, position, *args):
         """Count one identity, refuted by count > 0 residual terms."""

@@ -189,7 +189,7 @@ def canonical_symbols(family, window):
     """All canonical generators with |mode| <= window: letter by letter in
     the family's order, modes ascending."""
     letters = _row(_LETTERS, family)
-    if window < 0:
+    if window is None or window < 0:
         raise ValueError(f"window must be >= 0, not {window}")
     syms = []
     for letter in letters:
@@ -215,18 +215,18 @@ def morphism_image(family, sym):
     return _affine_image(row.image, sym.letter, sym.mode)
 
 
-def check_morphism(family, window, override=None):
+def check_morphism(family, window=None, override=None):
     """The realization phi is, at every mode (modes.Proof), a homomorphism
     on raw generators (_raw), well defined, phi(X[r - n]) = sign phi(X[n])
     for each _LETTERS rule, so that canonical indices are invisible after
     phi, and injective on canonical generators.  override(sym), replacing
     single images (None falls through), is how the tests and the
     benchmark's mutation sweep check a perturbed realization: it runs the
-    windowed sweep of canonical pairs with |mode| <= window, pending
-    ROADMAP item 5 (a table patch)."""
+    windowed sweep of canonical pairs with |mode| <= window, the one use of
+    window, pending ROADMAP item 5 (a table patch)."""
     row = _row(REALIZATIONS, family)  # an unknown family fails before any work
     if not override:
-        res, letters = modes.Proof(window), _LETTERS[row.family]
+        res, letters = modes.Proof(), _LETTERS[row.family]
         image = partial(modes.image, row.image)
         at_n = {x: modes.Gen(x, modes.N) for x in letters}
         _homomorphism(res, at_n.values(), [modes.Gen(x, modes.M) for x in letters],
@@ -256,29 +256,30 @@ def _jacobi(a, b, c):
     return OnsElt.from_dict(out)
 
 
-def check_jacobi(family, window):
+def check_jacobi(family):
     """The family's bracket is a Lie bracket at every mode, by pullback: the
     loop bracket is one (kacmoody.loop_axioms, decided here), and the
     family's realization is a well-defined injective homomorphism into the
     loop algebra, the premise morphism[family] that carries the axioms to
     the family; cli.family_block decides it in the same suite."""
     _row(_LETTERS, family)  # an unknown family fails before any work
-    res = modes.Proof(window)
+    res = modes.Proof()
     loop_axioms(res)
     return res.report(f"jacobi[{family}]", "pullback from the loop axioms (sl2 Jacobi, _FORM "
                       f"symmetric and invariant) through morphism[{family}] (homomorphism, "
                       "well defined, injective), at every integer mode")
 
 
-# how many random triples check_jacobi_sampled draws
-_JACOBI_SAMPLES = 40
+# check_jacobi_sampled's triples: how many, and their largest |mode| (3 x the default window)
+_JACOBI_SAMPLES, _JACOBI_MAX_MODE = 40, 18
 
 
-def check_jacobi_sampled(family, max_mode, seed):
-    """Jacobi identity on randomized generator triples with modes up to
-    max_mode — a spot check beyond the exhaustive window."""
+def check_jacobi_sampled(family, seed):
+    """Jacobi identity on randomized generator triples with |mode| <=
+    _JACOBI_MAX_MODE: a spot check, on concrete modes under _pair_bracket,
+    of what jacobi[family] and morphism[family] prove at every mode."""
     rng = random.Random(seed)
-    syms = canonical_symbols(family, max_mode)
+    syms = canonical_symbols(family, _JACOBI_MAX_MODE)
     res = Residuals()
     for _ in range(_JACOBI_SAMPLES):
         sa, sb, sc = (rng.choice(syms) for _ in range(3))
@@ -286,7 +287,7 @@ def check_jacobi_sampled(family, max_mode, seed):
         res.add(jac, "({}, {}, {})", sa, sb, sc)
     return res.report(
         f"jacobi_sampled[{family}]",
-        f"{_JACOBI_SAMPLES} random triples with |mode| <= {max_mode}, seed {seed}",
+        f"{_JACOBI_SAMPLES} random triples with |mode| <= {_JACOBI_MAX_MODE}, seed {seed}",
     )
 
 
@@ -322,11 +323,11 @@ def check_dolan_grady(family):
     return res.report(f"dolan_grady[{family}]", "lowest-mode relations")
 
 
-def _intertwines(window, outer, source, target, shift=0):
+def _intertwines(outer, source, target, shift=0):
     """A modes.Proof that the kacmoody._MAPS map outer carries the source
     realization onto the target one letter by letter, at every mode:
     outer(phi_source(X[n])) = phi_target(X[n + shift])."""
-    res, moved = modes.Proof(window), partial(modes.image, _MAPS[outer])
+    res, moved = modes.Proof(), partial(modes.image, _MAPS[outer])
     for x in _LETTERS[REALIZATIONS[source].family]:
         at = modes.Gen(x, modes.N)
         res.add(modes.image(REALIZATIONS[source].image, at).linear(moved)
@@ -334,22 +335,23 @@ def _intertwines(window, outer, source, target, shift=0):
     return res
 
 
-def check_fixed_point(family, max_mode):
+def check_fixed_point(family):
     """The family's distinguished involution fixes its realization
     pointwise, at every mode."""
     fixing = _row(REALIZATIONS, family).fixing
-    return _intertwines(max_mode, fixing, family, family).report(
+    return _intertwines(fixing, family, family).report(
         f"fixed_point[{family}, {fixing}]", "every integer mode")
 
 
-def check_kappa_isomorphism(window, correspondence_shift=0):
+def check_kappa_isomorphism(window=None, correspondence_shift=0):
     """The translation automorphism carries the invariant realization onto
     the kappa_minus one generator by generator, at every mode: shift
     phi_inv(X[n]) = phi_kappa(X[n + correspondence_shift]), at any index
     by kappa_minus's well-definedness (morphism[kappa_minus]).  A nonzero
-    correspondence_shift misaligns the modes and must fail."""
+    correspondence_shift misaligns the modes and must fail.  window is read
+    nowhere; it stays while the benchmark passes one, until ROADMAP item 5."""
     tag = f"[shift {correspondence_shift:+d}]" if correspondence_shift else ""
-    return _intertwines(window, "shift", "invariant", "kappa_minus", correspondence_shift).report(
+    return _intertwines("shift", "invariant", "kappa_minus", correspondence_shift).report(
         f"kappa_isomorphism{tag}", "every integer mode")
 
 

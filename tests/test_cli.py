@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from onsalg import cli, currents, envelope, exactalg, kacmoody
+from onsalg.onsager import FAMILIES
 from onsalg.report import CheckReport
 
 CHECK_KEYS = {"name", "status", "residual_terms", "region", "duration_ms", "witnesses"}
@@ -79,8 +80,15 @@ def test_check_level_window_error_is_config_error(capsys):
          "suite 'frt' needs window >= 4, got 3"),
         (["currents", "--window", "3", "--max-k", "3"],
          "suite 'currents' needs window >= 4, got 3"),
-    ],
-    ids=["all", "currents"],
+        # charges takes the window as the linear charges' max-k
+        (["charges", "--window", "0"], "suite 'charges' needs window >= 1, got 0"),
+    ]
+    # a suite that reads no window still refuses a negative one
+    + [([suite, "--window", "-1"],
+        f"suite {suite!r} needs window >= {cli.SUITE_MIN_WINDOW.get(suite, 0)}, got -1")
+       for suite in cli.SUITE_ORDER]
+    + [(["all", "--window", "-1"], "suite 'rmatrix' needs window >= 0, got -1")],
+    ids=["all", "currents", "charges"] + [f"{s}_negative" for s in cli.SUITE_ORDER + ("all",)],
 )
 def test_window_below_a_suite_minimum_is_rejected_before_any_check(
     monkeypatch, capsys, argv, message
@@ -91,6 +99,40 @@ def test_window_below_a_suite_minimum_is_rejected_before_any_check(
     monkeypatch.setattr(cli, "_execute", no_checks)
     assert cli.run(argv) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+# the suites that read no window: mode proofs, the sampled spot checks and
+# the tensor checks
+WINDOWLESS = ("rmatrix", "onsager", "augmented", "invariant", "kappa")
+
+
+@pytest.mark.parametrize("suite", WINDOWLESS)
+def test_a_suite_that_reads_no_window_gives_the_same_verdicts_at_any(capsys, suite):
+    # 3 * 715827883 is past 2**31, the bound on a mode: no check may scale
+    # its modes with the window
+    verdicts = []
+    for window in ("0", "6", "715827883"):
+        code, doc = run_json([suite, "--window", window], capsys)
+        assert code == 0
+        verdicts.append([{k: v for k, v in c.items() if k != "duration_ms"}
+                         for c in doc["checks"]])
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+def test_the_window_reaches_only_the_checks_that_compare_on_one():
+    def checks(suite, window):
+        return cli.suite_checks(cli.SuiteConfig(suite=suite, window=window))
+
+    moved = [(fn.__name__, *(a for a in args if isinstance(a, str)))
+             for (fn, args), (_, other) in zip(checks("all", 6), checks("all", 9))
+             if args != other]
+    assert moved == (
+        [("check_frt_relations",)]
+        + [("check_exchange", f) for f in currents.REALIZATIONS]
+        + [("check_current_relations", f) for f in FAMILIES]
+        + [("check_linear_charges", f) for f in FAMILIES])
+    for suite in WINDOWLESS:
+        assert checks(suite, 6) == checks(suite, 9)
 
 
 def test_passing_suite_exits_zero(capsys):

@@ -206,7 +206,7 @@ def test_map_table_agrees_with_the_swap_rule(name):
 
 @pytest.mark.parametrize("name", MAP_NAMES)
 def test_named_maps_are_automorphisms(name):
-    rep = check_automorphism(name, 4)
+    rep = check_automorphism(name)
     assert rep.passed, rep
 
 
@@ -240,14 +240,19 @@ def test_serre_chevalley():
     [
         (lambda: BasisSymbol("X", 1), "type must be E, F, H or C, not 'X'"),
         (lambda: BasisSymbol("C", 2), "the central element C has mode 0, not 2"),
-        (lambda: check_automorphism("bogus", 3),
+        (lambda: check_automorphism("bogus"),
          r"unknown map 'bogus' \(choose from theta1, theta2, lusztig_plus, lusztig_minus, shift\)"),
         (lambda: apply_map("bogus", LieElt.single(C)), "unknown map 'bogus'"),
-        (lambda: check_automorphism("theta1", -1), "window must be >= 0, not -1"),
+        # the override sweep is the one part of automorphism that reads a window
+        (lambda: check_automorphism("theta1", -1, override=lambda sym: None),
+         "window must be >= 0, not -1"),
+        (lambda: check_automorphism("theta1", override=lambda sym: None),
+         "window must be >= 0, not None"),
         (lambda: E(2**31), "a mode must lie strictly between -2[*][*]31 and 2[*][*]31"),
         (lambda: H(-2**31), "a mode must lie strictly between -2[*][*]31 and 2[*][*]31"),
     ],
     ids=["type", "central_mode", "automorphism_map", "apply_map", "automorphism_window",
+         "automorphism_override_without_window",
          "mode_above", "mode_below"],
 )
 def test_guards_raise_value_error(call, message):

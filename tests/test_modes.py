@@ -97,10 +97,10 @@ def _jacobi(family, n, m, k):
     return oracles.jacobi(family, syms=syms)
 
 
-def check_jacobi(family, window):
+def check_jacobi(family):
     """jacobi[family] with the premise it cites, morphism[family]: the
     first report that fails, else jacobi's."""
-    reps = [onsager.check_jacobi(family, window), onsager.check_morphism(family, window)]
+    reps = [onsager.check_jacobi(family), onsager.check_morphism(family)]
     return next((r for r in reps if not r.passed), reps[0])
 
 
@@ -110,7 +110,7 @@ CHECKS = (
     [(kacmoody.check_automorphism, name, _automorphism) for name in kacmoody.MAP_NAMES]
     + [(onsager.check_morphism, f, _morphism) for f in currents.REALIZATIONS]
     + [(onsager.check_fixed_point, f, _fixed_point) for f in currents.REALIZATIONS]
-    + [(lambda _, w: onsager.check_kappa_isomorphism(w), None, _kappa)]
+    + [(lambda _: onsager.check_kappa_isomorphism(), None, _kappa)]
     + [(check_jacobi, f, _jacobi) for f in onsager.FAMILIES]
 )
 
@@ -130,7 +130,7 @@ def test_symbolic_verdict_agrees_with_the_windowed_oracle(check, arg, oracle, mu
             patch.setitem(*mutant)
         _clear_memos()
         try:
-            rep = check(arg, 4)
+            rep = check(arg)
             found = _failed(oracle(arg, n, m, k))
         finally:
             _clear_memos()
@@ -207,9 +207,9 @@ def test_raw_bracket_read_at_modes_is_the_table_bracket(family, n, m):
 
 
 @pytest.mark.parametrize("check", [
-    lambda: onsager.check_morphism("onsager", 4),
-    lambda: onsager.check_fixed_point("onsager", 4),
-    lambda: onsager.check_jacobi("onsager", 4),
+    lambda: onsager.check_morphism("onsager"),
+    lambda: onsager.check_fixed_point("onsager"),
+    lambda: onsager.check_jacobi("onsager"),
 ])
 def test_a_proof_over_an_empty_letter_table_fails(monkeypatch, check):
     # with no letters, morphism and fixed_point decide nothing; jacobi still
@@ -240,7 +240,7 @@ import json
 import onsalg.onsager as onsager
 onsager._BRACKETS[("Z+", "Z-")] = ((4, "K", 1, 1, 0), (4, "K", -1, 1, 0))
 onsager._LETTERS["onsager"]["G"] = (1, -1)
-reps = [onsager.check_morphism("augmented", 2), onsager.check_morphism("onsager", 2)]
+reps = [onsager.check_morphism("augmented"), onsager.check_morphism("onsager")]
 print(json.dumps([r.witnesses for r in reps]))
 """
 
@@ -265,7 +265,7 @@ def test_injective_says_the_lead_term_test_did_not_decide(monkeypatch):
     # e[n] is in A[m] at m = n - 1: the sufficient test fails, and the
     # witness says it decided nothing, not that the map is not injective
     monkeypatch.setitem(_IMAGES["onsager"], "A", (((1, "E", 1, 0), (1, "E", 1, 1)), 0))
-    rep = onsager.check_morphism("onsager", 2)
+    rep = onsager.check_morphism("onsager")
     assert not rep.passed
     assert {"position": "injective at A[n], every n",
             "residual": "undecided (the lead-term test is only sufficient): "

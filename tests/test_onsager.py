@@ -193,14 +193,14 @@ def test_bracket_antisymmetric(family, data):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_jacobi_window_four(family):
-    rep = check_jacobi(family, 4)
+    rep = check_jacobi(family)
     assert rep.passed, rep
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_jacobi_sampled(family):
-    assert check_jacobi_sampled(family, 18, seed=0).passed
-    assert check_jacobi_sampled(family, 18, seed=12345).passed
+    assert check_jacobi_sampled(family, seed=0).passed
+    assert check_jacobi_sampled(family, seed=12345).passed
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -239,7 +239,7 @@ def test_morphism_images():
 
 @pytest.mark.parametrize("family", list(REALIZATIONS))
 def test_morphisms(family):
-    rep = check_morphism(family, 8)
+    rep = check_morphism(family)
     assert rep.passed, rep
 
 
@@ -260,16 +260,16 @@ def test_morphism_fails_without_f_term():
 
 @pytest.mark.parametrize("family", list(REALIZATIONS))
 def test_fixed_points(family):
-    rep = check_fixed_point(family, 8)
+    rep = check_fixed_point(family)
     assert rep.passed, rep
 
 
 def test_kappa_isomorphism():
-    assert check_kappa_isomorphism(8).passed
+    assert check_kappa_isomorphism().passed
 
 
 def test_kappa_isomorphism_fails_when_shifted():
-    rep = check_kappa_isomorphism(8, correspondence_shift=1)
+    rep = check_kappa_isomorphism(correspondence_shift=1)
     assert not rep.passed
     assert rep.witnesses[0] == {
         "position": "H[n]",
@@ -395,7 +395,7 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
          "'K' is not a generator letter of family 'onsager'"),
         (lambda: OnsSymbol("bogus", "A", 1),
          "'A' is not a generator letter of family 'bogus'"),
-        (lambda: check_morphism("bogus", 2), "unknown family 'bogus'"),
+        (lambda: check_morphism("bogus"), "unknown family 'bogus'"),
         (lambda: canonicalize("bogus", "H", 1), "unknown family 'bogus'"),
         (lambda: abstract_bracket(ons("onsager", "A", 1), ons("invariant", "H", 1)),
          "cannot bracket generators of families 'onsager' and 'invariant'"),
@@ -416,17 +416,18 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
         (lambda: build_abstract_B("kappa_minus", 3),
          r"unknown family 'kappa_minus' \(choose from onsager, augmented, invariant\)"),
         (lambda: build_abstract_B("onsager", -1), "window must be >= 0, not -1"),
-        (lambda: check_fixed_point("bogus", 3),
+        (lambda: check_fixed_point("bogus"),
          r"unknown family 'bogus' \(choose from onsager, augmented, invariant, kappa_minus\)"),
-        (lambda: check_jacobi("bogus", 2),
+        (lambda: check_jacobi("bogus"),
          r"unknown family 'bogus' \(choose from onsager, augmented, invariant\)"),
-        (lambda: check_jacobi_sampled("bogus", 2, seed=0), "unknown family 'bogus'"),
+        (lambda: check_jacobi_sampled("bogus", seed=0), "unknown family 'bogus'"),
         (lambda: canonical_symbols("bogus", 2), "unknown family 'bogus'"),
         (lambda: canonical_symbols("onsager", -1), "window must be >= 0, not -1"),
-        (lambda: check_morphism("onsager", -1), "window must be >= 0, not -1"),
-        (lambda: check_jacobi("augmented", -1), "window must be >= 0, not -1"),
-        (lambda: check_fixed_point("invariant", -1), "window must be >= 0, not -1"),
-        (lambda: check_kappa_isomorphism(-1), "window must be >= 0, not -1"),
+        # the override sweep is the one part of morphism that reads a window
+        (lambda: check_morphism("onsager", -1, override=lambda sym: None),
+         "window must be >= 0, not -1"),
+        (lambda: check_morphism("onsager", override=lambda sym: None),
+         "window must be >= 0, not None"),
         (lambda: OnsSymbol("onsager", "A", 2**31),
          "a mode must lie strictly between -2[*][*]31 and 2[*][*]31"),
         (lambda: ons("invariant", "H", -2**31),
@@ -438,7 +439,7 @@ def test_current_relations_fail_with_tagged_witnesses(monkeypatch):
          "current_relations_family", "current_relations_window", "abstract_B_family",
          "abstract_B_window", "fixed_point_family", "jacobi_family",
          "jacobi_sampled_family", "symbols_family", "symbols_window",
-         "morphism_window", "jacobi_window", "fixed_point_window", "kappa_window",
+         "morphism_window", "morphism_override_without_window",
          "mode_above", "mode_below"],
 )
 def test_guards_raise_value_error(call, message):

@@ -55,7 +55,7 @@ MUTATIONS = [
     lambda: check_frt_relations(4, omit_central=True),
     lambda: check_exchange("onsager", 4, rbar_family="augmented"),
     lambda: check_morphism("onsager", 4, override=_dropped_f),
-    lambda: check_kappa_isomorphism(8, correspondence_shift=1),
+    lambda: check_kappa_isomorphism(correspondence_shift=1),
     lambda: check_linear_charges("onsager", 2, mutate=True),
     lambda: check_quadratic_charges("onsager", 2, mutate=True),
 ]
